@@ -1,8 +1,9 @@
 #!/usr/bin/env python3
 """Learner-versus-baselines experiment on the reference bursty chain.
 
-Desk scale finishes in about a minute; paper scale multiplies the path
-and run counts by ten and a five.
+Desk scale (30 paths x 20 runs x 500 slots) takes about 15 s on one
+core of a 2-vCPU Xeon VM; paper scale multiplies the paths by ten and
+the runs by five.
 """
 
 import argparse

@@ -17,7 +17,7 @@ import numpy as np
 
 from .beliefs import RewardConfig
 from .gilbert_elliott import GEParams, from_burst_parameterization, simulate, stationary
-from .learning import PosteriorSamplingLearner, SleepTimePlanner
+from .learning import PosteriorSamplingLearner, SleepTimePlanner, _run_episode
 from .threshold import LookupTable, ThresholdPolicy, build_lookup_table, optimal_sleep_time
 
 __all__ = [
@@ -104,7 +104,9 @@ class ExperimentSpec:
 
 
 # sequential policy protocol: reset(rng) -> None, wants_harvest() -> bool,
-# record_harvest(good: bool) -> None, record_sleep() -> None
+# record_harvest(good: bool) -> None, record_sleep() -> None, plus a
+# ``deterministic`` flag; learning._run_episode steps a policy through a
+# path, and learning.PosteriorSamplingLearner is the Bayes learner
 
 
 class AlwaysHarvestPolicy:
@@ -167,29 +169,6 @@ class FixedThresholdPolicy:
 
     def record_sleep(self) -> None:
         self.timer = max(0, self.timer - 1)
-
-
-class BayesLearnerPolicy:
-    """Posterior-sampling learner (truncated hypothesis filter)."""
-
-    deterministic = False
-
-    def __init__(self, k: int, cfg: RewardConfig, table: LookupTable | None = None):
-        self.k = k
-        self.planner = SleepTimePlanner(cfg, table)  # cache shared across episodes
-        self._learner: PosteriorSamplingLearner | None = None
-
-    def reset(self, rng) -> None:
-        self._learner = PosteriorSamplingLearner(k=self.k, planner=self.planner, rng=rng)
-
-    def wants_harvest(self) -> bool:
-        return self._learner.wants_harvest()
-
-    def record_harvest(self, good: bool) -> None:
-        self._learner.record_harvest(good)
-
-    def record_sleep(self) -> None:
-        self._learner.record_sleep()
 
 
 class ImpoverishedPosteriorPolicy:
@@ -302,7 +281,7 @@ def _make_policy(defn: PolicyDef, params: GEParams, cfg: RewardConfig):
             policy, _ = optimal_sleep_time(params, cfg)
         return FixedThresholdPolicy(policy=policy, **opts)
     if defn.name == "bayes_learner":
-        return BayesLearnerPolicy(cfg=cfg, table=table, **opts)
+        return PosteriorSamplingLearner(planner=SleepTimePlanner(cfg, table), **opts)
     if defn.name == "impoverished_posterior":
         return ImpoverishedPosteriorPolicy(cfg=cfg, table=table, **opts)
     if defn.name == "random_sampling":
@@ -317,21 +296,6 @@ def _path_seed(base_seed: int, path_idx: int) -> int:
 def _episode_rng(base_seed: int, path_idx: int, run_idx: int, policy_idx: int):
     seq = np.random.SeedSequence([base_seed, 11, path_idx, run_idx, policy_idx])
     return np.random.Generator(np.random.Philox(seq))
-
-
-def _run_episode(policy, states: np.ndarray, cfg: RewardConfig) -> float:
-    total = 0.0
-    discount = 1.0
-    r1, r0, gamma = cfg.r1, cfg.r0, cfg.gamma
-    for t in range(states.shape[0]):
-        if policy.wants_harvest():
-            good = bool(states[t])
-            total += discount * (r1 if good else -r0)
-            policy.record_harvest(good)
-        else:
-            policy.record_sleep()
-        discount *= gamma
-    return total
 
 
 @dataclass(frozen=True)

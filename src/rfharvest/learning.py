@@ -8,14 +8,15 @@ histories, consistent with everything observed so far, that produce
 exactly those counts. Counts start at [1, 1, 1, 1] (uniform priors)
 with both states weighted 1.
 
-The filter conditions on landing states: the particle set always
-describes the most recent slot. The first observed harvest pins the
-initial state without counting a transition; every later step first
-advances each hypothesis one transition (branching it in two) and, if
-the slot was harvested, keeps only the branches that land on the
-observed state. Sleeping branches everything and keeps it all, so the
-hypothesis count at most doubles per sleeping slot; to stay tractable
-only the 2K heaviest hypotheses survive each step.
+The filter is one map from (state, counts) to the exact integer weight.
+It conditions on landing states: the map always describes the most
+recent slot. The first observed harvest pins the initial state without
+counting a transition; every later step first advances each hypothesis
+one transition (branching it in two) and, if the slot was harvested,
+keeps only the branches that land on the observed state. Sleeping
+branches everything and keeps it all, so the hypothesis count at most
+doubles per sleeping slot; to stay tractable only the 2K heaviest
+hypotheses survive each step.
 
 When a harvest fails, one hypothesis is drawn with probability
 proportional to its weight, its Beta-mean parameter estimates are
@@ -28,7 +29,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
-from typing import Iterable, NamedTuple
+from typing import NamedTuple
 
 import numpy as np
 
@@ -38,14 +39,11 @@ from .threshold import LookupTable, ThresholdPolicy, optimal_sleep_time
 
 __all__ = [
     "PosteriorCount",
-    "Particle",
-    "ParticleSet",
+    "HypothesisMap",
     "ExactPosterior",
     "EmptyPosterior",
     "HistoryTooLong",
     "initial_particles",
-    "good_state_update",
-    "bad_state_update",
     "observe",
     "exact_posterior",
     "SleepTimePlanner",
@@ -87,136 +85,83 @@ class PosteriorCount(NamedTuple):
 UNIFORM_PRIOR = PosteriorCount(1, 1, 1, 1)
 
 
-class Particle(NamedTuple):
-    count: PosteriorCount
-    weight: int
+# A hypothesis is keyed (state, g2b, g2g, b2g, b2b) with state 0 for good
+# and 1 for bad: a tuple of plain ints hashes in C, where an Enum member
+# would hash through a Python-level __hash__ on every dict access.
+GOOD, BAD = 0, 1
+HypothesisKey = tuple[int, int, int, int, int]
 
 
-@dataclass(frozen=True)
-class ParticleSet:
-    """Weighted hypotheses split by current state, truncated to 2K total."""
+class HypothesisMap(NamedTuple):
+    """Exact integer weight of every surviving hypothesis, at most 2K."""
 
-    good: tuple[Particle, ...]
-    bad: tuple[Particle, ...]
+    weights: dict[HypothesisKey, int]
     k: int
     fresh: bool = False
 
-    def __post_init__(self) -> None:
-        if self.k < 1:
-            raise ValueError("k must be at least 1")
 
-    @property
-    def n_hypotheses(self) -> int:
-        return len(self.good) + len(self.bad)
-
-    def total_weight(self) -> int:
-        return sum(p.weight for p in self.good) + sum(p.weight for p in self.bad)
-
-
-def initial_particles(k: int, prior: PosteriorCount = UNIFORM_PRIOR) -> ParticleSet:
-    """Fresh prior set: both states weighted 1 under the given counts.
+def initial_particles(k: int, prior: PosteriorCount = UNIFORM_PRIOR) -> HypothesisMap:
+    """Fresh prior map: both states weighted 1 under the given counts.
 
     The default [1, 1, 1, 1] makes both transition probabilities
     uniform on (0, 1); informative priors plug in larger counts.
     """
-    hypothesis = (Particle(prior, 1),)
-    return ParticleSet(good=hypothesis, bad=hypothesis, k=k, fresh=True)
+    if k < 1:
+        raise ValueError("k must be at least 1")
+    return HypothesisMap({(GOOD, *prior): 1, (BAD, *prior): 1}, k, fresh=True)
 
 
-def _merged(particles: Iterable[Particle]) -> tuple[Particle, ...]:
-    """Sum weights of identical counts; deterministic output order."""
-    acc: dict[PosteriorCount, int] = {}
-    for count, weight in particles:
-        acc[count] = acc.get(count, 0) + weight
-    return tuple(Particle(c, acc[c]) for c in sorted(acc))
-
-
-def _branch_good(particles: Iterable[Particle]) -> tuple[list[Particle], list[Particle]]:
-    """Advance good-state hypotheses one transition: (to good, to bad)."""
-    to_good, to_bad = [], []
-    for count, weight in particles:
-        to_good.append(Particle(count._replace(g2g=count.g2g + 1), weight))
-        to_bad.append(Particle(count._replace(g2b=count.g2b + 1), weight))
-    return to_good, to_bad
-
-
-def _branch_bad(particles: Iterable[Particle]) -> tuple[list[Particle], list[Particle]]:
-    """Advance bad-state hypotheses one transition: (to good, to bad)."""
-    to_good, to_bad = [], []
-    for count, weight in particles:
-        to_good.append(Particle(count._replace(b2g=count.b2g + 1), weight))
-        to_bad.append(Particle(count._replace(b2b=count.b2b + 1), weight))
-    return to_good, to_bad
-
-
-def good_state_update(pset: ParticleSet) -> ParticleSet:
-    """Branch every good-state hypothesis; bad-state ones pass through."""
-    to_good, to_bad = _branch_good(pset.good)
-    return ParticleSet(
-        good=_merged(to_good),
-        bad=_merged(list(pset.bad) + to_bad),
-        k=pset.k,
-        fresh=False,
-    )
-
-
-def bad_state_update(pset: ParticleSet) -> ParticleSet:
-    """Branch every bad-state hypothesis; good-state ones pass through."""
-    to_good, to_bad = _branch_bad(pset.bad)
-    return ParticleSet(
-        good=_merged(list(pset.good) + to_good),
-        bad=_merged(to_bad),
-        k=pset.k,
-        fresh=False,
-    )
-
-
-def _truncate(good: tuple[Particle, ...], bad: tuple[Particle, ...], k: int):
-    """Keep the 2k heaviest hypotheses across both lists jointly.
-
-    Ties break lexicographically on (state, counts), good before bad,
-    so truncation is deterministic.
-    """
-    tagged = [(0, p) for p in good] + [(1, p) for p in bad]
-    tagged.sort(key=lambda t: (-t[1].weight, t[0], t[1].count))
-    kept = tagged[: 2 * k]
-    new_good = tuple(sorted((p for s, p in kept if s == 0), key=lambda p: p.count))
-    new_bad = tuple(sorted((p for s, p in kept if s == 1), key=lambda p: p.count))
-    return new_good, new_bad
-
-
-def observe(pset: ParticleSet, z: Observation) -> ParticleSet:
+def observe(hyp: HypothesisMap, z: Observation) -> HypothesisMap:
     """Incorporate one slot: advance hypotheses, condition on the landing
     state if it was observed, merge duplicates, truncate to 2K.
 
+    Weights are carried without renormalization. Truncation keeps the
+    2K heaviest hypotheses; ties break on the key, good before bad and
+    then ascending counts, so it is deterministic.
+
     On a fresh prior an observed state only selects the matching
     hypotheses (no transition has elapsed yet), and a fresh sleep
-    leaves the set unchanged; the skipped transition is counted by the
+    leaves the map unchanged; the skipped transition is counted by the
     next update.
     """
-    if pset.fresh:
+    if hyp.fresh:
         if z is Observation.NONE:
-            return ParticleSet(good=pset.good, bad=pset.bad, k=pset.k, fresh=False)
-        good = pset.good if z is Observation.GOOD else ()
-        bad = pset.bad if z is Observation.BAD else ()
-        if not good and not bad:
+            return HypothesisMap(hyp.weights, hyp.k)
+        state = {Observation.GOOD: GOOD, Observation.BAD: BAD}.get(z)
+        weights = {key: w for key, w in hyp.weights.items() if key[0] == state}
+        if not weights:
             raise EmptyPosterior(f"no hypothesis matches initial observation {z}")
-        return ParticleSet(good=good, bad=bad, k=pset.k, fresh=False)
+        return HypothesisMap(weights, hyp.k)
 
-    gg, gb = _branch_good(pset.good)
-    bg, bb = _branch_bad(pset.bad)
-    if z is Observation.NONE:
-        good, bad = _merged(gg + bg), _merged(gb + bb)
-    elif z is Observation.GOOD:
-        good, bad = _merged(gg + bg), ()
+    # one loop per observation keeps the per-hypothesis work to the
+    # branches that survive; this is the learner's innermost loop
+    weights: dict[HypothesisKey, int] = {}
+    get = weights.get
+    items = hyp.weights.items()
+    if z is Observation.GOOD:
+        for (state, g2b, g2g, b2g, b2b), w in items:
+            key = (GOOD, g2b, g2g + 1, b2g, b2b) if state == GOOD else (GOOD, g2b, g2g, b2g + 1, b2b)
+            weights[key] = get(key, 0) + w
     elif z is Observation.BAD:
-        good, bad = (), _merged(gb + bb)
+        for (state, g2b, g2g, b2g, b2b), w in items:
+            key = (BAD, g2b + 1, g2g, b2g, b2b) if state == GOOD else (BAD, g2b, g2g, b2g, b2b + 1)
+            weights[key] = get(key, 0) + w
+    elif z is Observation.NONE:
+        for (state, g2b, g2g, b2g, b2b), w in items:
+            if state == GOOD:
+                to_good, to_bad = (GOOD, g2b, g2g + 1, b2g, b2b), (BAD, g2b + 1, g2g, b2g, b2b)
+            else:
+                to_good, to_bad = (GOOD, g2b, g2g, b2g + 1, b2b), (BAD, g2b, g2g, b2g, b2b + 1)
+            weights[to_good] = get(to_good, 0) + w
+            weights[to_bad] = get(to_bad, 0) + w
     else:
         raise ValueError(f"unknown observation {z!r}")
-    if not good and not bad:
+    if not weights:
         raise EmptyPosterior("update left no hypotheses")
-    good, bad = _truncate(good, bad, pset.k)
-    return ParticleSet(good=good, bad=bad, k=pset.k, fresh=False)
+    if len(weights) > 2 * hyp.k:
+        heaviest = sorted([(-w, key) for key, w in weights.items()])[: 2 * hyp.k]
+        weights = {key: -w for w, key in heaviest}
+    return HypothesisMap(weights, hyp.k)
 
 
 def _log_beta_norm(count: PosteriorCount) -> float:
@@ -350,21 +295,24 @@ class SleepTimePlanner:
 
 
 def sample_and_plan(
-    pset: ParticleSet, rng: np.random.Generator, planner: SleepTimePlanner
+    hyp: HypothesisMap, rng: np.random.Generator, planner: SleepTimePlanner
 ) -> tuple[int, tuple[float, float]]:
     """Draw one hypothesis by weight and plan a sleep for its estimates.
+
+    Hypotheses are drawn from in sorted key order: good before bad,
+    then ascending counts.
 
     Estimates that violate the model constraint, or whose optimum is to
     never harvest, fall back to a single sleeping slot: a learner must
     not stop observing forever on the strength of a possibly wrong
     estimate.
     """
-    particles = [(0, p) for p in pset.good] + [(1, p) for p in pset.bad]
-    if not particles:
+    entries = sorted(hyp.weights.items())
+    if not entries:
         raise EmptyPosterior("cannot sample from an empty hypothesis set")
-    weights = np.array([float(p.weight) for _, p in particles])
-    idx = int(rng.choice(len(particles), p=weights / weights.sum()))
-    count = particles[idx][1].count
+    weights = np.array([float(w) for _, w in entries])
+    idx = int(rng.choice(len(entries), p=weights / weights.sum()))
+    count = PosteriorCount(*entries[idx][0][1:])
     p_hat, q_hat = count.mean_p, count.mean_q
     policy = planner.plan(p_hat, q_hat)
     if policy is None or policy.never_harvest:
@@ -373,35 +321,68 @@ def sample_and_plan(
 
 
 class PosteriorSamplingLearner:
-    """Stateful stepper: harvest when the timer is zero, learn, replan."""
+    """Harvest when the timer is zero, learn from every slot, replan
+    after each failure.
 
-    def __init__(
-        self,
-        k: int,
-        planner: SleepTimePlanner,
-        rng: np.random.Generator,
-    ):
+    Follows the sequential policy protocol of ``harness``. ``reset``
+    starts an episode from the prior with the given sampling stream;
+    the planner, and its cache, is shared across episodes.
+    """
+
+    deterministic = False
+
+    def __init__(self, k: int, planner: SleepTimePlanner):
         self.k = k
         self.planner = planner
-        self.rng = rng
-        self.pset = initial_particles(k)
+        self.rng: np.random.Generator | None = None
+        self.hypotheses: HypothesisMap | None = None
         self.timer = 0
-        self.last_plan: tuple[float, float] | None = None
+
+    def reset(self, rng: np.random.Generator) -> None:
+        self.rng = rng
+        self.hypotheses = initial_particles(self.k)
+        self.timer = 0
 
     def wants_harvest(self) -> bool:
         return self.timer == 0
 
     def record_harvest(self, state_good: bool) -> None:
         if state_good:
-            self.pset = observe(self.pset, Observation.GOOD)
+            self.hypotheses = observe(self.hypotheses, Observation.GOOD)
             self.timer = 0
         else:
-            self.pset = observe(self.pset, Observation.BAD)
-            self.timer, self.last_plan = sample_and_plan(self.pset, self.rng, self.planner)
+            self.hypotheses = observe(self.hypotheses, Observation.BAD)
+            self.timer, _ = sample_and_plan(self.hypotheses, self.rng, self.planner)
 
     def record_sleep(self) -> None:
-        self.pset = observe(self.pset, Observation.NONE)
+        self.hypotheses = observe(self.hypotheses, Observation.NONE)
         self.timer = max(0, self.timer - 1)
+
+
+def _run_episode(policy, states: np.ndarray, cfg: RewardConfig, record=None) -> float:
+    """Step a policy through one hidden state path; the discounted reward.
+
+    This is the one episode loop, shared by ``run_learner`` and the
+    harness. ``record(t, good, reward)``, when given, is called once the
+    policy has taken slot t, with the observed state (None for a
+    sleeping slot) and the slot's reward.
+    """
+    total = 0.0
+    discount = 1.0
+    r1, r0, gamma = cfg.r1, cfg.r0, cfg.gamma
+    for t in range(states.shape[0]):
+        if policy.wants_harvest():
+            good = bool(states[t])
+            reward = r1 if good else -r0
+            total += discount * reward
+            policy.record_harvest(good)
+        else:
+            good, reward = None, 0.0
+            policy.record_sleep()
+        if record is not None:
+            record(t, good, reward)
+        discount *= gamma
+    return total
 
 
 @dataclass(frozen=True)
@@ -459,30 +440,21 @@ def run_learner(
     """
     path = simulate(params, horizon, seed=seed)
     rng = np.random.Generator(np.random.Philox(np.random.SeedSequence([seed, 1])))
-    learner = PosteriorSamplingLearner(k=k, planner=SleepTimePlanner(cfg, table), rng=rng)
+    learner = PosteriorSamplingLearner(k=k, planner=SleepTimePlanner(cfg, table))
+    learner.reset(rng)
     records = []
-    total = 0.0
-    discount = 1.0
-    for t in range(horizon):
-        good = bool(path.states[t])
-        if learner.wants_harvest():
-            reward = cfg.r1 if good else -cfg.r0
-            learner.record_harvest(good)
-            action, obs = "harvest", ("G" if good else "B")
-        else:
-            reward = 0.0
-            learner.record_sleep()
-            action, obs = "sleep", None
-        total += discount * reward
-        discount *= cfg.gamma
+
+    def record(t: int, good: bool | None, reward: float) -> None:
         records.append(
             SlotRecord(
                 t=t,
-                action=action,
-                observation=obs,
+                action="sleep" if good is None else "harvest",
+                observation=None if good is None else ("G" if good else "B"),
                 timer=learner.timer,
                 reward=reward,
-                hypothesis_count=learner.pset.n_hypotheses,
+                hypothesis_count=len(learner.hypotheses.weights),
             )
         )
+
+    total = _run_episode(learner, path.states, cfg, record)
     return EpisodeTrace(records=tuple(records), total_discounted_reward=total, seed=seed)

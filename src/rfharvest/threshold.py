@@ -220,6 +220,15 @@ class LookupCell:
     v_good: float | None
 
 
+def _nearest_index(axis: tuple[float, ...], x: float) -> int:
+    """Index of the axis value nearest to x, the first one on a tie.
+
+    Same choice as ``np.argmin(np.abs(axis - x))``, without building
+    arrays for a lookup that runs once per planned sleep.
+    """
+    return min(range(len(axis)), key=lambda i: abs(axis[i] - x))
+
+
 @dataclass(frozen=True)
 class LookupTable:
     """Optimal sleep counts over a (pi_g, t_b) grid.
@@ -253,9 +262,7 @@ class LookupTable:
             return None
         pi_g = q / (p + q)
         t_b = 1.0 / q
-        i = int(np.argmin(np.abs(np.asarray(self.pi_g_axis) - pi_g)))
-        j = int(np.argmin(np.abs(np.asarray(self.t_b_axis) - t_b)))
-        cell = self.cell(i, j)
+        cell = self.cell(_nearest_index(self.pi_g_axis, pi_g), _nearest_index(self.t_b_axis, t_b))
         return cell.policy if cell.valid else None
 
     def write_csv(self, stream: io.TextIOBase) -> None:

@@ -223,8 +223,8 @@ def test_criterion_6_bayesian_exactness():
         pset = initial_particles(10**9)
         for z in zs:
             pset = observe(pset, z)
-        filtered = {(ArrivalState.GOOD, p.count): p.weight for p in pset.good}
-        filtered.update({(ArrivalState.BAD, p.count): p.weight for p in pset.bad})
+        states = (ArrivalState.GOOD, ArrivalState.BAD)
+        filtered = {(states[key[0]], key[1:]): w for key, w in pset.weights.items()}
         assert filtered == post.entries, f"weights diverge on {zs}"
 
         gap = abs(post.state_marginal(ArrivalState.GOOD) - quadrature_state_marginal(zs, m=400))

@@ -1,0 +1,75 @@
+"""Byte-identity of seeded outputs across versions of the code.
+
+The digests below were recorded from the learner as it stood before its
+hypothesis filter and episode loop were rewritten. Rerunning one version
+twice (acceptance criterion 8) cannot catch a change to the random
+draws; these can. A change that alters the draws on purpose must say so
+and record new digests.
+"""
+
+import hashlib
+import io
+
+import pytest
+
+from rfharvest import cli
+from rfharvest.beliefs import RewardConfig
+from rfharvest.gilbert_elliott import from_burst_parameterization
+from rfharvest.harness import ExperimentSpec, PolicyDef, evaluate, write_result_json
+from rfharvest.threshold import build_lookup_table
+
+CFG = RewardConfig(r1=10.0, r0=10.0, gamma=0.99)
+
+# (pi_g, t_b, k, horizon) -> sha256 of `rfharvest learn ... --seed 7` JSONL
+LEARN_DIGESTS = {
+    (0.6, 2.5, 5, 120): "f96bf33c2103f5a8454af93554c5053cb4dfc1d4f00eb21bf75b22eb06f01611",
+    (0.6, 2.5, 5, 2000): "7c42e2808e4f63dd6d2ca111c0c8b18e88f6e45014ef9a213d06433b30041ec4",
+    (0.6, 2.5, 20, 120): "ee4dfb73621cf04e45d652f2393b0968ababa4c7884501fc45e98e9391c01e8b",
+    (0.6, 2.5, 20, 2000): "2adc7fd7f8037f96d86ea436bb33561325be188f624f65eefebb0163e5996685",
+    (0.3, 8.0, 5, 120): "008f802d588f0f857c77b3f7476c9e587745f1d5caf5d6fe3c15a50c3bae1346",
+    (0.3, 8.0, 5, 2000): "bc877417082086d9f5a0450e1069ae37b0dfa82ae110d6f9eb52b9ccc8731d87",
+    (0.3, 8.0, 20, 120): "e6b2ed7655d493e84267955529ad874e7ff2eda8752d6b590f3537207c71da04",
+    (0.3, 8.0, 20, 2000): "a49b8a903487cb29c2d21f92125d4faf2ff7ffc8b832121b548cb27bb7850ea4",
+}
+
+# the four desk policies on the reference chain, 2 paths x 2 runs, base seed 3
+EVALUATE_DIGEST = "b3ce94ee0d923ee90cd8d386e9d4a0e531b8a6463a4f1595a4e3a59cf65228fd"
+
+
+@pytest.mark.parametrize("pi_g,t_b,k,horizon", sorted(LEARN_DIGESTS))
+def test_learn_jsonl_digest(tmp_path, pi_g, t_b, k, horizon):
+    out = tmp_path / "trace.jsonl"
+    code = cli.main(
+        [
+            "learn", "--pi-g", repr(pi_g), "--t-b", repr(t_b), "--r0", "10", "--r1", "10",
+            "--gamma", "0.99", "--k", str(k), "--horizon", str(horizon), "--seed", "7",
+            "--output", str(out),
+        ]
+    )
+    assert code == 0
+    digest = hashlib.sha256(out.read_bytes()).hexdigest()
+    assert digest == LEARN_DIGESTS[(pi_g, t_b, k, horizon)]
+
+
+def test_evaluate_json_digest():
+    table = build_lookup_table(
+        [0.05 + 0.9 * i / 19 for i in range(20)], [1.1 + 18.9 * i / 19 for i in range(20)], CFG
+    )
+    opts = {"table": table}
+    spec = ExperimentSpec(
+        params=from_burst_parameterization(0.6, 2.5),
+        cfg=CFG,
+        horizon=500,
+        paths=2,
+        runs_per_path=2,
+        base_seed=3,
+        policies=(
+            PolicyDef("bayes_learner", {"k": 20, **opts}),
+            PolicyDef("impoverished_posterior", dict(opts)),
+            PolicyDef("random_sampling", dict(opts)),
+            PolicyDef("always_harvest"),
+        ),
+    )
+    buf = io.StringIO()
+    write_result_json(evaluate(spec), buf)
+    assert hashlib.sha256(buf.getvalue().encode()).hexdigest() == EVALUATE_DIGEST

@@ -12,16 +12,15 @@ from hypothesis import strategies as st
 from rfharvest.beliefs import Observation, RewardConfig
 from rfharvest.gilbert_elliott import ArrivalState, GEParams, from_burst_parameterization
 from rfharvest.learning import (
+    BAD,
+    GOOD,
     EmptyPosterior,
     HistoryTooLong,
-    Particle,
-    ParticleSet,
+    HypothesisMap,
     PosteriorCount,
     SleepTimePlanner,
     UNIFORM_PRIOR,
-    bad_state_update,
     exact_posterior,
-    good_state_update,
     initial_particles,
     observe,
     run_learner,
@@ -34,8 +33,17 @@ CFG = RewardConfig(r1=10.0, r0=10.0, gamma=0.99)
 G, B, Z = Observation.GOOD, Observation.BAD, Observation.NONE
 
 
-def pset(good=(), bad=(), k=10, fresh=False):
-    return ParticleSet(good=tuple(good), bad=tuple(bad), k=k, fresh=fresh)
+def hmap(good=(), bad=(), k=10, fresh=False):
+    """Map from (counts, weight) pairs given per state."""
+    weights = {(GOOD, *count): w for count, w in good}
+    weights.update({(BAD, *count): w for count, w in bad})
+    return HypothesisMap(weights, k, fresh)
+
+
+def by_state(hyp):
+    """The map keyed (ArrivalState, counts), as the exact posterior is."""
+    states = (ArrivalState.GOOD, ArrivalState.BAD)
+    return {(states[key[0]], key[1:]): w for key, w in hyp.weights.items()}
 
 
 def replay(observations, k=10**9):
@@ -49,98 +57,160 @@ def obs_strategy(max_len=10):
     return st.lists(st.sampled_from([G, B, Z]), min_size=1, max_size=max_len)
 
 
+# Reference filter, the oracle for observe and sample_and_plan: hypotheses
+# as two tuples of (counts, weight), one per state, each sorted by counts.
+# Every step branches both tuples, merges duplicate counts and keeps the 2k
+# heaviest across both by (-weight, state, counts); draws are made from the
+# good tuple followed by the bad one.
+
+
+def _ref_merged(pairs):
+    acc = {}
+    for count, weight in pairs:
+        acc[count] = acc.get(count, 0) + weight
+    return tuple((c, acc[c]) for c in sorted(acc))
+
+
+def _ref_branch_good(pairs):
+    return (
+        [(c._replace(g2g=c.g2g + 1), w) for c, w in pairs],
+        [(c._replace(g2b=c.g2b + 1), w) for c, w in pairs],
+    )
+
+
+def _ref_branch_bad(pairs):
+    return (
+        [(c._replace(b2g=c.b2g + 1), w) for c, w in pairs],
+        [(c._replace(b2b=c.b2b + 1), w) for c, w in pairs],
+    )
+
+
+def _ref_truncate(good, bad, k):
+    tagged = [(0, p) for p in good] + [(1, p) for p in bad]
+    tagged.sort(key=lambda t: (-t[1][1], t[0], t[1][0]))
+    kept = tagged[: 2 * k]
+    return (
+        tuple(sorted(p for s, p in kept if s == 0)),
+        tuple(sorted(p for s, p in kept if s == 1)),
+    )
+
+
+def reference_observe(good, bad, k, fresh, z):
+    if fresh:
+        if z is Z:
+            return good, bad
+        return (good if z is G else ()), (bad if z is B else ())
+    gg, gb = _ref_branch_good(good)
+    bg, bb = _ref_branch_bad(bad)
+    good = _ref_merged(gg + bg) if z is not B else ()
+    bad = _ref_merged(gb + bb) if z is not G else ()
+    return _ref_truncate(good, bad, k)
+
+
+class _FixedPick:
+    """Stands in for the generator: records the draw probabilities and
+    returns a chosen index."""
+
+    def __init__(self, pick):
+        self.pick = pick
+        self.p = None
+
+    def choice(self, n, p):
+        self.p = p
+        return self.pick
+
+
+class _NullPlanner:
+    def plan(self, p, q):
+        return None
+
+
+def draw_order(hyp):
+    """(probabilities, estimates by index) that sample_and_plan draws from."""
+    estimates = []
+    for i in range(len(hyp.weights)):
+        rng = _FixedPick(i)
+        _, est = sample_and_plan(hyp, rng, _NullPlanner())
+        estimates.append(est)
+    return rng.p, estimates
+
+
 class TestBranchUpdates:
     def test_good_state_branching(self):
-        s = pset(good=[Particle(UNIFORM_PRIOR, 1)])
-        out = good_state_update(s)
-        assert out.good == (Particle(PosteriorCount(1, 2, 1, 1), 1),)
-        assert out.bad == (Particle(PosteriorCount(2, 1, 1, 1), 1),)
+        out = observe(hmap(good=[(UNIFORM_PRIOR, 1)]), Z)
+        assert out.weights == {(GOOD, 1, 2, 1, 1): 1, (BAD, 2, 1, 1, 1): 1}
 
     def test_bad_state_branching(self):
-        s = pset(bad=[Particle(UNIFORM_PRIOR, 1)])
-        out = bad_state_update(s)
-        assert out.good == (Particle(PosteriorCount(1, 1, 2, 1), 1),)
-        assert out.bad == (Particle(PosteriorCount(1, 1, 1, 2), 1),)
+        out = observe(hmap(bad=[(UNIFORM_PRIOR, 1)]), Z)
+        assert out.weights == {(GOOD, 1, 1, 2, 1): 1, (BAD, 1, 1, 1, 2): 1}
 
-    def test_good_update_leaves_bad_untouched(self):
-        keep = Particle(PosteriorCount(3, 1, 2, 2), 7)
-        s = pset(good=[Particle(UNIFORM_PRIOR, 1)], bad=[keep])
-        out = good_state_update(s)
-        assert keep in out.bad
+    def test_harvest_keeps_only_landing_state(self):
+        s = hmap(good=[(UNIFORM_PRIOR, 1)], bad=[(PosteriorCount(3, 1, 2, 2), 7)])
+        assert observe(s, G).weights == {(GOOD, 1, 2, 1, 1): 1, (GOOD, 3, 1, 3, 2): 7}
+        assert observe(s, B).weights == {(BAD, 2, 1, 1, 1): 1, (BAD, 3, 1, 2, 3): 7}
 
     def test_weights_carried_without_renormalization(self):
-        s = pset(good=[Particle(UNIFORM_PRIOR, 5)])
-        out = good_state_update(s)
-        assert out.good[0].weight == 5 and out.bad[0].weight == 5
-
-    def test_empty_lists_are_identity(self):
-        s = pset(bad=[Particle(UNIFORM_PRIOR, 2)])
-        assert good_state_update(s).bad == s.bad
-        s2 = pset(good=[Particle(UNIFORM_PRIOR, 2)])
-        assert bad_state_update(s2).good == s2.good
+        out = observe(hmap(good=[(UNIFORM_PRIOR, 5)]), Z)
+        assert list(out.weights.values()) == [5, 5]
 
     def test_merge_sums_weights(self):
-        # two hypotheses branching onto the same counts merge
-        a = Particle(PosteriorCount(1, 2, 1, 1), 1)
-        b = Particle(PosteriorCount(1, 2, 1, 1), 3)
-        out = good_state_update(pset(good=[a, b]))
-        assert out.good == (Particle(PosteriorCount(1, 3, 1, 1), 4),)
+        # a good and a bad hypothesis branching onto the same counts merge
+        s = hmap(good=[(PosteriorCount(1, 1, 2, 1), 1)], bad=[(PosteriorCount(1, 2, 1, 1), 3)])
+        assert observe(s, G).weights == {(GOOD, 1, 2, 2, 1): 4}
 
 
 class TestObserve:
     def test_sleep_then_bad_observation(self):
         # starting from a known good state, one sleeping slot and a
         # failed harvest leave exactly two bad-state hypotheses
-        s = pset(good=[Particle(UNIFORM_PRIOR, 1)])
+        s = hmap(good=[(UNIFORM_PRIOR, 1)])
         s = observe(s, Z)
         s = observe(s, B)
-        assert s.good == ()
-        assert set(s.bad) == {
-            Particle(PosteriorCount(2, 2, 1, 1), 1),
-            Particle(PosteriorCount(2, 1, 1, 2), 1),
-        }
+        assert s.weights == {(BAD, 2, 2, 1, 1): 1, (BAD, 2, 1, 1, 2): 1}
 
     def test_consecutive_good_harvests_single_hypothesis(self):
         s = replay([G, G])
-        assert s.bad == ()
-        assert s.good == (Particle(PosteriorCount(1, 2, 1, 1), 1),)
+        assert s.weights == {(GOOD, 1, 2, 1, 1): 1}
 
     def test_fresh_sleep_keeps_prior(self):
         s = observe(initial_particles(4), Z)
         assert not s.fresh
-        assert s.good == (Particle(UNIFORM_PRIOR, 1),)
-        assert s.bad == (Particle(UNIFORM_PRIOR, 1),)
+        assert s.weights == {(GOOD, *UNIFORM_PRIOR): 1, (BAD, *UNIFORM_PRIOR): 1}
 
     def test_sleep_doubles_total_weight(self):
         s = replay([G, Z, Z, Z])
-        w = s.total_weight()
+        w = sum(s.weights.values())
         s2 = observe(s, Z)
-        assert s2.total_weight() == 2 * w
+        assert sum(s2.weights.values()) == 2 * w
 
     def test_harvest_never_grows_hypothesis_count(self):
         s = replay([G, Z, Z, Z])
-        before = s.n_hypotheses
-        assert observe(s, G).n_hypotheses <= before
-        assert observe(s, B).n_hypotheses <= before
+        before = len(s.weights)
+        assert len(observe(s, G).weights) <= before
+        assert len(observe(s, B).weights) <= before
 
     def test_truncation_bound(self):
         s = initial_particles(3)
         for _ in range(12):
             s = observe(s, Z)
-        assert s.n_hypotheses <= 6
+        assert len(s.weights) <= 6
 
     def test_truncation_keeps_heaviest(self):
         s = initial_particles(2)
         for _ in range(8):
             s = observe(s, Z)
-        kept_min = min(p.weight for p in s.good + s.bad)
+        kept_min = min(s.weights.values())
         assert kept_min >= 1
-        assert s.n_hypotheses == 4
+        assert len(s.weights) == 4
 
     def test_empty_posterior_raises(self):
-        s = pset(good=[Particle(UNIFORM_PRIOR, 1)], fresh=True)
+        s = hmap(good=[(UNIFORM_PRIOR, 1)], fresh=True)
         with pytest.raises(EmptyPosterior):
             observe(s, B)
+
+    def test_k_must_be_positive(self):
+        with pytest.raises(ValueError, match="k must be at least 1"):
+            initial_particles(0)
 
     @given(obs_strategy(max_len=12))
     @settings(max_examples=100, deadline=None)
@@ -148,8 +218,29 @@ class TestObserve:
         # every hypothesis counts exactly the elapsed transitions
         s = replay(zs)
         transitions = len(zs) - 1
-        for particle in s.good + s.bad:
-            assert sum(particle.count) == 4 + transitions
+        for key in s.weights:
+            assert sum(key[1:]) == 4 + transitions
+
+    @given(st.integers(1, 4), st.lists(st.sampled_from([G, B, Z, Z]), min_size=1, max_size=60))
+    @settings(max_examples=150, deadline=None)
+    def test_matches_reference_filter(self, k, zs):
+        # after every step the map equals the reference filter's, entry for
+        # entry, and sample_and_plan draws from the reference's order with
+        # the same float probabilities; small k makes truncation fire
+        s = initial_particles(k)
+        good = bad = ((UNIFORM_PRIOR, 1),)
+        fresh = True
+        for z in zs:
+            s = observe(s, z)
+            good, bad = reference_observe(good, bad, k, fresh, z)
+            fresh = False
+            ref_entries = [(ArrivalState.GOOD, c, w) for c, w in good]
+            ref_entries += [(ArrivalState.BAD, c, w) for c, w in bad]
+            assert by_state(s) == {(state, c): w for state, c, w in ref_entries}
+            probs, estimates = draw_order(s)
+            ref_weights = np.array([float(w) for _, _, w in ref_entries])
+            assert np.array_equal(probs, ref_weights / ref_weights.sum())
+            assert estimates == [(c.mean_p, c.mean_q) for _, c, _ in ref_entries]
 
 
 class TestExactPosterior:
@@ -182,9 +273,7 @@ class TestExactPosterior:
         # brute-force enumeration exactly, as integers
         post = exact_posterior(zs)
         s = replay(zs)
-        filter_counts = {(ArrivalState.GOOD, p.count): p.weight for p in s.good}
-        filter_counts.update({(ArrivalState.BAD, p.count): p.weight for p in s.bad})
-        assert filter_counts == post.entries
+        assert by_state(s) == post.entries
 
     def test_state_marginals_sum_to_one(self):
         post = exact_posterior([G, Z, Z, B, Z])
@@ -239,7 +328,7 @@ def quadrature_state_marginal(zs, m=400):
 class TestSampleAndPlan:
     def test_single_particle_is_certain(self):
         planner = SleepTimePlanner(CFG)
-        s = pset(bad=[Particle(PosteriorCount(2, 6, 3, 5), 4)])
+        s = hmap(bad=[(PosteriorCount(2, 6, 3, 5), 4)])
         rng = np.random.default_rng(0)
         _, est = sample_and_plan(s, rng, planner)
         assert est == (2.0 / 8.0, 3.0 / 8.0)
@@ -248,7 +337,7 @@ class TestSampleAndPlan:
         # the prior means (0.5, 0.5) sit outside the positively
         # correlated region, so the protective fallback applies
         planner = SleepTimePlanner(CFG)
-        s = pset(bad=[Particle(UNIFORM_PRIOR, 1)])
+        s = hmap(bad=[(UNIFORM_PRIOR, 1)])
         sleeps, est = sample_and_plan(s, np.random.default_rng(0), planner)
         assert est == (0.5, 0.5)
         assert sleeps == 1
@@ -261,34 +350,34 @@ class TestSampleAndPlan:
         count = PosteriorCount(4, 6, 2, 18)
         check, _ = optimal_sleep_time(GEParams(count.mean_p, count.mean_q), cfg)
         assert check.never_harvest
-        sleeps, _ = sample_and_plan(pset(bad=[Particle(count, 1)]), np.random.default_rng(0), planner)
+        sleeps, _ = sample_and_plan(hmap(bad=[(count, 1)]), np.random.default_rng(0), planner)
         assert sleeps == 1
 
     def test_draw_frequencies_match_weights(self):
         planner = SleepTimePlanner(CFG)
         counts = [
-            Particle(PosteriorCount(1, 3, 2, 2), 1),
-            Particle(PosteriorCount(2, 2, 2, 2), 3),
-            Particle(PosteriorCount(3, 1, 2, 2), 6),
+            (PosteriorCount(1, 3, 2, 2), 1),
+            (PosteriorCount(2, 2, 2, 2), 3),
+            (PosteriorCount(3, 1, 2, 2), 6),
         ]
-        s = pset(bad=counts)
+        s = hmap(bad=counts)
         rng = np.random.default_rng(42)
         draws = 100_000
-        seen = {p.count: 0 for p in counts}
+        seen = {count: 0 for count, _ in counts}
         for _ in range(draws):
             _, est = sample_and_plan(s, rng, planner)
-            for particle in counts:
-                if est == (particle.count.mean_p, particle.count.mean_q):
-                    seen[particle.count] += 1
-        total_w = sum(p.weight for p in counts)
-        for particle in counts:
-            expect = draws * particle.weight / total_w
-            sd = math.sqrt(draws * (particle.weight / total_w) * (1 - particle.weight / total_w))
-            assert abs(seen[particle.count] - expect) < 3.0 * sd
+            for count, _ in counts:
+                if est == (count.mean_p, count.mean_q):
+                    seen[count] += 1
+        total_w = sum(weight for _, weight in counts)
+        for count, weight in counts:
+            expect = draws * weight / total_w
+            sd = math.sqrt(draws * (weight / total_w) * (1 - weight / total_w))
+            assert abs(seen[count] - expect) < 3.0 * sd
 
     def test_empty_set_raises(self):
         with pytest.raises(EmptyPosterior):
-            sample_and_plan(pset(), np.random.default_rng(0), SleepTimePlanner(CFG))
+            sample_and_plan(hmap(), np.random.default_rng(0), SleepTimePlanner(CFG))
 
     def test_planner_uses_table_when_supplied(self):
         table = build_lookup_table([0.4, 0.6, 0.8], [2.0, 4.0, 8.0], CFG)
@@ -343,6 +432,17 @@ class TestRunLearner:
         assert modal == expected.sleep_slots
         assert late.count(modal) > len(late) // 2
 
+    @pytest.mark.xfail(
+        strict=True,
+        raises=ValueError,
+        reason="known limit: sample_and_plan converts the exact weights with float(), "
+        "which overflows once they pass 2**1024 (from horizon 2562 at this seed)",
+    )
+    def test_long_run_survives_weight_overflow(self):
+        params = from_burst_parameterization(0.3, 8.0)
+        trace = run_learner(params, CFG, k=20, horizon=3_000, seed=1)
+        assert len(trace.records) == 3_000
+
 
 def replay_learner_particles(params, trace):
     s = initial_particles(20)
@@ -353,10 +453,10 @@ def replay_learner_particles(params, trace):
 
 
 def weighted_mean_estimates(s):
-    parts = list(s.good) + list(s.bad)
-    logs = np.array([math.log(p.weight) for p in parts])
+    parts = [(PosteriorCount(*key[1:]), weight) for key, weight in sorted(s.weights.items())]
+    logs = np.array([math.log(weight) for _, weight in parts])
     w = np.exp(logs - logs.max())
     w /= w.sum()
-    mean_p = float(sum(wi * p.count.mean_p for wi, p in zip(w, parts)))
-    mean_q = float(sum(wi * p.count.mean_q for wi, p in zip(w, parts)))
+    mean_p = float(sum(wi * count.mean_p for wi, (count, _) in zip(w, parts)))
+    mean_q = float(sum(wi * count.mean_q for wi, (count, _) in zip(w, parts)))
     return mean_p, mean_q

@@ -20,6 +20,7 @@ from rfharvest.threshold import (
     policy_value_linear_system,
     sleep_time_from_threshold,
     vi_threshold_policy,
+    _nearest_index,
     _scan_policy_values,
 )
 from rfharvest.value_iteration import VISettings
@@ -224,6 +225,20 @@ class TestLookupTable:
         cell = table.cell(2, 1)  # pi_g=0.6, t_b=3.0
         assert table.lookup(cell.p, cell.q) == cell.policy
         assert table.lookup(0.7, 0.4) is None  # violates 1 - p > q
+
+    @given(st.lists(st.floats(0.01, 50.0), min_size=1, max_size=25), st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_nearest_index_matches_argmin(self, axis, data):
+        # ties, including exact midpoints and repeated axis values, go to
+        # the first minimum as with np.argmin
+        axis = tuple(sorted(axis))
+        mids = [(a + b) / 2 for a, b in zip(axis, axis[1:])]
+        x = data.draw(st.sampled_from(mids) if mids and data.draw(st.booleans()) else st.floats(0.0, 60.0))
+        assert _nearest_index(axis, x) == int(np.argmin(np.abs(np.asarray(axis) - x)))
+
+    def test_nearest_index_exact_midpoint_takes_first(self):
+        assert _nearest_index((1.0, 2.0, 3.0), 2.5) == 1
+        assert _nearest_index((1.0, 1.0, 3.0), 1.0) == 0
 
     def test_axis_validation(self):
         cfg = RewardConfig(r1=1.0, r0=1.0, gamma=0.5)
