@@ -66,15 +66,12 @@ class BatteryConfig:
     capacity: int
     gain: int = 1
     loss: int = 1
-    initial: int = 0
 
     def __post_init__(self) -> None:
         if self.capacity < 2:
             raise ValueError("capacity must be at least 2 units")
         if self.gain < 1 or self.loss < 1:
             raise ValueError("gain and loss must be at least 1 unit")
-        if not 0 <= self.initial <= self.capacity:
-            raise ValueError("initial level must lie in [0, capacity]")
 
 
 @dataclass(frozen=True)
@@ -100,11 +97,6 @@ class BatteryChain:
     @property
     def n_transient(self) -> int:
         return 2 * (self.battery.capacity - 1)
-
-    def state_index(self, phase: int, level: int) -> int:
-        if not 1 <= level <= self.battery.capacity - 1:
-            raise ValueError("transient levels lie in 1..capacity-1")
-        return phase * (self.battery.capacity - 1) + (level - 1)
 
 
 def build_chain_from_success_probs(

@@ -91,9 +91,6 @@ class SamplePath:
     def good_fraction(self) -> float:
         return float(np.mean(self.states))
 
-    def as_states(self) -> list[ArrivalState]:
-        return [ArrivalState.GOOD if s else ArrivalState.BAD for s in self.states]
-
 
 def stationary(params: GEParams) -> Stationary:
     """Stationary distribution (bad, good) = (p, q) / (p + q)."""

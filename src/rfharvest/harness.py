@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .beliefs import RewardConfig
-from .gilbert_elliott import GEParams, from_burst_parameterization, simulate, stationary
+from .gilbert_elliott import GEParams, from_burst_parameterization, simulate
 from .learning import PosteriorSamplingLearner, SleepTimePlanner, _run_episode
 from .threshold import LookupTable, ThresholdPolicy, build_lookup_table, optimal_sleep_time
 
@@ -103,50 +103,14 @@ class ExperimentSpec:
         }
 
 
-# sequential policy protocol: reset(rng) -> None, wants_harvest() -> bool,
-# record_harvest(good: bool) -> None, record_sleep() -> None, plus a
-# ``deterministic`` flag; learning._run_episode steps a policy through a
-# path, and learning.PosteriorSamplingLearner is the Bayes learner
-
-
-class AlwaysHarvestPolicy:
-    deterministic = True
-
-    def reset(self, rng) -> None:
-        pass
-
-    def wants_harvest(self) -> bool:
-        return True
-
-    def record_harvest(self, good: bool) -> None:
-        pass
-
-    def record_sleep(self) -> None:
-        pass
-
-
-class RandomHarvestPolicy:
-    """Harvest each slot independently with fixed probability."""
-
-    deterministic = False
-
-    def __init__(self, prob: float):
-        if not 0.0 <= prob <= 1.0:
-            raise ValueError("harvest probability must lie in [0, 1]")
-        self.prob = prob
-        self._rng = None
-
-    def reset(self, rng) -> None:
-        self._rng = rng
-
-    def wants_harvest(self) -> bool:
-        return bool(self._rng.random() < self.prob)
-
-    def record_harvest(self, good: bool) -> None:
-        pass
-
-    def record_sleep(self) -> None:
-        pass
+# sequential policy protocol: every policy is a sleep-after-failure rule.
+# reset(rng) returns the slots to sleep before the first harvest (0, or
+# None for never); after_harvest(good) returns the slots to sleep next (0
+# after a success, N after a failure, None to stop harvesting for good);
+# after_sleep() is called on every slept slot; ``deterministic`` marks
+# policies whose episodes do not depend on the rng.
+# learning._run_episode steps a policy through a path and counts the
+# sleeps down; learning.PosteriorSamplingLearner is the Bayes learner.
 
 
 class FixedThresholdPolicy:
@@ -156,19 +120,15 @@ class FixedThresholdPolicy:
 
     def __init__(self, policy: ThresholdPolicy):
         self.policy = policy
-        self.timer = 0
 
-    def reset(self, rng) -> None:
-        self.timer = 0
+    def reset(self, rng) -> int | None:
+        return None if self.policy.never_harvest else 0
 
-    def wants_harvest(self) -> bool:
-        return not self.policy.never_harvest and self.timer == 0
+    def after_harvest(self, good: bool) -> int:
+        return 0 if good else self.policy.sleep_slots
 
-    def record_harvest(self, good: bool) -> None:
-        self.timer = 0 if good else self.policy.sleep_slots
-
-    def record_sleep(self) -> None:
-        self.timer = max(0, self.timer - 1)
+    def after_sleep(self) -> None:
+        pass
 
 
 class ImpoverishedPosteriorPolicy:
@@ -189,20 +149,14 @@ class ImpoverishedPosteriorPolicy:
     def __init__(self, cfg: RewardConfig, table: LookupTable | None = None):
         self.planner = SleepTimePlanner(cfg, table)
         self.counts = [1, 1, 1, 1]  # g2b, g2g, b2g, b2b
-        self.timer = 0
-        self.stopped = False
         self._prev_good: bool | None = None
 
-    def reset(self, rng) -> None:
+    def reset(self, rng) -> int:
         self.counts = [1, 1, 1, 1]
-        self.timer = 0
-        self.stopped = False
         self._prev_good = None
+        return 0
 
-    def wants_harvest(self) -> bool:
-        return not self.stopped and self.timer == 0
-
-    def record_harvest(self, good: bool) -> None:
+    def after_harvest(self, good: bool) -> int | None:
         if self._prev_good is not None:
             if self._prev_good and good:
                 self.counts[1] += 1
@@ -214,18 +168,13 @@ class ImpoverishedPosteriorPolicy:
                 self.counts[3] += 1
         self._prev_good = good
         if good:
-            self.timer = 0
-            return
+            return 0
         g2b, g2g, b2g, b2b = self.counts
         policy = self.planner.plan(g2b / (g2b + g2g), b2g / (b2g + b2b))
-        if policy is None or policy.never_harvest:
-            self.stopped = True
-        else:
-            self.timer = policy.sleep_slots
+        return None if policy is None else policy.sleep_slots
 
-    def record_sleep(self) -> None:
+    def after_sleep(self) -> None:
         self._prev_good = None
-        self.timer = max(0, self.timer - 1)
 
 
 class RandomSamplingPolicy:
@@ -240,39 +189,29 @@ class RandomSamplingPolicy:
 
     def __init__(self, cfg: RewardConfig, table: LookupTable | None = None):
         self.planner = SleepTimePlanner(cfg, table)
-        self.timer = 0
         self._rng = None
 
-    def reset(self, rng) -> None:
+    def reset(self, rng) -> int:
         self._rng = rng
-        self.timer = 0
+        return 0
 
-    def wants_harvest(self) -> bool:
-        return self.timer == 0
-
-    def record_harvest(self, good: bool) -> None:
+    def after_harvest(self, good: bool) -> int:
         if good:
-            self.timer = 0
-            return
+            return 0
         p = float(self._rng.random())
         q = float(self._rng.random())
         policy = self.planner.plan(p, q)
-        self.timer = 1 if policy is None or policy.never_harvest else policy.sleep_slots
+        return 1 if policy is None or policy.never_harvest else policy.sleep_slots
 
-    def record_sleep(self) -> None:
-        self.timer = max(0, self.timer - 1)
+    def after_sleep(self) -> None:
+        pass
 
 
 def _make_policy(defn: PolicyDef, params: GEParams, cfg: RewardConfig):
     opts = dict(defn.options)
     table = opts.pop("table", None)
     if defn.name == "always_harvest":
-        return AlwaysHarvestPolicy(**opts)
-    if defn.name == "random_harvest":
-        prob = opts.pop("prob", None)
-        if prob is None:
-            prob = stationary(params).good
-        return RandomHarvestPolicy(prob=prob, **opts)
+        return FixedThresholdPolicy(policy=ThresholdPolicy.sleep(0), **opts)
     if defn.name == "fixed_threshold":
         if "sleep_slots" in opts:
             n = opts.pop("sleep_slots")
@@ -346,8 +285,8 @@ def evaluate(spec: ExperimentSpec) -> ExperimentResult:
             runs = 1 if policy.deterministic else spec.runs_per_path
             acc = 0.0
             for run_idx in range(runs):
-                policy.reset(_episode_rng(spec.base_seed, path_idx, run_idx, policy_idx))
-                acc += _run_episode(policy, path.states, spec.cfg)
+                rng = _episode_rng(spec.base_seed, path_idx, run_idx, policy_idx)
+                acc += _run_episode(policy, rng, path.states, spec.cfg)
             path_means[key][path_idx] = acc / runs
     means = {key: float(path_means[key].mean()) for key in keys}
     std_errors = {

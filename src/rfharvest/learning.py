@@ -22,6 +22,10 @@ When a harvest fails, one hypothesis is drawn with probability
 proportional to its weight, its Beta-mean parameter estimates are
 mapped to the precomputed optimal sleep count, and the node sleeps
 that long before probing again.
+
+Like every policy in ``harness``, the learner is a sleep-after-failure
+rule: it only says how many slots to sleep after each harvest, and
+``_run_episode``, the one episode loop, counts those slots down.
 """
 
 from __future__ import annotations
@@ -321,8 +325,8 @@ def sample_and_plan(
 
 
 class PosteriorSamplingLearner:
-    """Harvest when the timer is zero, learn from every slot, replan
-    after each failure.
+    """Keep harvesting after a success; after a failure, sleep for the
+    plan of one posterior draw. Learns from every slot.
 
     Follows the sequential policy protocol of ``harness``. ``reset``
     starts an episode from the prior with the given sampling stream;
@@ -336,51 +340,55 @@ class PosteriorSamplingLearner:
         self.planner = planner
         self.rng: np.random.Generator | None = None
         self.hypotheses: HypothesisMap | None = None
-        self.timer = 0
 
-    def reset(self, rng: np.random.Generator) -> None:
+    def reset(self, rng: np.random.Generator) -> int:
         self.rng = rng
         self.hypotheses = initial_particles(self.k)
-        self.timer = 0
+        return 0
 
-    def wants_harvest(self) -> bool:
-        return self.timer == 0
-
-    def record_harvest(self, state_good: bool) -> None:
-        if state_good:
+    def after_harvest(self, good: bool) -> int:
+        if good:
             self.hypotheses = observe(self.hypotheses, Observation.GOOD)
-            self.timer = 0
-        else:
-            self.hypotheses = observe(self.hypotheses, Observation.BAD)
-            self.timer, _ = sample_and_plan(self.hypotheses, self.rng, self.planner)
+            return 0
+        self.hypotheses = observe(self.hypotheses, Observation.BAD)
+        sleep, _ = sample_and_plan(self.hypotheses, self.rng, self.planner)
+        return sleep
 
-    def record_sleep(self) -> None:
+    def after_sleep(self) -> None:
         self.hypotheses = observe(self.hypotheses, Observation.NONE)
-        self.timer = max(0, self.timer - 1)
 
 
-def _run_episode(policy, states: np.ndarray, cfg: RewardConfig, record=None) -> float:
+def _run_episode(
+    policy, rng: np.random.Generator, states: np.ndarray, cfg: RewardConfig, record=None
+) -> float:
     """Step a policy through one hidden state path; the discounted reward.
 
     This is the one episode loop, shared by ``run_learner`` and the
-    harness. ``record(t, good, reward)``, when given, is called once the
-    policy has taken slot t, with the observed state (None for a
-    sleeping slot) and the slot's reward.
+    harness, and the only owner of the sleep timer. ``policy.reset(rng)``
+    and ``policy.after_harvest(good)`` return the slots to sleep before
+    the next harvest (0 harvests at once, None never again); the loop
+    counts them down and calls ``policy.after_sleep()`` on each.
+    ``record(t, good, reward, timer)``, when given, is called once slot
+    t is taken, with the observed state (None for a sleeping slot), the
+    slot's reward and the slots still to sleep.
     """
     total = 0.0
     discount = 1.0
     r1, r0, gamma = cfg.r1, cfg.r0, cfg.gamma
+    timer = policy.reset(rng)
     for t in range(states.shape[0]):
-        if policy.wants_harvest():
+        if timer == 0:
             good = bool(states[t])
             reward = r1 if good else -r0
             total += discount * reward
-            policy.record_harvest(good)
+            timer = policy.after_harvest(good)
         else:
             good, reward = None, 0.0
-            policy.record_sleep()
+            policy.after_sleep()
+            if timer is not None:
+                timer -= 1
         if record is not None:
-            record(t, good, reward)
+            record(t, good, reward, timer)
         discount *= gamma
     return total
 
@@ -441,20 +449,19 @@ def run_learner(
     path = simulate(params, horizon, seed=seed)
     rng = np.random.Generator(np.random.Philox(np.random.SeedSequence([seed, 1])))
     learner = PosteriorSamplingLearner(k=k, planner=SleepTimePlanner(cfg, table))
-    learner.reset(rng)
     records = []
 
-    def record(t: int, good: bool | None, reward: float) -> None:
+    def record(t: int, good: bool | None, reward: float, timer: int) -> None:
         records.append(
             SlotRecord(
                 t=t,
                 action="sleep" if good is None else "harvest",
                 observation=None if good is None else ("G" if good else "B"),
-                timer=learner.timer,
+                timer=timer,
                 reward=reward,
                 hypothesis_count=len(learner.hypotheses.weights),
             )
         )
 
-    total = _run_episode(learner, path.states, cfg, record)
+    total = _run_episode(learner, rng, path.states, cfg, record)
     return EpisodeTrace(records=tuple(records), total_discounted_reward=total, seed=seed)

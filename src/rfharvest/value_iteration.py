@@ -203,7 +203,6 @@ class SolveResult:
     iterations: int
     sup_deltas: tuple[float, ...]
     epsilon: float
-    history: tuple[ValueRepresentation, ...] | None = None
 
 
 def _domain(params: GEParams) -> tuple[float, float]:
@@ -287,7 +286,6 @@ def solve(
     cfg: RewardConfig,
     settings: VISettings | None = None,
     representation: str = "alpha",
-    keep_history: bool = False,
 ) -> SolveResult:
     """Iterate the Bellman backup until the stopping rule is met.
 
@@ -312,22 +310,13 @@ def solve(
         raise ValueError(f"unknown representation {representation!r}")
 
     deltas: list[float] = []
-    history: list[ValueRepresentation] = []
     for it in range(1, settings.max_iterations + 1):
         v_next = backup(v, params, cfg)
         delta = sup_difference(v_next, v)
         deltas.append(delta)
-        if keep_history:
-            history.append(v_next)
         v = v_next
         if delta <= threshold:
-            return SolveResult(
-                value=v,
-                iterations=it,
-                sup_deltas=tuple(deltas),
-                epsilon=eps,
-                history=tuple(history) if keep_history else None,
-            )
+            return SolveResult(value=v, iterations=it, sup_deltas=tuple(deltas), epsilon=eps)
     raise MaxIterationsExceeded(
         f"stopping rule not met after {settings.max_iterations} iterations "
         f"(last step {deltas[-1]:.3e}, threshold {threshold:.3e}); "

@@ -37,8 +37,6 @@ class TestBatteryConfig:
             BatteryConfig(capacity=1)
         with pytest.raises(ValueError):
             BatteryConfig(capacity=10, gain=0)
-        with pytest.raises(ValueError):
-            BatteryConfig(capacity=10, initial=11)
 
 
 class TestBuildChain:

@@ -5,12 +5,15 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rfharvest.beliefs import RewardConfig
 from rfharvest.gilbert_elliott import GEParams, from_burst_parameterization, stationary
 from rfharvest.harness import (
     ExperimentSpec,
     PolicyDef,
+    _run_episode,
     evaluate,
     load_result_json,
     mc_policy_value,
@@ -110,30 +113,98 @@ class TestEvaluate:
 
     def test_paired_gap_uses_shared_paths(self):
         spec = small_spec(
-            policies=(PolicyDef("always_harvest"), PolicyDef("random_harvest", {"prob": 1.0}))
+            policies=(
+                PolicyDef("always_harvest"),
+                PolicyDef("fixed_threshold", {"sleep_slots": 0}),
+            )
         )
         res = evaluate(spec)
-        # harvesting with probability one is the always-harvest policy
-        gap, _ = res.paired_gap("always_harvest", "random_harvest(prob=1.0)")
-        assert gap == pytest.approx(0.0, abs=1e-12)
+        # sleeping zero slots after a failure is the always-harvest policy
+        gap, _ = res.paired_gap("always_harvest", "fixed_threshold(sleep_slots=0)")
+        assert gap == 0.0
 
     def test_run_noise_shrinks_like_sqrt_of_runs(self):
         # within one path, the standard error of the run-averaged reward
         # scales as 1/sqrt(runs): doubling runs shrinks it by about sqrt(2)
         from rfharvest.gilbert_elliott import simulate
-        from rfharvest.harness import _episode_rng, _make_policy, _run_episode
+        from rfharvest.harness import _episode_rng, _make_policy
 
         params = from_burst_parameterization(0.6, 2.5)
         path = simulate(params, 500, seed=99)
-        policy = _make_policy(PolicyDef("random_harvest", {"prob": 0.5}), params, CFG)
+        policy = _make_policy(PolicyDef("random_sampling"), params, CFG)
         rewards = []
         for run in range(1024):
-            policy.reset(_episode_rng(1, 0, run, 0))
-            rewards.append(_run_episode(policy, path.states, CFG))
+            rewards.append(_run_episode(policy, _episode_rng(1, 0, run, 0), path.states, CFG))
         rewards = np.asarray(rewards)
         se_n = rewards.reshape(-1, 16).mean(axis=1).std(ddof=1)
         se_2n = rewards.reshape(-1, 32).mean(axis=1).std(ddof=1)
         assert 1.15 < se_n / se_2n < 1.75  # ideal ratio sqrt(2)
+
+
+class ScriptedPolicy:
+    """Returns scripted sleep counts and logs every protocol call."""
+
+    def __init__(self, first, script):
+        self.first = first
+        self.script = script
+
+    def reset(self, rng):
+        self.rng = rng
+        self.returned = [self.first]
+        self.harvested = []
+        self.sleeps = 0
+        self._next = iter(self.script)
+        return self.first
+
+    def after_harvest(self, good):
+        self.harvested.append(good)
+        self.returned.append(next(self._next, 0))
+        return self.returned[-1]
+
+    def after_sleep(self):
+        self.sleeps += 1
+
+
+class TestEpisodeLoop:
+    @settings(max_examples=200, deadline=None)
+    @given(
+        states=st.lists(st.booleans(), min_size=1, max_size=40),
+        first=st.sampled_from([0, None]),
+        script=st.lists(st.one_of(st.none(), st.integers(0, 8)), max_size=20),
+    )
+    def test_timer_contract(self, states, first, script):
+        cfg = RewardConfig(r1=3.0, r0=2.0, gamma=0.9)
+        policy = ScriptedPolicy(first, script)
+        rng = np.random.default_rng(0)
+        records = []
+        total = _run_episode(
+            policy, rng, np.array(states, dtype=np.int8), cfg,
+            lambda *rec: records.append(rec),
+        )
+        horizon = len(states)
+        assert policy.rng is rng
+        assert [r[0] for r in records] == list(range(horizon))
+        harvests = [t for t, good, _, _ in records if good is not None]
+        assert policy.harvested == [states[t] for t in harvests]
+        assert policy.sleeps == horizon - len(harvests)
+        assert len(policy.returned) == len(harvests) + 1
+        # each sleep count (from reset, then from every harvest) is slept
+        # in full, cut off at the horizon, with the timer counting down
+        for start, n, end in zip([-1] + harvests, policy.returned, harvests + [horizon]):
+            if start >= 0:
+                assert records[start][3] == n
+            slept = records[start + 1 : end]
+            if n is None:
+                assert end == horizon
+                assert all(r[3] is None for r in slept)
+            else:
+                assert end == min(start + 1 + n, horizon)
+                assert [r[3] for r in slept] == list(range(n - 1, -1, -1))[: len(slept)]
+        expected = 0.0
+        for t, good, reward, _ in records:
+            assert reward == (0.0 if good is None else (cfg.r1 if good else -cfg.r0))
+            expected += cfg.gamma**t * reward
+        assert total == pytest.approx(expected, abs=1e-9)
 
 
 class TestMcPolicyValue:

@@ -183,10 +183,17 @@ class TestSolve:
         assert res.value.value(1.0 - params.p) == pytest.approx(best.v_good, abs=eps)
 
     def test_solver_convexity_and_history(self):
-        res = solve(PARAMS, CFG, VISettings(epsilon=1e-4), keep_history=True)
+        res = solve(PARAMS, CFG, VISettings(epsilon=1e-4))
+        # replay the solver's iterates: res.iterations backups from zero
+        iterates = []
+        v = zero_alpha_value(PARAMS)
+        for _ in range(res.iterations):
+            v = bellman_backup_alpha(v, PARAMS, CFG)
+            iterates.append(v)
+        assert iterates[-1] == res.value
         rng = np.random.default_rng(3)
         lo, hi = PARAMS.q, 1.0 - PARAMS.p
-        for v in res.history[::10]:
+        for v in iterates[::10]:
             b1, b2, lam = rng.uniform(lo, hi), rng.uniform(lo, hi), rng.uniform()
             mid = lam * b1 + (1 - lam) * b2
             assert v.value(mid) <= lam * v.value(b1) + (1 - lam) * v.value(b2) + 1e-9
