@@ -31,11 +31,9 @@ from .threshold import (
 )
 from .value_iteration import (
     AlphaVector,
-    GridValue,
     PiecewiseLinearValue,
     VISettings,
     bellman_backup_alpha,
-    bellman_backup_grid,
     greedy_policy,
     harvest_crossover,
     solve,

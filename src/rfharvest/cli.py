@@ -103,12 +103,8 @@ def _fmt(x: float) -> str:
 def cmd_solve(args) -> int:
     params = _chain_from_args(args)
     cfg = _reward_from_args(args)
-    settings = VISettings(
-        epsilon=args.epsilon,
-        grid_resolution=args.grid_resolution,
-        max_iterations=args.max_iterations,
-    )
-    result = solve(params, cfg, settings=settings, representation=args.representation)
+    settings = VISettings(epsilon=args.epsilon, max_iterations=args.max_iterations)
+    result = solve(params, cfg, settings=settings)
     bbar = harvest_crossover(result.value, params, cfg)
     policy = sleep_time_from_threshold(bbar, params)
     print(f"iterations {result.iterations}")
@@ -225,9 +221,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_chain_flags(p_solve)
     _add_reward_flags(p_solve)
     p_solve.add_argument("--epsilon", type=_positive, default=None, help="stopping-rule error bound")
-    p_solve.add_argument("--grid-resolution", type=_positive, default=1e-4)
     p_solve.add_argument("--max-iterations", type=_positive_int, default=1_000_000)
-    p_solve.add_argument("--representation", choices=("alpha", "grid"), default="alpha")
     p_solve.set_defaults(func=cmd_solve)
 
     p_policy = sub.add_parser("policy", help="closed-form optimal sleep count")

@@ -17,6 +17,7 @@ import numpy as np
 __all__ = [
     "ArrivalState",
     "GEParams",
+    "is_valid_chain",
     "SamplePath",
     "Stationary",
     "stationary",
@@ -24,6 +25,15 @@ __all__ = [
     "burst_parameterization",
     "simulate",
 ]
+
+
+def is_valid_chain(p: float, q: float) -> bool:
+    """Whether ``GEParams(p, q)`` constructs: 0 < p, q < 1 and 1 - p > q.
+
+    The constructor states the same rule clause by clause, to name the
+    clause that fails; a test keeps the two in step.
+    """
+    return 0.0 < p < 1.0 and 0.0 < q < 1.0 and 1.0 - p > q
 
 
 class ArrivalState(Enum):

@@ -38,7 +38,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .beliefs import Observation, RewardConfig
-from .gilbert_elliott import ArrivalState, GEParams, simulate
+from .gilbert_elliott import ArrivalState, GEParams, is_valid_chain, simulate
 from .threshold import LookupTable, ThresholdPolicy, optimal_sleep_time
 
 __all__ = [
@@ -275,27 +275,23 @@ class SleepTimePlanner:
     """Maps sampled parameter estimates to an optimal sleep count.
 
     Consults a lookup table when one is supplied (nearest cell); on a
-    miss, or without a table, computes the exact optimum and caches it
-    per distinct estimate pair.
+    miss, or without a table, computes the exact optimum. (Sampled
+    estimates almost never repeat exactly, so there is nothing to cache.)
     """
 
     def __init__(self, cfg: RewardConfig, table: LookupTable | None = None):
         self.cfg = cfg
         self.table = table
-        self._cache: dict[tuple[float, float], ThresholdPolicy] = {}
 
     def plan(self, p: float, q: float) -> ThresholdPolicy | None:
         """Policy for the estimates, or None when they violate the model."""
-        if not (0.0 < p < 1.0 and 0.0 < q < 1.0 and 1.0 - p > q):
+        if not is_valid_chain(p, q):
             return None
         if self.table is not None:
             policy = self.table.lookup(p, q)
             if policy is not None:
                 return policy
-        key = (p, q)
-        if key not in self._cache:
-            self._cache[key], _ = optimal_sleep_time(GEParams(p=p, q=q), self.cfg)
-        return self._cache[key]
+        return optimal_sleep_time(GEParams(p=p, q=q), self.cfg)[0]
 
 
 def sample_and_plan(

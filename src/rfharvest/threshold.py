@@ -29,7 +29,7 @@ from typing import Sequence
 import numpy as np
 
 from .beliefs import RewardConfig, belief_after_failure_and_sleep
-from .gilbert_elliott import GEParams, stationary
+from .gilbert_elliott import GEParams, is_valid_chain, stationary
 from .value_iteration import VISettings, harvest_crossover, solve
 
 __all__ = [
@@ -204,7 +204,7 @@ def vi_threshold_policy(
     settings: VISettings | None = None,
 ) -> tuple[ThresholdPolicy, float]:
     """Sleep count implied by the value-iteration greedy crossover."""
-    result = solve(params, cfg, settings=settings, representation="alpha")
+    result = solve(params, cfg, settings=settings)
     bbar = harvest_crossover(result.value, params, cfg)
     return sleep_time_from_threshold(bbar, params), bbar
 
@@ -258,7 +258,7 @@ class LookupTable:
         or the nearest cell is invalid, in which case callers should
         compute the policy directly.
         """
-        if not (0.0 < p < 1.0 and 0.0 < q < 1.0 and 1.0 - p > q):
+        if not is_valid_chain(p, q):
             return None
         pi_g = q / (p + q)
         t_b = 1.0 / q
@@ -364,7 +364,7 @@ def build_lookup_table(
         for t_b in t_b_axis:
             q = 1.0 / t_b
             p = q * (1.0 - pi_g) / pi_g
-            if not (0.0 < p < 1.0 and 1.0 - p > q):
+            if not is_valid_chain(p, q):
                 cells.append(
                     LookupCell(pi_g=pi_g, t_b=t_b, p=p, q=q, valid=False, policy=None, v_good=None)
                 )

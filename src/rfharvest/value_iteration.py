@@ -1,18 +1,16 @@
 """Value iteration for the harvest/sleep belief MDP.
 
-Two interchangeable representations are provided. The exact form keeps
-the value function as the upper envelope of finitely many lines over
-belief: each backup adds one harvesting line
+The value function is kept exactly, as the upper envelope of finitely
+many lines over belief: each backup adds one harvesting line
 
     alpha_h = -r0 + gamma V(q),   beta_h = r0 + r1 + gamma (V(1-p) - V(q))
 
 and maps every existing line (alpha, beta) through the sleeping
 transform (gamma (alpha + beta q), gamma beta (1 - p - q)), after which
-dominated lines are pruned. The grid form discretizes beliefs on
-[q, 1-p] and serves as an independent cross-check; the two must agree
-up to interpolation error.
+dominated lines are pruned. (A belief-grid value iteration lives in the
+tests as an independent oracle for this solver.)
 
-Both solvers iterate the backup until the sup-norm step falls below
+The backup is iterated until the sup-norm step falls below
 epsilon (1 - gamma) / (2 gamma), which bounds the distance to the fixed
 point by epsilon / 2.
 """
@@ -21,23 +19,21 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import NamedTuple, Sequence, Union
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
 from .beliefs import Action, RewardConfig
-from .gilbert_elliott import GEParams, stationary
+from .gilbert_elliott import GEParams
 
 __all__ = [
     "AlphaVector",
     "PiecewiseLinearValue",
-    "GridValue",
     "VISettings",
     "SolveResult",
     "MaxIterationsExceeded",
     "prune_lines",
     "bellman_backup_alpha",
-    "bellman_backup_grid",
     "solve",
     "q_values",
     "greedy_policy",
@@ -147,33 +143,6 @@ class PiecewiseLinearValue:
 
 
 @dataclass(frozen=True)
-class GridValue:
-    """Values tabulated on an ordered belief grid, interpolated linearly."""
-
-    grid: np.ndarray
-    values: np.ndarray
-
-    def __post_init__(self) -> None:
-        if self.grid.shape != self.values.shape or self.grid.ndim != 1:
-            raise ValueError("grid and values must be matching 1-d arrays")
-
-    @property
-    def lo(self) -> float:
-        return float(self.grid[0])
-
-    @property
-    def hi(self) -> float:
-        return float(self.grid[-1])
-
-    def value(self, b):
-        out = np.interp(b, self.grid, self.values)
-        return float(out) if np.isscalar(b) or np.asarray(b).ndim == 0 else out
-
-
-ValueRepresentation = Union[PiecewiseLinearValue, GridValue]
-
-
-@dataclass(frozen=True)
 class VISettings:
     """Solver controls.
 
@@ -183,15 +152,12 @@ class VISettings:
 
     epsilon: float | None = None
     max_iterations: int = 1_000_000
-    grid_resolution: float = 1e-4
 
     def __post_init__(self) -> None:
         if self.epsilon is not None and not self.epsilon > 0.0:
             raise ValueError(f"epsilon must be positive, got {self.epsilon}")
         if self.max_iterations < 1:
             raise ValueError("max_iterations must be at least 1")
-        if not self.grid_resolution > 0.0:
-            raise ValueError("grid_resolution must be positive")
 
     def resolved_epsilon(self, cfg: RewardConfig) -> float:
         return self.epsilon if self.epsilon is not None else 1e-4 * max(cfg.r0, cfg.r1)
@@ -199,7 +165,7 @@ class VISettings:
 
 @dataclass(frozen=True)
 class SolveResult:
-    value: ValueRepresentation
+    value: PiecewiseLinearValue
     iterations: int
     sup_deltas: tuple[float, ...]
     epsilon: float
@@ -216,6 +182,14 @@ def _harvest_line(v_fail: float, v_good: float, cfg: RewardConfig) -> AlphaVecto
     )
 
 
+def _sleep_lines(
+    lines: Sequence[AlphaVector], params: GEParams, gamma: float
+) -> list[AlphaVector]:
+    """Each line mapped through the sleeping transform."""
+    q, c = params.q, params.persistence
+    return [AlphaVector(gamma * (ln.alpha + ln.beta * q), gamma * ln.beta * c) for ln in lines]
+
+
 def bellman_backup_alpha(
     v: PiecewiseLinearValue, params: GEParams, cfg: RewardConfig
 ) -> PiecewiseLinearValue:
@@ -223,30 +197,8 @@ def bellman_backup_alpha(
     lo, hi = _domain(params)
     v_fail = v.value(lo)
     v_good = v.value(hi)
-    c = params.persistence
-    new_lines = [_harvest_line(v_fail, v_good, cfg)]
-    for ln in v.lines:
-        new_lines.append(
-            AlphaVector(cfg.gamma * (ln.alpha + ln.beta * params.q), cfg.gamma * ln.beta * c)
-        )
+    new_lines = [_harvest_line(v_fail, v_good, cfg), *_sleep_lines(v.lines, params, cfg.gamma)]
     return PiecewiseLinearValue(lines=prune_lines(new_lines, lo, hi), lo=lo, hi=hi)
-
-
-def make_grid(params: GEParams, resolution: float) -> np.ndarray:
-    """Belief grid on [q, 1-p] at the requested spacing.
-
-    The three beliefs the backup queries exactly (q, 1-p and the
-    stationary good probability) are always members.
-    """
-    lo, hi = _domain(params)
-    n = max(2, int(math.ceil((hi - lo) / resolution)) + 1)
-    base = np.linspace(lo, hi, n)
-    return np.unique(np.concatenate([base, [lo, hi, stationary(params).good]]))
-
-
-def zero_grid_value(params: GEParams, resolution: float) -> GridValue:
-    grid = make_grid(params, resolution)
-    return GridValue(grid=grid, values=np.zeros_like(grid))
 
 
 def zero_alpha_value(params: GEParams) -> PiecewiseLinearValue:
@@ -254,29 +206,9 @@ def zero_alpha_value(params: GEParams) -> PiecewiseLinearValue:
     return PiecewiseLinearValue(lines=(AlphaVector(0.0, 0.0),), lo=lo, hi=hi)
 
 
-def bellman_backup_grid(v: GridValue, params: GEParams, cfg: RewardConfig) -> GridValue:
-    """One backup on the grid; the sleep successor is interpolated.
-
-    The harvest successors q and 1-p are grid endpoints, so only the
-    sleeping branch incurs interpolation error.
-    """
-    b = v.grid
-    v_fail = v.values[0]
-    v_good = v.values[-1]
-    q_h = (cfg.r0 + cfg.r1) * b - cfg.r0 + cfg.gamma * ((1.0 - b) * v_fail + b * v_good)
-    targets = params.q + params.persistence * b
-    q_s = cfg.gamma * np.interp(targets, v.grid, v.values)
-    return GridValue(grid=v.grid, values=np.maximum(q_h, q_s))
-
-
-def sup_difference(v1: ValueRepresentation, v2: ValueRepresentation) -> float:
+def sup_difference(v1: PiecewiseLinearValue, v2: PiecewiseLinearValue) -> float:
     """Exact sup-norm distance between two same-domain value functions."""
-    if isinstance(v1, GridValue) and isinstance(v2, GridValue):
-        return float(np.max(np.abs(v1.values - v2.values)))
-    xs = {v1.lo, v1.hi, v2.lo, v2.hi}
-    for v in (v1, v2):
-        if isinstance(v, PiecewiseLinearValue):
-            xs.update(v.breakpoints())
+    xs = {v1.lo, v1.hi, v2.lo, v2.hi, *v1.breakpoints(), *v2.breakpoints()}
     pts = np.array(sorted(xs))
     return float(np.max(np.abs(v1.value(pts) - v2.value(pts))))
 
@@ -285,7 +217,6 @@ def solve(
     params: GEParams,
     cfg: RewardConfig,
     settings: VISettings | None = None,
-    representation: str = "alpha",
 ) -> SolveResult:
     """Iterate the Bellman backup until the stopping rule is met.
 
@@ -300,18 +231,10 @@ def solve(
     else:
         threshold = eps * (1.0 - cfg.gamma) / (2.0 * cfg.gamma)
 
-    if representation == "alpha":
-        v: ValueRepresentation = zero_alpha_value(params)
-        backup = bellman_backup_alpha
-    elif representation == "grid":
-        v = zero_grid_value(params, settings.grid_resolution)
-        backup = bellman_backup_grid
-    else:
-        raise ValueError(f"unknown representation {representation!r}")
-
+    v = zero_alpha_value(params)
     deltas: list[float] = []
     for it in range(1, settings.max_iterations + 1):
-        v_next = backup(v, params, cfg)
+        v_next = bellman_backup_alpha(v, params, cfg)
         delta = sup_difference(v_next, v)
         deltas.append(delta)
         v = v_next
@@ -325,7 +248,7 @@ def solve(
 
 
 def q_values(
-    v: ValueRepresentation, params: GEParams, cfg: RewardConfig, b: float
+    v: PiecewiseLinearValue, params: GEParams, cfg: RewardConfig, b: float
 ) -> tuple[float, float]:
     """(harvest, sleep) action values at belief b under continuation v."""
     v_fail = v.value(params.q)
@@ -336,7 +259,7 @@ def q_values(
 
 
 def greedy_policy(
-    v: ValueRepresentation, params: GEParams, cfg: RewardConfig, b: float
+    v: PiecewiseLinearValue, params: GEParams, cfg: RewardConfig, b: float
 ) -> Action:
     """Argmax action at belief b; ties break toward harvesting."""
     q_h, q_s = q_values(v, params, cfg, b)
@@ -344,46 +267,24 @@ def greedy_policy(
 
 
 def harvest_crossover(
-    v: ValueRepresentation, params: GEParams, cfg: RewardConfig
+    v: PiecewiseLinearValue, params: GEParams, cfg: RewardConfig
 ) -> float:
     """Smallest belief at which harvesting is greedy-optimal under v.
 
-    For the exact representation the sleeping action value is an upper
-    envelope whose slopes all lie strictly below the harvesting slope,
-    so the harvest-minus-sleep gap is concave and nondecreasing and the
-    crossover is the largest pairwise intersection. The result may fall
-    below q (harvest everywhere) or at +inf (harvest nowhere).
+    The sleeping action value is an upper envelope whose slopes all lie
+    strictly below the harvesting slope, so the harvest-minus-sleep gap
+    is concave and nondecreasing and the crossover is the largest
+    pairwise intersection. The result may fall below q (harvest
+    everywhere) or at +inf (harvest nowhere).
     """
-    if isinstance(v, PiecewiseLinearValue):
-        v_fail = v.value(params.q)
-        v_good = v.value(v.hi)
-        h = _harvest_line(v_fail, v_good, cfg)
-        c = params.persistence
-        best = -math.inf
-        for ln in v.lines:
-            a_s = cfg.gamma * (ln.alpha + ln.beta * params.q)
-            b_s = cfg.gamma * ln.beta * c
-            if h.beta - b_s <= 0.0:
-                if a_s > h.alpha:
-                    return math.inf
-                continue
-            best = max(best, (a_s - h.alpha) / (h.beta - b_s))
-        return best
-
-    # grid form: locate the sign change of the action-value gap and
-    # refine it by linear interpolation between the bracketing points
-    b = v.grid
-    v_fail = v.values[0]
-    v_good = v.values[-1]
-    q_h = (cfg.r0 + cfg.r1) * b - cfg.r0 + cfg.gamma * ((1.0 - b) * v_fail + b * v_good)
-    q_s = cfg.gamma * np.interp(params.q + params.persistence * b, v.grid, v.values)
-    gaps = q_h - q_s
-    nonneg = np.nonzero(gaps >= 0.0)[0]
-    if len(nonneg) == 0:
-        return math.inf
-    i = int(nonneg[0])
-    if i == 0:
-        return float(v.grid[0])
-    b0, b1 = float(v.grid[i - 1]), float(v.grid[i])
-    g0, g1 = float(gaps[i - 1]), float(gaps[i])
-    return b0 + (b1 - b0) * (-g0) / (g1 - g0)
+    v_fail = v.value(params.q)
+    v_good = v.value(v.hi)
+    h = _harvest_line(v_fail, v_good, cfg)
+    best = -math.inf
+    for a_s, b_s in _sleep_lines(v.lines, params, cfg.gamma):
+        if h.beta - b_s <= 0.0:
+            if a_s > h.alpha:
+                return math.inf
+            continue
+        best = max(best, (a_s - h.alpha) / (h.beta - b_s))
+    return best

@@ -10,6 +10,7 @@ from rfharvest.gilbert_elliott import (
     GEParams,
     burst_parameterization,
     from_burst_parameterization,
+    is_valid_chain,
     simulate,
     stationary,
 )
@@ -30,14 +31,28 @@ def valid_params():
 class TestGEParams:
     def test_rejects_out_of_range(self):
         for p, q in [(0.0, 0.3), (1.0, 0.3), (0.2, 0.0), (0.2, 1.0), (-0.1, 0.3)]:
-            with pytest.raises(ValueError):
+            bad = "p" if not 0.0 < p < 1.0 else "q"
+            with pytest.raises(ValueError, match=f"^{bad} must lie strictly inside"):
                 GEParams(p=p, q=q)
 
     def test_rejects_nonpositive_correlation(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="positive correlation"):
             GEParams(p=0.5, q=0.5)  # 1 - p == q
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="positive correlation"):
             GEParams(p=0.7, q=0.4)
+
+    @given(
+        st.one_of(st.floats(), st.floats(-0.5, 1.5), st.sampled_from([0.0, 0.3, 0.5, 0.7, 1.0])),
+        st.one_of(st.floats(), st.floats(-0.5, 1.5), st.sampled_from([0.0, 0.3, 0.5, 0.7, 1.0])),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_is_valid_chain_iff_params_construct(self, p, q):
+        try:
+            GEParams(p=p, q=q)
+            constructs = True
+        except ValueError:
+            constructs = False
+        assert is_valid_chain(p, q) is constructs
 
     def test_transition_matrix_rows_sum_to_one(self):
         m = GEParams(p=0.2, q=0.3).transition_matrix()

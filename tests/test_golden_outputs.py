@@ -1,7 +1,9 @@
 """Byte-identity of seeded outputs across versions of the code.
 
-The digests below were recorded from the learner as it stood before its
-hypothesis filter and episode loop were rewritten. Rerunning one version
+The learner and evaluate digests below were recorded from the learner
+as it stood before its hypothesis filter and episode loop were
+rewritten; the solve digests from the value-iteration solver as it stood
+while it still carried a second, belief-grid representation. Rerunning one version
 twice (acceptance criterion 8) cannot catch a change to the random
 draws; these can. A change that alters the draws on purpose must say so
 and record new digests.
@@ -32,6 +34,14 @@ LEARN_DIGESTS = {
     (0.3, 8.0, 20, 2000): "a49b8a903487cb29c2d21f92125d4faf2ff7ffc8b832121b548cb27bb7850ea4",
 }
 
+# (chain flags, r1) -> sha256 of `rfharvest solve ... --r0 10 --epsilon 1e-4` stdout
+SOLVE_DIGESTS = {
+    ("--pi-g 0.6 --t-b 2.5", 10): "dc43b5143c3becf92c2ef131127a8b4681146299e8449a96e9612698af15abf4",
+    ("--pi-g 0.6 --t-b 2.5", 1): "35de2a2ab994543702d8a1eace7473b8bde3226e9e4cd55688c36c23fe739f49",
+    ("--p 0.0026 --q 0.05", 10): "40c7c0a9dc529ba4c2f0e16be1140747c301dff1aaa5f08572a694ef97a02297",
+    ("--p 0.0026 --q 0.05", 1): "9ec713dbcc57dfd9e0770e1d992d447ea1e187637a38b456b98400e21374d9fb",
+}
+
 # the four desk policies on the reference chain, 2 paths x 2 runs, base seed 3
 EVALUATE_DIGEST = "b3ce94ee0d923ee90cd8d386e9d4a0e531b8a6463a4f1595a4e3a59cf65228fd"
 
@@ -49,6 +59,14 @@ def test_learn_jsonl_digest(tmp_path, pi_g, t_b, k, horizon):
     assert code == 0
     digest = hashlib.sha256(out.read_bytes()).hexdigest()
     assert digest == LEARN_DIGESTS[(pi_g, t_b, k, horizon)]
+
+
+@pytest.mark.parametrize("chain,r1", sorted(SOLVE_DIGESTS))
+def test_solve_stdout_digest(capsys, chain, r1):
+    argv = ["solve", *chain.split(), "--r0", "10", "--r1", str(r1), "--epsilon", "1e-4"]
+    assert cli.main(argv) == 0
+    digest = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
+    assert digest == SOLVE_DIGESTS[(chain, r1)]
 
 
 def test_evaluate_json_digest():

@@ -1,4 +1,10 @@
-"""Tests for both value-iteration representations and the greedy policy."""
+"""Tests for alpha-vector value iteration and the greedy policy.
+
+A belief-grid value iteration (``grid_backup`` and friends below) is the
+independent oracle: it discretizes beliefs on [q, 1-p] and interpolates
+the sleep successor, so it must agree with the exact envelope up to
+interpolation error.
+"""
 
 import math
 
@@ -16,7 +22,6 @@ from rfharvest.value_iteration import (
     PiecewiseLinearValue,
     VISettings,
     bellman_backup_alpha,
-    bellman_backup_grid,
     greedy_policy,
     harvest_crossover,
     prune_lines,
@@ -24,13 +29,60 @@ from rfharvest.value_iteration import (
     solve,
     sup_difference,
     zero_alpha_value,
-    zero_grid_value,
 )
 
 from test_gilbert_elliott import valid_params
 
 PARAMS = GEParams(p=0.2, q=0.3)
 CFG = RewardConfig(r1=10.0, r0=1.0, gamma=0.9)
+
+
+def grid_of(params, resolution):
+    """Beliefs on [q, 1-p] at the given spacing, with q, 1-p and pi_G included."""
+    lo, hi = params.q, 1.0 - params.p
+    n = max(2, int(math.ceil((hi - lo) / resolution)) + 1)
+    base = np.linspace(lo, hi, n)
+    return np.unique(np.concatenate([base, [lo, hi, stationary(params).good]]))
+
+
+def grid_action_values(grid, values, params, cfg):
+    """(harvest, sleep) action values on the grid; only sleep interpolates."""
+    v_fail, v_good = values[0], values[-1]
+    q_h = (cfg.r0 + cfg.r1) * grid - cfg.r0 + cfg.gamma * ((1.0 - grid) * v_fail + grid * v_good)
+    q_s = cfg.gamma * np.interp(params.q + params.persistence * grid, grid, values)
+    return q_h, q_s
+
+
+def grid_backup(grid, values, params, cfg):
+    return np.maximum(*grid_action_values(grid, values, params, cfg))
+
+
+def grid_solve(params, cfg, epsilon, resolution):
+    """Grid value iteration under the solver's stopping rule; returns (grid, values)."""
+    grid = grid_of(params, resolution)
+    values = np.zeros_like(grid)
+    threshold = epsilon * (1.0 - cfg.gamma) / (2.0 * cfg.gamma)
+    while True:
+        nxt = grid_backup(grid, values, params, cfg)
+        delta = float(np.max(np.abs(nxt - values)))
+        values = nxt
+        if delta <= threshold:
+            return grid, values
+
+
+def grid_crossover(grid, values, params, cfg):
+    """First sign change of the harvest-minus-sleep gap, linearly refined."""
+    q_h, q_s = grid_action_values(grid, values, params, cfg)
+    gaps = q_h - q_s
+    nonneg = np.nonzero(gaps >= 0.0)[0]
+    if len(nonneg) == 0:
+        return math.inf
+    i = int(nonneg[0])
+    if i == 0:
+        return float(grid[0])
+    b0, b1 = float(grid[i - 1]), float(grid[i])
+    g0, g1 = float(gaps[i - 1]), float(gaps[i])
+    return b0 + (b1 - b0) * (-g0) / (g1 - g0)
 
 
 def brute_force_envelope(lines, xs):
@@ -111,46 +163,47 @@ class TestBackupAlpha:
         line = AlphaVector(1.25, 2.5)
         lo, hi = PARAMS.q, 1.0 - PARAMS.p
         v_alpha = PiecewiseLinearValue(lines=(line,), lo=lo, hi=hi)
-        grid0 = zero_grid_value(PARAMS, resolution=1e-5)
-        v_grid = type(grid0)(grid=grid0.grid, values=line.alpha + line.beta * grid0.grid)
+        grid = grid_of(PARAMS, resolution=1e-5)
 
         out_alpha = bellman_backup_alpha(v_alpha, PARAMS, CFG)
-        out_grid = bellman_backup_grid(v_grid, PARAMS, CFG)
+        out_grid = grid_backup(grid, line.alpha + line.beta * grid, PARAMS, CFG)
 
         rng = np.random.default_rng(7)
         beliefs = rng.uniform(lo, hi, size=200)
         # compare at grid points nearest the random beliefs (grid values
         # are exact there)
-        idx = np.searchsorted(out_grid.grid, beliefs).clip(1, len(out_grid.grid) - 1)
-        pts = out_grid.grid[idx]
-        np.testing.assert_allclose(out_alpha.value(pts), out_grid.values[idx], atol=1e-9)
+        idx = np.searchsorted(grid, beliefs).clip(1, len(grid) - 1)
+        pts = grid[idx]
+        np.testing.assert_allclose(out_alpha.value(pts), out_grid[idx], atol=1e-9)
 
     def test_full_solve_matches_grid_solve(self):
-        settings_ = VISettings(epsilon=1e-5, grid_resolution=1e-4)
-        res_a = solve(PARAMS, CFG, settings_, representation="alpha")
-        res_g = solve(PARAMS, CFG, settings_, representation="grid")
+        res_a = solve(PARAMS, CFG, VISettings(epsilon=1e-5))
+        grid, values = grid_solve(PARAMS, CFG, epsilon=1e-5, resolution=1e-4)
         pts = np.linspace(PARAMS.q, 1.0 - PARAMS.p, 501)
         # grid solver carries O(resolution) interpolation error
-        np.testing.assert_allclose(res_a.value.value(pts), res_g.value.value(pts), atol=5e-3)
+        np.testing.assert_allclose(res_a.value.value(pts), np.interp(pts, grid, values), atol=5e-3)
 
 
 class TestBackupGrid:
+    """Sanity checks of the grid oracle itself."""
+
     def test_backup_of_zero_is_myopic(self):
-        v0 = zero_grid_value(PARAMS, resolution=1e-3)
-        v1 = bellman_backup_grid(v0, PARAMS, CFG)
-        expected = np.maximum(0.0, (CFG.r0 + CFG.r1) * v0.grid - CFG.r0)
-        np.testing.assert_allclose(v1.values, expected, atol=1e-12)
+        grid = grid_of(PARAMS, resolution=1e-3)
+        values = grid_backup(grid, np.zeros_like(grid), PARAMS, CFG)
+        expected = np.maximum(0.0, (CFG.r0 + CFG.r1) * grid - CFG.r0)
+        np.testing.assert_allclose(values, expected, atol=1e-12)
 
     def test_values_nondecreasing_along_grid(self):
-        v = zero_grid_value(PARAMS, resolution=1e-3)
+        grid = grid_of(PARAMS, resolution=1e-3)
+        values = np.zeros_like(grid)
         for _ in range(40):
-            v = bellman_backup_grid(v, PARAMS, CFG)
-            assert np.all(np.diff(v.values) >= -1e-12)
+            values = grid_backup(grid, values, PARAMS, CFG)
+            assert np.all(np.diff(values) >= -1e-12)
 
     def test_grid_contains_special_beliefs(self):
-        v = zero_grid_value(PARAMS, resolution=1e-3)
+        grid = grid_of(PARAMS, resolution=1e-3)
         for b in (PARAMS.q, 1.0 - PARAMS.p, stationary(PARAMS).good):
-            assert np.any(np.isclose(v.grid, b, atol=0.0))
+            assert np.any(np.isclose(grid, b, atol=0.0))
 
 
 class TestSolve:
@@ -226,25 +279,21 @@ class TestGreedyPolicy:
         # interior crossover: compare the numeric threshold directly
         params = GEParams(p=0.2667, q=0.4)
         cfg = RewardConfig(r1=10.0, r0=10.0, gamma=0.99)
-        settings_ = VISettings(epsilon=1e-6, grid_resolution=1e-4)
-        res_a = solve(params, cfg, settings_, representation="alpha")
-        res_g = solve(params, cfg, settings_, representation="grid")
+        res_a = solve(params, cfg, VISettings(epsilon=1e-6))
         b_a = harvest_crossover(res_a.value, params, cfg)
-        b_g = harvest_crossover(res_g.value, params, cfg)
+        b_g = grid_crossover(*grid_solve(params, cfg, epsilon=1e-6, resolution=1e-4), params, cfg)
         assert params.q < b_a < stationary(params).good
         assert b_g == pytest.approx(b_a, abs=1e-3)
 
     def test_off_domain_crossover_means_harvest_everywhere(self):
-        # here harvesting is greedy on the whole interval; the alpha form
-        # reports the extrapolated threshold, the grid form clamps to q,
+        # here harvesting is greedy on the whole interval; the alpha solver
+        # reports the extrapolated threshold, the grid oracle clamps to q,
         # and both imply a zero sleep count
         from rfharvest.threshold import sleep_time_from_threshold
 
-        settings_ = VISettings(epsilon=1e-6, grid_resolution=1e-4)
-        res_a = solve(PARAMS, CFG, settings_, representation="alpha")
-        res_g = solve(PARAMS, CFG, settings_, representation="grid")
+        res_a = solve(PARAMS, CFG, VISettings(epsilon=1e-6))
         b_a = harvest_crossover(res_a.value, PARAMS, CFG)
-        b_g = harvest_crossover(res_g.value, PARAMS, CFG)
+        b_g = grid_crossover(*grid_solve(PARAMS, CFG, epsilon=1e-6, resolution=1e-4), PARAMS, CFG)
         assert b_a <= PARAMS.q and b_g <= PARAMS.q
         assert sleep_time_from_threshold(b_a, PARAMS).sleep_slots == 0
         assert sleep_time_from_threshold(b_g, PARAMS).sleep_slots == 0
@@ -308,9 +357,5 @@ def test_settings_validation():
         VISettings(epsilon=0.0)
     with pytest.raises(ValueError):
         VISettings(max_iterations=0)
-    with pytest.raises(ValueError):
-        VISettings(grid_resolution=0.0)
     # epsilon defaults to 1e-4 of the reward scale
     assert VISettings().resolved_epsilon(CFG) == pytest.approx(1e-4 * CFG.r1)
-    with pytest.raises(ValueError):
-        solve(PARAMS, CFG, representation="tabular")
