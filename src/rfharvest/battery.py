@@ -15,12 +15,29 @@ with Q the transient block and h the full-charge hit probabilities,
 (I - Q) h = R_full. Expected slots to full charge, conditional on
 getting there, solve (I - Q) y = h * w with y = h * T, where w is the
 per-transition slot cost (1 or N+1 by phase).
+
+I - Q is never formed. With the unknowns ordered level-major (index
+2 * (level - 1) + phase), a harvest moves from (phase, level) only to
+(0, level + gain) or (1, level - loss), so I - Q is banded: lower
+bandwidth 2 * loss, upper bandwidth 2 * gain. It is a nonsingular
+M-matrix, so Gaussian elimination without pivoting keeps its fill-in
+inside the band and is stable. One factorisation serves all three
+right-hand sides, in O(capacity * gain * loss) time and
+O(capacity * (gain + loss)) memory. Each pivot is taken as the
+absorbing mass of its row plus the magnitudes of its remaining
+off-diagonal entries (Grassmann, Taksar & Heyman 1985): the eliminated
+diagonal in exact arithmetic, but a sum of nonnegative terms. Every
+step of the sweep then adds terms of one sign, so probabilities far
+below machine epsilon keep their relative accuracy until they leave
+the floating-point range. The tests check the sweep against dense
+(I - Q) solves.
 """
 
 from __future__ import annotations
 
 import csv
 import io
+from array import array
 from dataclasses import dataclass
 
 import numpy as np
@@ -33,7 +50,6 @@ __all__ = [
     "BatteryChain",
     "AbsorptionResult",
     "PolicyNeverHarvests",
-    "SingularTransientBlock",
     "build_chain",
     "build_chain_from_success_probs",
     "absorption_analysis",
@@ -53,10 +69,6 @@ SWEEP_CSV_HEADER = (
 
 class PolicyNeverHarvests(ValueError):
     """A never-harvest policy induces no battery chain."""
-
-
-class SingularTransientBlock(RuntimeError):
-    """The (I - Q) solve failed; the chain is not properly absorbing."""
 
 
 @dataclass(frozen=True)
@@ -80,18 +92,17 @@ class BatteryChain:
 
     Transient states are (phase, level) for levels 1..capacity-1 with
     phase 0 = last harvest succeeded, phase 1 = last harvest failed.
-    ``transient`` maps transient states to transient states, ``absorbing``
-    to the two absorbing classes (column 0 depleted, column 1 full), and
-    ``slot_weights`` gives the slots consumed by one transition out of
-    each transient state.
+    A harvest from phase ``ph`` succeeds with ``success_after_success``
+    (ph = 0) or ``success_after_failure`` (ph = 1), moving ``gain``
+    levels up into phase 0, and otherwise ``loss`` levels down into
+    phase 1. ``slot_weights[ph]`` gives the slots consumed by one
+    transition out of phase ``ph``.
     """
 
     battery: BatteryConfig
     sleep_slots: int
     success_after_success: float
     success_after_failure: float
-    transient: np.ndarray
-    absorbing: np.ndarray
     slot_weights: np.ndarray
 
     @property
@@ -116,36 +127,12 @@ def build_chain_from_success_probs(
             raise ValueError(f"success probabilities must lie in (0, 1), got {s}")
     if sleep_slots < 0:
         raise ValueError("sleep_slots must be nonnegative")
-    cap = battery.capacity
-    m = cap - 1
-    n = 2 * m
-    transient = np.zeros((n, n))
-    absorbing = np.zeros((n, 2))
-    weights = np.empty(n)
-    succ = (success_after_success, success_after_failure)
-    for phase in (0, 1):
-        weights[phase * m : (phase + 1) * m] = 1.0 if phase == 0 else sleep_slots + 1.0
-        for level in range(1, cap):
-            i = phase * m + (level - 1)
-            s = succ[phase]
-            up = level + battery.gain
-            down = level - battery.loss
-            if up >= cap:
-                absorbing[i, 1] += s
-            else:
-                transient[i, 0 * m + (up - 1)] += s
-            if down <= 0:
-                absorbing[i, 0] += 1.0 - s
-            else:
-                transient[i, 1 * m + (down - 1)] += 1.0 - s
     return BatteryChain(
         battery=battery,
         sleep_slots=sleep_slots,
         success_after_success=success_after_success,
         success_after_failure=success_after_failure,
-        transient=transient,
-        absorbing=absorbing,
-        slot_weights=weights,
+        slot_weights=np.array([1.0, sleep_slots + 1.0]),
     )
 
 
@@ -171,8 +158,11 @@ class AbsorptionResult:
 
     ``full_charge_prob[phase, level]`` is the probability of filling the
     battery before depleting it; ``expected_slots_conditional`` is the
-    expected slot count to full charge given that it happens (NaN where
-    full charge is unreachable, 0 at full charge itself).
+    expected slot count to full charge given that it happens, 0 at full
+    charge itself. It is NaN wherever ``full_charge_prob`` is 0.0: where
+    full charge is unreachable (level 0), and also where it is reachable
+    but less likely than the smallest positive double, so that the
+    probability underflows (downward drift far below capacity).
     """
 
     capacity: int
@@ -182,36 +172,89 @@ class AbsorptionResult:
 
 
 def absorption_analysis(chain: BatteryChain) -> AbsorptionResult:
-    cap = chain.battery.capacity
-    m = cap - 1
-    eye = np.eye(chain.n_transient)
-    a = eye - chain.transient
-    try:
-        h = np.linalg.solve(a, chain.absorbing[:, 1])
-        depl = np.linalg.solve(a, chain.absorbing[:, 0])
-        y = np.linalg.solve(a, h * chain.slot_weights)
-    except np.linalg.LinAlgError as exc:
-        raise SingularTransientBlock("transient block solve failed") from exc
-    if not (np.all(np.isfinite(h)) and np.all(np.isfinite(y))):
-        raise SingularTransientBlock("transient block solve produced non-finite values")
+    """Solve for h, the depletion probabilities and y = h * T in one sweep.
 
-    full = np.zeros((2, cap + 1))
-    dep = np.zeros((2, cap + 1))
-    slots = np.full((2, cap + 1), np.nan)
-    full[:, cap] = 1.0
-    dep[:, 0] = 1.0
-    slots[:, cap] = 0.0
-    for phase in (0, 1):
-        seg = slice(phase * m, (phase + 1) * m)
-        full[phase, 1:cap] = h[seg]
-        dep[phase, 1:cap] = depl[seg]
-        with np.errstate(invalid="ignore", divide="ignore"):
-            cond = np.where(h[seg] > 0.0, y[seg] / h[seg], np.nan)
-        slots[phase, 1:cap] = cond
+    Elimination runs row by row. Row i of I - Q is held over columns
+    i - lo .. i + up (diagonal at offset lo); its entries left of the
+    diagonal are cleared with the finished rows above it, whose
+    multipliers are kept for the third right-hand side. The finished
+    rows are stored flat behind ``lo`` rows of the identity, so row i
+    sits at index lo + i and every row has ``lo`` rows above it.
+    """
+    cap = chain.battery.capacity
+    gain, loss = chain.battery.gain, chain.battery.loss
+    lo, up = 2 * loss, 2 * gain
+    n = chain.n_transient
+    succ = (chain.success_after_success, chain.success_after_failure)
+    pivots = array("d", [1.0] * lo)
+    uppers = array("d", [0.0] * (lo * up))  # up entries right of each pivot
+    factors = array("d")  # lo multipliers per row
+    full = array("d", [0.0] * lo)
+    dep = array("d", [0.0] * lo)
+    for i in range(n):
+        phase = i % 2
+        level = i // 2 + 1
+        s = succ[phase]
+        row = [0.0] * (lo + 1 + up)
+        b_full = b_dep = 0.0
+        if level + gain < cap:
+            row[lo + up - phase] = -s
+        else:
+            b_full = s
+        if level - loss > 0:
+            row[1 - phase] = -(1.0 - s)
+        else:
+            b_dep = 1.0 - s
+        for c in range(lo):
+            k = i + c  # stored index of row i - lo + c
+            f = row[c] / pivots[k]
+            factors.append(f)
+            for j in range(up):
+                row[c + 1 + j] -= f * uppers[k * up + j]
+            b_full -= f * full[k]
+            b_dep -= f * dep[k]
+        # GTH pivot: each row of [I - Q | R] sums to 0, and elimination
+        # keeps it so; the eliminated diagonal row[lo] is never read
+        upper = row[lo + 1 :]
+        pivots.append(b_full + b_dep - sum(upper))
+        uppers.extend(upper)
+        full.append(b_full)
+        dep.append(b_dep)
+
+    def back_substitute(b: array) -> np.ndarray:
+        x = array("d", bytes(8 * (lo + n + up)))
+        for k in range(lo + n - 1, lo - 1, -1):
+            acc = b[k]
+            for j in range(up):
+                acc -= uppers[k * up + j] * x[k + 1 + j]
+            x[k] = acc / pivots[k]
+        return np.frombuffer(x)[lo : lo + n]
+
+    h = back_substitute(full)
+    depl = back_substitute(dep)
+    weights = [float(w) for w in chain.slot_weights]
+    z = array("d", [0.0] * lo)
+    for i, h_i in enumerate(h.tolist()):
+        acc = weights[i % 2] * h_i
+        for c in range(lo):
+            acc -= factors[i * lo + c] * z[i + c]
+        z.append(acc)
+    y = back_substitute(z)
+
+    def by_phase(x: np.ndarray, at_zero: float, at_cap: float) -> np.ndarray:
+        out = np.empty((2, cap + 1))
+        out[:, 0] = at_zero
+        out[:, cap] = at_cap
+        out[:, 1:cap] = x.reshape(cap - 1, 2).T
+        return out
+
+    full_prob = by_phase(h, 0.0, 1.0)
+    with np.errstate(invalid="ignore", divide="ignore"):
+        slots = np.where(full_prob > 0.0, by_phase(y, 0.0, 0.0) / full_prob, np.nan)
     return AbsorptionResult(
         capacity=cap,
-        full_charge_prob=full,
-        depletion_prob=dep,
+        full_charge_prob=full_prob,
+        depletion_prob=by_phase(depl, 1.0, 0.0),
         expected_slots_conditional=slots,
     )
 

@@ -35,6 +35,14 @@ class UsageError(Exception):
     pass
 
 
+def _from_flags(build, *args, **kwargs):
+    """Build an object from flag values; its ValueError is a usage error."""
+    try:
+        return build(*args, **kwargs)
+    except ValueError as exc:
+        raise UsageError(str(exc)) from exc
+
+
 def _probability(text: str) -> float:
     x = float(text)
     if not 0.0 < x < 1.0:
@@ -84,11 +92,11 @@ def _chain_from_args(args) -> GEParams:
     if has_pq:
         if args.p is None or args.q is None:
             raise UsageError("--p and --q must be given together")
-        return GEParams(p=args.p, q=args.q)
+        return _from_flags(GEParams, p=args.p, q=args.q)
     if has_burst:
         if args.pi_g is None or args.t_b is None:
             raise UsageError("--pi-g and --t-b must be given together")
-        return from_burst_parameterization(args.pi_g, args.t_b)
+        return _from_flags(from_burst_parameterization, args.pi_g, args.t_b)
     raise UsageError("chain parameters required: --p/--q or --pi-g/--t-b")
 
 
@@ -137,7 +145,8 @@ def _axis(lo: float, hi: float, steps: int) -> list[float]:
 
 def cmd_table(args) -> int:
     cfg = _reward_from_args(args)
-    table = build_lookup_table(
+    table = _from_flags(
+        build_lookup_table,
         pi_g_axis=_axis(args.pi_g_min, args.pi_g_max, args.pi_g_steps),
         t_b_axis=_axis(args.t_b_min, args.t_b_max, args.t_b_steps),
         cfg=cfg,
@@ -155,18 +164,19 @@ def cmd_battery(args) -> int:
     params = _chain_from_args(args)
     cfg = _reward_from_args(args)
     if args.sleep_slots is not None:
-        policy = ThresholdPolicy.sleep(args.sleep_slots)
+        policy = _from_flags(ThresholdPolicy.sleep, args.sleep_slots)
     else:
         policy, _ = optimal_sleep_time(params, cfg)
         if policy.never_harvest:
             print("error: optimal policy never harvests, give --sleep-slots explicitly", file=sys.stderr)
             return 1
-    config = battery_mod.BatteryConfig(capacity=args.capacity)
+    config = _from_flags(battery_mod.BatteryConfig, capacity=args.capacity)
     if args.levels:
-        levels = sorted({int(x) for x in args.levels.split(",")})
+        levels = _from_flags(lambda: sorted({int(x) for x in args.levels.split(",")}))
     else:
         levels = list(range(0, args.capacity + 1, args.level_step))
-    rows = battery_mod.sweep_initial_levels(params, policy, config, levels)
+    # every ValueError of the sweep comes from the flags (levels out of range)
+    rows = _from_flags(battery_mod.sweep_initial_levels, params, policy, config, levels)
     with open(args.output, "w") as fh:
         battery_mod.write_sweep_csv(rows, fh)
     print(f"wrote {args.output}")
@@ -179,7 +189,7 @@ def cmd_learn(args) -> int:
     table = None
     if args.table:
         with open(args.table) as fh:
-            table = LookupTable.load_json(fh)
+            table = _from_flags(LookupTable.load_json, fh)
     with open(args.output, "w") as fh:
         for episode in range(args.episodes):
             trace = run_learner(
@@ -283,7 +293,10 @@ def _apply_config_defaults(parser: argparse.ArgumentParser, argv: list[str]) -> 
     except IndexError:
         parser.error("--config needs a file path")
     with open(path) as fh:
-        data = json.load(fh)
+        try:
+            data = json.load(fh)
+        except ValueError as exc:
+            parser.error(f"config file is not valid JSON: {exc}")
     if not isinstance(data, dict):
         parser.error("config file must hold a JSON object of flag values")
     rest = argv[:i] + argv[i + 2 :]
@@ -301,16 +314,12 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     argv = list(sys.argv[1:] if argv is None else argv)
     try:
-        argv = _apply_config_defaults(parser, argv)
         try:
-            args = parser.parse_args(argv)
+            args = parser.parse_args(_apply_config_defaults(parser, argv))
         except SystemExit as exc:  # argparse exits on usage errors and --help
             return int(exc.code or 0)
         return args.func(args)
     except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except Exception as exc:  # runtime failures: I/O, solver budgets

@@ -1,9 +1,12 @@
 """Tests for the embedded battery chain and its absorption analysis."""
 
 import io
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rfharvest.battery import (
     BatteryConfig,
@@ -20,6 +23,53 @@ from rfharvest.gilbert_elliott import GEParams, from_burst_parameterization
 from rfharvest.threshold import ThresholdPolicy
 
 PARAMS = GEParams(p=0.2, q=0.3)
+
+# Success probabilities on a 2^-20 grid inside (0.01, 0.99), so that
+# 1 - s is exact. For other floats the rounding of 1 - s makes a dense
+# I - Q row sum to 1 +- 2^-54, a leak the sweep does not have (its
+# pivots add s and 1 - s as given); near zero drift at capacity 300
+# that moved the dense answer by up to 9.4e-13 from a 50-digit solve,
+# which the sweep matched to 7e-16.
+GRID_PROBABILITY = st.integers(10486, 1038090).map(lambda k: k / 2**20)
+
+
+def dense_chain(chain) -> tuple[np.ndarray, np.ndarray]:
+    """Dense Q (transient to transient) and R (columns: depleted, full).
+
+    States are level-major, index 2 * (level - 1) + phase, as in the
+    banded sweep.
+    """
+    cap, gain, loss = chain.battery.capacity, chain.battery.gain, chain.battery.loss
+    n = chain.n_transient
+    q = np.zeros((n, n))
+    r = np.zeros((n, 2))
+    succ = (chain.success_after_success, chain.success_after_failure)
+    for i in range(n):
+        phase, level = i % 2, i // 2 + 1
+        s = succ[phase]
+        if level + gain >= cap:
+            r[i, 1] += s
+        else:
+            q[i, 2 * (level + gain - 1)] += s
+        if level - loss <= 0:
+            r[i, 0] += 1.0 - s
+        else:
+            q[i, 2 * (level - loss - 1) + 1] += 1.0 - s
+    return q, r
+
+
+def dense_absorption(chain) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Oracle: full-charge, depletion and y = h * T from dense (I - Q) solves."""
+    q, r = dense_chain(chain)
+    a = np.eye(len(q)) - q
+    h = np.linalg.solve(a, r[:, 1])
+    y = np.linalg.solve(a, h * np.tile(chain.slot_weights, len(q) // 2))
+    return h, np.linalg.solve(a, r[:, 0]), y
+
+
+def transient(table: np.ndarray) -> np.ndarray:
+    """A (phase, level) result table as a level-major transient vector."""
+    return table[:, 1:-1].T.reshape(-1)
 
 
 def gambler_ruin_probs(success: float, capacity: int) -> np.ndarray:
@@ -46,8 +96,8 @@ class TestBuildChain:
 
     def test_rows_sum_to_one(self):
         chain = build_chain(PARAMS, ThresholdPolicy.sleep(2), BatteryConfig(capacity=12))
-        totals = chain.transient.sum(axis=1) + chain.absorbing.sum(axis=1)
-        np.testing.assert_allclose(totals, 1.0, atol=1e-12)
+        q, r = dense_chain(chain)
+        np.testing.assert_allclose(q.sum(axis=1) + r.sum(axis=1), 1.0, atol=1e-12)
 
     def test_two_step_success_probability_by_hand(self):
         # two-step bad-to-good: q(1-p) + (1-q)q = 0.45 at (p, q) = (0.2, 0.3)
@@ -106,6 +156,78 @@ class TestAbsorptionAnalysis:
         assert res.full_charge_prob[1, 1] == pytest.approx(chain.success_after_failure)
         assert res.expected_slots_conditional[0, 1] == pytest.approx(1.0)
         assert res.expected_slots_conditional[1, 1] == pytest.approx(4.0)
+
+    @given(
+        gain=st.integers(1, 3),
+        loss=st.integers(1, 3),
+        capacity=st.integers(2, 300),
+        s0=GRID_PROBABILITY,
+        s1=GRID_PROBABILITY,
+        sleep=st.integers(0, 5),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_matches_dense_oracle(self, gain, loss, capacity, s0, s1, sleep):
+        chain = build_chain_from_success_probs(s0, s1, sleep, BatteryConfig(capacity, gain, loss))
+        res = absorption_analysis(chain)
+        h, dep, y = dense_absorption(chain)
+        np.testing.assert_allclose(transient(res.full_charge_prob), h, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(transient(res.depletion_prob), dep, rtol=0, atol=1e-12)
+        # the oracle's y / h is only as good as its absolute error on h
+        likely = h >= 1e-6
+        np.testing.assert_allclose(
+            transient(res.expected_slots_conditional)[likely], y[likely] / h[likely], rtol=1e-10
+        )
+
+    def test_tiny_probabilities_keep_relative_accuracy(self):
+        # against the ruin closed form down to 2e-60: full charge under
+        # downward drift, depletion under upward drift
+        cap = 100
+        e = np.arange(1, cap)
+        for success in (0.2, 0.8):
+            chain = build_chain_from_success_probs(success, success, 0, BatteryConfig(capacity=cap))
+            res = absorption_analysis(chain)
+            rho = (1.0 - success) / success
+            full = (1.0 - rho**e) / (1.0 - rho**cap)
+            dep = rho**e * (1.0 - rho ** (cap - e)) / (1.0 - rho**cap)
+            for phase in (0, 1):
+                np.testing.assert_allclose(res.full_charge_prob[phase, 1:cap], full, rtol=1e-12)
+                np.testing.assert_allclose(res.depletion_prob[phase, 1:cap], dep, rtol=1e-12)
+
+    def test_underflow_leaves_slots_undefined(self):
+        # downward drift: from low levels full charge is reachable but
+        # rarer than the smallest double, so its probability is 0.0 and
+        # the conditional slot count NaN, while both probabilities stay
+        # finite and complementary
+        cap = 2000
+        chain = build_chain_from_success_probs(0.3, 0.3, 0, BatteryConfig(capacity=cap))
+        res = absorption_analysis(chain)
+        assert np.all(np.isfinite(res.full_charge_prob)) and np.all(np.isfinite(res.depletion_prob))
+        np.testing.assert_allclose(res.full_charge_prob + res.depletion_prob, 1.0, atol=1e-12)
+        underflow = res.full_charge_prob[:, 1:cap] == 0.0
+        assert underflow.any()
+        assert np.array_equal(np.isnan(res.expected_slots_conditional[:, 1:cap]), underflow)
+
+    def test_large_capacity_in_linear_memory(self):
+        # a dense (I - Q) at capacity 5000 would take 800 MB
+        params = from_burst_parameterization(pi_g=0.7, t_b=5.0)
+        chain = build_chain(params, ThresholdPolicy.sleep(1), BatteryConfig(capacity=5000))
+        tracemalloc.start()
+        try:
+            res = absorption_analysis(chain)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 2**20
+        np.testing.assert_allclose(res.full_charge_prob + res.depletion_prob, 1.0, atol=1e-9)
+        assert np.all(np.diff(res.full_charge_prob, axis=1) >= 0.0)
+
+    def test_monte_carlo_agreement_unequal_steps(self):
+        chain = build_chain(
+            PARAMS, ThresholdPolicy.sleep(1), BatteryConfig(capacity=12, gain=2, loss=1)
+        )
+        res = absorption_analysis(chain)
+        est, se = simulate_chain(chain, initial_level=4, initial_phase=1, episodes=200_000, seed=21)
+        assert abs(est - res.full_charge_prob[1, 4]) < 3.0 * se, (est, se)
 
     def test_monte_carlo_agreement(self):
         # five random chains, analytic absorption within 3 sigma of

@@ -44,6 +44,34 @@ class TestValidation:
         assert code == 2
         assert "1 - p > q" in err
 
+    @pytest.mark.parametrize(
+        "flags",
+        [
+            ["--capacity", "1"],
+            ["--levels", "3,11"],
+            ["--levels", "3,x"],
+            ["--sleep-slots", "-1"],
+        ],
+    )
+    def test_invalid_battery_flags_exit_2(self, tmp_path, capsys, flags):
+        argv = ["battery", "--pi-g", "0.7", "--t-b", "5", "--capacity", "10", *flags,
+                "--output", str(tmp_path / "b.csv")]
+        code, _, err = run_cli(argv, capsys)
+        assert code == 2
+        assert err.startswith("error: ")
+
+    def test_runtime_failure_exits_1(self, tmp_path, capsys):
+        # the learner's float weights overflow on this run (the known
+        # defect pinned by test_long_run_survives_weight_overflow): a
+        # runtime failure, not a usage error
+        code, _, err = run_cli(
+            ["learn", "--pi-g", "0.3", "--t-b", "8", "--r0", "10", "--r1", "10", "--k", "20",
+             "--horizon", "6000", "--seed", "1", "--output", str(tmp_path / "trace.jsonl")],
+            capsys,
+        )
+        assert code == 1
+        assert "Probabilities do not sum to 1" in err
+
     def test_help_lists_subcommands(self, capsys):
         assert cli.main(["--help"]) == 0
         out = capsys.readouterr().out

@@ -3,10 +3,12 @@
 The learner and evaluate digests below were recorded from the learner
 as it stood before its hypothesis filter and episode loop were
 rewritten; the solve digests from the value-iteration solver as it stood
-while it still carried a second, belief-grid representation. Rerunning one version
-twice (acceptance criterion 8) cannot catch a change to the random
-draws; these can. A change that alters the draws on purpose must say so
-and record new digests.
+while it still carried a second, belief-grid representation. The battery
+digests were recorded on the banded absorption sweep; the dense
+(I - Q) solve before it printed different last digits. Rerunning one
+version twice (acceptance criterion 8) cannot catch a change to the
+random draws or to the floating-point operations; these can. A change
+that alters them on purpose must say so and record new digests.
 """
 
 import hashlib
@@ -42,6 +44,13 @@ SOLVE_DIGESTS = {
     ("--p 0.0026 --q 0.05", 1): "9ec713dbcc57dfd9e0770e1d992d447ea1e187637a38b456b98400e21374d9fb",
 }
 
+# (capacity, level step) -> sha256 of `rfharvest battery --pi-g 0.7 --t-b 5
+# --r0 10 --r1 10 --gamma 0.99` CSV; (50, 10) is the README command
+BATTERY_DIGESTS = {
+    (50, 10): "fcdc97318869cd2fce10d872faf338b8126d96a15a20e13c574c79f5176d7139",
+    (2000, 100): "749a7eb42772c414e8644510f57e3ea0ccb1f2a78c615e95536dfc2a7b5915f0",
+}
+
 # the four desk policies on the reference chain, 2 paths x 2 runs, base seed 3
 EVALUATE_DIGEST = "b3ce94ee0d923ee90cd8d386e9d4a0e531b8a6463a4f1595a4e3a59cf65228fd"
 
@@ -67,6 +76,20 @@ def test_solve_stdout_digest(capsys, chain, r1):
     assert cli.main(argv) == 0
     digest = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
     assert digest == SOLVE_DIGESTS[(chain, r1)]
+
+
+@pytest.mark.parametrize("capacity,step", sorted(BATTERY_DIGESTS))
+def test_battery_csv_digest(tmp_path, capacity, step):
+    out = tmp_path / "battery.csv"
+    code = cli.main(
+        [
+            "battery", "--pi-g", "0.7", "--t-b", "5", "--r0", "10", "--r1", "10",
+            "--gamma", "0.99", "--capacity", str(capacity), "--level-step", str(step),
+            "--output", str(out),
+        ]
+    )
+    assert code == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == BATTERY_DIGESTS[(capacity, step)]
 
 
 def test_evaluate_json_digest():
