@@ -72,6 +72,20 @@ class TestValidation:
         assert code == 1
         assert "Probabilities do not sum to 1" in err
 
+    def test_solver_budget_exits_1(self, capsys):
+        # a solve that runs out of iterations is a runtime failure that
+        # names the span stopping rule it could not meet
+        code, out, err = run_cli(
+            ["solve", "--pi-g", "0.6", "--t-b", "2.5", "--r0", "10", "--r1", "10",
+             "--gamma", "0.99", "--max-iterations", "1"],
+            capsys,
+        )
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: stopping rule not met after 1 iterations")
+        assert "span bound gamma/(1-gamma)*(max d - min d)" in err
+        assert "epsilon 1.000e-03" in err
+
     def test_help_lists_subcommands(self, capsys):
         assert cli.main(["--help"]) == 0
         out = capsys.readouterr().out

@@ -14,14 +14,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rfharvest.beliefs import Action, RewardConfig
-from rfharvest.gilbert_elliott import GEParams, stationary
-from rfharvest.threshold import policy_value_linear_system, optimal_sleep_time
+from rfharvest.gilbert_elliott import GEParams, from_burst_parameterization, stationary
+from rfharvest.threshold import optimal_sleep_time, vi_threshold_policy
 from rfharvest.value_iteration import (
     AlphaVector,
     MaxIterationsExceeded,
     PiecewiseLinearValue,
     VISettings,
     bellman_backup_alpha,
+    difference_range,
     greedy_policy,
     harvest_crossover,
     prune_lines,
@@ -222,7 +223,7 @@ class TestSolve:
             assert d_next <= CFG.gamma * d_prev + 1e-9
 
     def test_max_iterations_exceeded(self):
-        with pytest.raises(MaxIterationsExceeded):
+        with pytest.raises(MaxIterationsExceeded, match=r"span bound .* epsilon 1\.000e-08"):
             solve(PARAMS, CFG, VISettings(epsilon=1e-8, max_iterations=3))
 
     def test_value_matches_policy_oracle(self):
@@ -243,7 +244,18 @@ class TestSolve:
         for _ in range(res.iterations):
             v = bellman_backup_alpha(v, PARAMS, CFG)
             iterates.append(v)
-        assert iterates[-1] == res.value
+        # the result is the last iterate with every alpha raised by the
+        # midpoint constant of the last step; the slopes are unchanged
+        d_min, d_max = difference_range(iterates[-1], iterates[-2])
+        scale = CFG.gamma / (1.0 - CFG.gamma)
+        assert scale * (d_max - d_min) < 1e-4
+        shift = scale * 0.5 * (d_max + d_min)
+        assert res.value.lines == tuple(
+            AlphaVector(line.alpha + shift, line.beta) for line in iterates[-1].lines
+        )
+        # one step earlier the span rule was not yet met
+        d_min, d_max = difference_range(iterates[-2], iterates[-3])
+        assert scale * (d_max - d_min) >= 1e-4
         rng = np.random.default_rng(3)
         lo, hi = PARAMS.q, 1.0 - PARAMS.p
         for v in iterates[::10]:
@@ -306,6 +318,92 @@ class TestGreedyPolicy:
         beta_h = CFG.r0 + CFG.r1 + CFG.gamma * (v_good - v_fail)
         max_sleep_slope = max(CFG.gamma * line.beta * PARAMS.persistence for line in v.lines)
         assert beta_h >= max_sleep_slope
+
+
+def brute_force_difference_range(v1, v2):
+    """(min, max) of v1 - v2 with each envelope evaluated as the max over
+    all of its lines at every point of the breakpoint union."""
+    pts = sorted({v1.lo, v1.hi, *v1.breakpoints(), *v2.breakpoints()})
+    diffs = [
+        max(a + b * x for a, b in v1.lines) - max(a + b * x for a, b in v2.lines) for x in pts
+    ]
+    return min(diffs), max(diffs)
+
+
+def envelope(lines, lo, hi):
+    return PiecewiseLinearValue(lines=prune_lines(lines, lo, hi), lo=lo, hi=hi)
+
+
+line_lists = st.lists(
+    st.tuples(st.floats(-100, 100), st.floats(0, 100)).map(lambda t: AlphaVector(*t)),
+    min_size=1,
+    max_size=24,
+)
+
+
+class TestDifferenceRange:
+    @given(line_lists, line_lists, st.floats(0.0, 0.45), st.floats(0.55, 1.0))
+    @settings(max_examples=300, deadline=None)
+    def test_merge_walk_matches_brute_force(self, lines1, lines2, lo, hi):
+        v1, v2 = envelope(lines1, lo, hi), envelope(lines2, lo, hi)
+        got = difference_range(v1, v2)
+        want = brute_force_difference_range(v1, v2)
+        scale = max(abs(ln.alpha) + abs(ln.beta) for ln in (*v1.lines, *v2.lines))
+        tol = 8 * math.ulp(scale)
+        assert got[0] == pytest.approx(want[0], abs=tol)
+        assert got[1] == pytest.approx(want[1], abs=tol)
+        assert sup_difference(v1, v2) == max(-got[0], got[1])
+
+    @given(line_lists, line_lists)
+    @settings(max_examples=100, deadline=None)
+    def test_extremes_bound_a_dense_grid(self, lines1, lines2):
+        # the breakpoint union holds the extremes: no grid point beats them
+        v1, v2 = envelope(lines1, 0.2, 0.8), envelope(lines2, 0.2, 0.8)
+        d_min, d_max = difference_range(v1, v2)
+        grid = np.linspace(0.2, 0.8, 601)
+        d = v1.value(grid) - v2.value(grid)
+        assert d.min() >= d_min - 1e-9 and d.max() <= d_max + 1e-9
+
+    @given(valid_params(), st.integers(1, 40))
+    @settings(max_examples=100, deadline=None)
+    def test_matches_brute_force_on_backups(self, params, n):
+        cfg = RewardConfig(r1=10.0, r0=10.0, gamma=0.99)
+        v = zero_alpha_value(params)
+        for _ in range(n):
+            v_next = bellman_backup_alpha(v, params, cfg)
+            got = difference_range(v_next, v)
+            want = brute_force_difference_range(v_next, v)
+            tol = 8 * math.ulp(max(abs(v_next.value(v.lo)), abs(v_next.value(v.hi)), 1.0))
+            assert got == pytest.approx(want, abs=tol)
+            v = v_next
+
+
+class TestSpanStopping:
+    @given(
+        valid_params(),
+        st.sampled_from([(10.0, 1.0), (10.0, 10.0), (1.0, 10.0)]),
+        st.sampled_from([0.5, 0.9, 0.95]),
+        st.sampled_from([1e-2, 1e-4, 1e-6]),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_within_half_epsilon_of_fixed_point(self, params, rewards, gamma, eps):
+        cfg = RewardConfig(r1=rewards[0], r0=rewards[1], gamma=gamma)
+        res = solve(params, cfg, VISettings(epsilon=eps))
+        ref = solve(params, cfg, VISettings(epsilon=1e-10))
+        # the reference is itself within 5e-11 of the fixed point
+        assert sup_difference(res.value, ref.value) <= eps / 2 + 5e-11 + 1e-12
+
+    @pytest.mark.parametrize("gamma", [0.999, 0.9999, 0.99999])
+    @pytest.mark.parametrize("pi_g,t_b", [(0.6, 2.5), (0.3, 8.0)])
+    def test_gamma_near_one_matches_closed_form(self, pi_g, t_b, gamma):
+        # a rule that needs ~1/(1 - gamma) backups would exhaust this
+        # budget; on these fast-mixing chains the span rule needs hundreds
+        params = from_burst_parameterization(pi_g, t_b)
+        cfg = RewardConfig(r1=10.0, r0=10.0, gamma=gamma)
+        settings_ = VISettings(epsilon=1e-6, max_iterations=10_000)
+        via_vi, _ = vi_threshold_policy(params, cfg, settings_)
+        direct, _ = optimal_sleep_time(params, cfg)
+        assert via_vi == direct
 
 
 @given(valid_params())
