@@ -1,20 +1,12 @@
 """Harvest/sleep scheduling for bursty ambient RF energy arrivals."""
 
 from .beliefs import (
-    Action,
     Observation,
     RewardConfig,
     belief_after_failure_and_sleep,
-    harvest_update,
-    initial_belief,
-    reward,
-    sleep_update,
 )
 from .gilbert_elliott import (
-    ArrivalState,
     GEParams,
-    SamplePath,
-    burst_parameterization,
     from_burst_parameterization,
     simulate,
     stationary,
@@ -34,7 +26,6 @@ from .value_iteration import (
     PiecewiseLinearValue,
     VISettings,
     bellman_backup_alpha,
-    greedy_policy,
     harvest_crossover,
     solve,
 )

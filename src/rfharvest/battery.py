@@ -53,7 +53,6 @@ __all__ = [
     "build_chain",
     "build_chain_from_success_probs",
     "absorption_analysis",
-    "simulate_chain",
     "sweep_initial_levels",
     "write_sweep_csv",
 ]
@@ -257,45 +256,6 @@ def absorption_analysis(chain: BatteryChain) -> AbsorptionResult:
         depletion_prob=by_phase(depl, 1.0, 0.0),
         expected_slots_conditional=slots,
     )
-
-
-def simulate_chain(
-    chain: BatteryChain,
-    initial_level: int,
-    initial_phase: int,
-    episodes: int,
-    seed: int,
-    max_transitions: int = 2_000_000_000,
-) -> tuple[float, float]:
-    """Monte-Carlo estimate of (full-charge probability, its std error).
-
-    Episodes run the embedded chain until absorption; used as an
-    independent check of the analytic solve.
-    """
-    rng = np.random.Generator(np.random.Philox(seed))
-    cap = chain.battery.capacity
-    level = np.full(episodes, initial_level, dtype=np.int64)
-    phase = np.full(episodes, initial_phase, dtype=np.int8)
-    active = (level > 0) & (level < cap)
-    succ = np.array([chain.success_after_success, chain.success_after_failure])
-    transitions = 0
-    while active.any():
-        transitions += int(active.sum())
-        if transitions > max_transitions:
-            raise RuntimeError("simulation budget exhausted before absorption")
-        idx = np.nonzero(active)[0]
-        u = rng.random(idx.size)
-        ok = u < succ[phase[idx]]
-        level[idx] = np.where(
-            ok, level[idx] + chain.battery.gain, level[idx] - chain.battery.loss
-        )
-        phase[idx] = np.where(ok, 0, 1).astype(np.int8)
-        np.clip(level, 0, cap, out=level)
-        active[idx] = (level[idx] > 0) & (level[idx] < cap)
-    hit = (level >= cap).astype(float)
-    p_hat = float(hit.mean())
-    se = float(hit.std(ddof=1) / np.sqrt(episodes)) if episodes > 1 else float("nan")
-    return p_hat, se
 
 
 def sweep_initial_levels(

@@ -1,9 +1,20 @@
 """Belief-state arithmetic and the per-slot reward model.
 
 The scalar belief ``b`` is the probability that the current slot is
-good. Harvesting reveals the state (and pins the next-slot belief to
-``1 - p`` after a success or ``q`` after a failure); sleeping evolves
-the belief through the chain without observing it.
+good. The model's per-step equations are:
+
+* harvesting earns ``(r0 + r1) b - r0`` in expectation and sleeping
+  earns 0;
+* harvesting reveals the state and pins the next-slot belief to
+  ``1 - p`` after a success or ``q`` after a failure;
+* sleeping moves the belief through the chain unobserved,
+  ``b' = q + (1 - p - q) b``, an affine contraction towards the
+  stationary good probability ``q / (p + q)``.
+
+Each equation is evaluated once, in closed form, where it is used:
+``belief_after_failure_and_sleep`` below, the alpha-vector backup in
+``value_iteration`` and the episode loop in ``learning``. The tests
+state the per-step forms separately, as the oracle for those.
 """
 
 from __future__ import annotations
@@ -11,23 +22,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 
-from .gilbert_elliott import GEParams, stationary
+from .gilbert_elliott import GEParams
 
 __all__ = [
-    "Action",
     "Observation",
     "RewardConfig",
-    "reward",
-    "sleep_update",
-    "harvest_update",
     "belief_after_failure_and_sleep",
-    "initial_belief",
 ]
-
-
-class Action(Enum):
-    HARVEST = "harvest"
-    SLEEP = "sleep"
 
 
 class Observation(Enum):
@@ -52,57 +53,15 @@ class RewardConfig:
         if not 0.0 <= self.gamma < 1.0:
             raise ValueError(f"gamma must lie in [0, 1), got {self.gamma}")
 
-    @property
-    def breakeven_belief(self) -> float:
-        """Belief at which the expected harvest reward is exactly zero."""
-        return self.r0 / (self.r0 + self.r1)
-
-
-def _check_belief(b: float) -> None:
-    if not 0.0 <= b <= 1.0:
-        raise ValueError(f"belief must lie in [0, 1], got {b}")
-
-
-def reward(b: float, action: Action, cfg: RewardConfig) -> float:
-    """Expected immediate reward: (r0 + r1) b - r0 when harvesting, 0 asleep."""
-    _check_belief(b)
-    if action is Action.SLEEP:
-        return 0.0
-    return (cfg.r0 + cfg.r1) * b - cfg.r0
-
-
-def sleep_update(b: float, params: GEParams) -> float:
-    """One unobserved step: b' = q + (1 - p - q) b.
-
-    The map is affine and contracting with factor ``persistence``,
-    so repeated sleeping drives the belief to the stationary good
-    probability q / (p + q).
-    """
-    _check_belief(b)
-    return params.q + params.persistence * b
-
-
-def harvest_update(outcome: Observation, params: GEParams) -> float:
-    """Next-slot belief after an observed harvest: 1 - p on good, q on bad."""
-    if outcome is Observation.GOOD:
-        return 1.0 - params.p
-    if outcome is Observation.BAD:
-        return params.q
-    raise ValueError("harvest_update needs an observed state, not Observation.NONE")
-
 
 def belief_after_failure_and_sleep(n: int, params: GEParams) -> float:
     """Belief after a failed harvest followed by ``n`` sleeping slots.
 
     Closed form of the geometric recursion: q (1 - c^(n+1)) / (p + q)
-    with c = 1 - p - q, which equals sleep_update applied n times to q.
+    with c = 1 - p - q, which equals the sleeping step applied n times
+    to q.
     """
     if n < 0:
         raise ValueError(f"sleep count must be nonnegative, got {n}")
     c = params.persistence
     return params.q * (1.0 - c ** (n + 1)) / (params.p + params.q)
-
-
-def initial_belief(params: GEParams) -> float:
-    """Belief before any observation: the chain is assumed in steady state."""
-    return stationary(params).good

@@ -190,6 +190,9 @@ def cmd_learn(args) -> int:
     if args.table:
         with open(args.table) as fh:
             table = _from_flags(LookupTable.load_json, fh)
+        built, run = (table.r1, table.r0, table.gamma), (cfg.r1, cfg.r0, cfg.gamma)
+        if built != run:
+            raise UsageError(f"--table was built for (r1, r0, gamma) = {built}, but this run uses {run}")
     with open(args.output, "w") as fh:
         for episode in range(args.episodes):
             trace = run_learner(

@@ -9,20 +9,16 @@ two-state Markov chain with per-slot escape probabilities ``p``
 from __future__ import annotations
 
 from dataclasses import dataclass
-from enum import Enum
 from typing import NamedTuple
 
 import numpy as np
 
 __all__ = [
-    "ArrivalState",
     "GEParams",
     "is_valid_chain",
-    "SamplePath",
     "Stationary",
     "stationary",
     "from_burst_parameterization",
-    "burst_parameterization",
     "simulate",
 ]
 
@@ -34,11 +30,6 @@ def is_valid_chain(p: float, q: float) -> bool:
     clause that fails; a test keeps the two in step.
     """
     return 0.0 < p < 1.0 and 0.0 < q < 1.0 and 1.0 - p > q
-
-
-class ArrivalState(Enum):
-    GOOD = "G"
-    BAD = "B"
 
 
 @dataclass(frozen=True)
@@ -83,25 +74,6 @@ class Stationary(NamedTuple):
     good: float
 
 
-@dataclass(frozen=True)
-class SamplePath:
-    """A simulated state sequence plus the seed that produced it.
-
-    ``states`` holds one entry per slot, 1 for GOOD and 0 for BAD.
-    All four one-step transitions have positive probability under any
-    valid ``GEParams``, so every 0/1 sequence is realizable.
-    """
-
-    states: np.ndarray
-    seed: int
-
-    def __len__(self) -> int:
-        return len(self.states)
-
-    def good_fraction(self) -> float:
-        return float(np.mean(self.states))
-
-
 def stationary(params: GEParams) -> Stationary:
     """Stationary distribution (bad, good) = (p, q) / (p + q)."""
     total = params.p + params.q
@@ -127,31 +99,19 @@ def from_burst_parameterization(pi_g: float, t_b: float) -> GEParams:
     return GEParams(p=p, q=q)
 
 
-def burst_parameterization(params: GEParams) -> tuple[float, float]:
-    """Inverse of :func:`from_burst_parameterization`: (pi_g, t_b)."""
-    return stationary(params).good, 1.0 / params.q
-
-
-def simulate(
-    params: GEParams,
-    horizon: int,
-    seed: int,
-    initial: ArrivalState | None = None,
-) -> SamplePath:
+def simulate(params: GEParams, horizon: int, seed: int) -> np.ndarray:
     """Generate a seeded sample path of the arrival chain.
 
-    Randomness comes from the Philox 4x64 counter-based generator, so
-    identical (params, horizon, seed, initial) inputs reproduce the
-    same path on any platform. When ``initial`` is None the first
-    state is drawn from the stationary distribution.
+    Returns a read-only int8 array with one entry per slot, 1 for good
+    and 0 for bad; the first state is drawn from the stationary
+    distribution. Randomness comes from the Philox 4x64 counter-based
+    generator, so identical (params, horizon, seed) inputs reproduce
+    the same path on any platform.
     """
     if horizon < 1:
         raise ValueError(f"horizon must be at least 1, got {horizon}")
     rng = np.random.Generator(np.random.Philox(seed))
-    if initial is None:
-        good = rng.random() < stationary(params).good
-    else:
-        good = initial is ArrivalState.GOOD
+    good = rng.random() < stationary(params).good
 
     states = np.empty(horizon, dtype=np.int8)
     states[0] = 1 if good else 0
@@ -164,4 +124,4 @@ def simulate(
             cur = 1 if u[t - 1] < (stay_good if cur else leave_bad) else 0
             states[t] = cur
     states.setflags(write=False)
-    return SamplePath(states=states, seed=seed)
+    return states

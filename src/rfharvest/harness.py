@@ -17,7 +17,7 @@ import numpy as np
 
 from .beliefs import RewardConfig
 from .gilbert_elliott import GEParams, from_burst_parameterization, simulate
-from .learning import PosteriorSamplingLearner, SleepTimePlanner, _run_episode
+from .learning import PosteriorCount, PosteriorSamplingLearner, SleepTimePlanner, _run_episode
 from .threshold import LookupTable, ThresholdPolicy, build_lookup_table, optimal_sleep_time
 
 __all__ = [
@@ -29,7 +29,6 @@ __all__ = [
     "mc_policy_value",
     "write_result_csv",
     "write_result_json",
-    "load_result_json",
 ]
 
 RESULT_CSV_HEADER = (
@@ -169,8 +168,8 @@ class ImpoverishedPosteriorPolicy:
         self._prev_good = good
         if good:
             return 0
-        g2b, g2g, b2g, b2b = self.counts
-        policy = self.planner.plan(g2b / (g2b + g2g), b2g / (b2g + b2b))
+        estimate = PosteriorCount(*self.counts)
+        policy = self.planner.plan(estimate.mean_p, estimate.mean_q)
         return None if policy is None else policy.sleep_slots
 
     def after_sleep(self) -> None:
@@ -280,13 +279,13 @@ def evaluate(spec: ExperimentSpec) -> ExperimentResult:
         raise ValueError("policy keys must be unique within an experiment")
     path_means = {key: np.empty(spec.paths) for key in keys}
     for path_idx in range(spec.paths):
-        path = simulate(spec.params, spec.horizon, seed=_path_seed(spec.base_seed, path_idx))
+        states = simulate(spec.params, spec.horizon, seed=_path_seed(spec.base_seed, path_idx))
         for policy_idx, (policy, key) in enumerate(policies):
             runs = 1 if policy.deterministic else spec.runs_per_path
             acc = 0.0
             for run_idx in range(runs):
                 rng = _episode_rng(spec.base_seed, path_idx, run_idx, policy_idx)
-                acc += _run_episode(policy, rng, path.states, spec.cfg)
+                acc += _run_episode(policy, rng, states, spec.cfg)
             path_means[key][path_idx] = acc / runs
     means = {key: float(path_means[key].mean()) for key in keys}
     std_errors = {
@@ -404,10 +403,3 @@ def write_result_csv(result: ExperimentResult, stream: io.TextIOBase) -> None:
 def write_result_json(result: ExperimentResult, stream: io.TextIOBase) -> None:
     json.dump(result.to_json_dict(), stream, indent=1, sort_keys=True)
     stream.write("\n")
-
-
-def load_result_json(stream: io.TextIOBase) -> dict:
-    data = json.load(stream)
-    if data.get("schema") != "experiment-result/1":
-        raise ValueError("not an experiment result document")
-    return data

@@ -31,25 +31,21 @@ rule: it only says how many slots to sleep after each harvest, and
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 
 from .beliefs import Observation, RewardConfig
-from .gilbert_elliott import ArrivalState, GEParams, is_valid_chain, simulate
+from .gilbert_elliott import GEParams, is_valid_chain, simulate
 from .threshold import LookupTable, ThresholdPolicy, optimal_sleep_time
 
 __all__ = [
     "PosteriorCount",
     "HypothesisMap",
-    "ExactPosterior",
     "EmptyPosterior",
-    "HistoryTooLong",
     "initial_particles",
     "observe",
-    "exact_posterior",
     "SleepTimePlanner",
     "sample_and_plan",
     "PosteriorSamplingLearner",
@@ -58,15 +54,8 @@ __all__ = [
     "run_learner",
 ]
 
-MAX_EXACT_HISTORY = 25
-
-
 class EmptyPosterior(RuntimeError):
     """No hypothesis survived an update."""
-
-
-class HistoryTooLong(ValueError):
-    """Brute-force enumeration is exponential; refuse long histories."""
 
 
 class PosteriorCount(NamedTuple):
@@ -104,15 +93,15 @@ class HypothesisMap(NamedTuple):
     fresh: bool = False
 
 
-def initial_particles(k: int, prior: PosteriorCount = UNIFORM_PRIOR) -> HypothesisMap:
-    """Fresh prior map: both states weighted 1 under the given counts.
+def initial_particles(k: int) -> HypothesisMap:
+    """Fresh prior map: both states weighted 1 under the uniform prior.
 
-    The default [1, 1, 1, 1] makes both transition probabilities
-    uniform on (0, 1); informative priors plug in larger counts.
+    The counts [1, 1, 1, 1] make both transition probabilities uniform
+    on (0, 1).
     """
     if k < 1:
         raise ValueError("k must be at least 1")
-    return HypothesisMap({(GOOD, *prior): 1, (BAD, *prior): 1}, k, fresh=True)
+    return HypothesisMap({(GOOD, *UNIFORM_PRIOR): 1, (BAD, *UNIFORM_PRIOR): 1}, k, fresh=True)
 
 
 def observe(hyp: HypothesisMap, z: Observation) -> HypothesisMap:
@@ -166,109 +155,6 @@ def observe(hyp: HypothesisMap, z: Observation) -> HypothesisMap:
         heaviest = sorted([(-w, key) for key, w in weights.items()])[: 2 * hyp.k]
         weights = {key: -w for w, key in heaviest}
     return HypothesisMap(weights, hyp.k)
-
-
-def _log_beta_norm(count: PosteriorCount) -> float:
-    """log of B(g2b, g2g) * B(b2g, b2b), the Beta integral over (p, q)."""
-    return (
-        math.lgamma(count.g2b)
-        + math.lgamma(count.g2g)
-        - math.lgamma(count.g2b + count.g2g)
-        + math.lgamma(count.b2g)
-        + math.lgamma(count.b2b)
-        - math.lgamma(count.b2g + count.b2b)
-    )
-
-
-@dataclass(frozen=True)
-class ExactPosterior:
-    """Brute-force posterior over (state, counts) after a history.
-
-    ``entries`` maps (state, counts) to the integer appearance count;
-    ``log_weights`` carries the unnormalized log posterior mass
-    log(C) + log Beta-normalizer, and ``log_evidence`` its total.
-    """
-
-    entries: dict[tuple[ArrivalState, PosteriorCount], int]
-    log_weights: dict[tuple[ArrivalState, PosteriorCount], float]
-    log_evidence: float
-
-    def state_marginal(self, state: ArrivalState) -> float:
-        logs = [lw for (s, _), lw in self.log_weights.items() if s is state]
-        if not logs:
-            return 0.0
-        m = max(logs)
-        return math.exp(m + math.log(sum(math.exp(x - m) for x in logs)) - self.log_evidence)
-
-    def posterior_mean_params(self) -> tuple[float, float]:
-        """Posterior means of (p, q), averaging Beta means over hypotheses."""
-        p_acc = q_acc = 0.0
-        for key, lw in self.log_weights.items():
-            w = math.exp(lw - self.log_evidence)
-            _, count = key
-            p_acc += w * count.mean_p
-            q_acc += w * count.mean_q
-        return p_acc, q_acc
-
-
-def exact_posterior(
-    z_history: list[Observation], prior: PosteriorCount = UNIFORM_PRIOR
-) -> ExactPosterior:
-    """Enumerate every state history consistent with the observations.
-
-    Each history pins one state per slot (observed slots are fixed,
-    slept slots branch) and contributes weight 1 to the appearance
-    count of its final (state, counts) pair on top of the prior counts.
-    The enumeration is exponential in the number of slept slots, so
-    those are capped; fully observed histories of any length enumerate
-    a single path.
-    """
-    unobserved = sum(1 for z in z_history if z is Observation.NONE)
-    if unobserved > MAX_EXACT_HISTORY:
-        raise HistoryTooLong(
-            f"{unobserved} unobserved slots exceed the enumeration bound {MAX_EXACT_HISTORY}"
-        )
-    if not z_history:
-        raise ValueError("history must contain at least one observation")
-
-    entries: dict[tuple[ArrivalState, PosteriorCount], int] = {}
-
-    def allowed(z: Observation) -> tuple[ArrivalState, ...]:
-        if z is Observation.GOOD:
-            return (ArrivalState.GOOD,)
-        if z is Observation.BAD:
-            return (ArrivalState.BAD,)
-        return (ArrivalState.GOOD, ArrivalState.BAD)
-
-    def recurse(t: int, state: ArrivalState, count: PosteriorCount) -> None:
-        if t == len(z_history):
-            key = (state, count)
-            entries[key] = entries.get(key, 0) + 1
-            return
-        for nxt in allowed(z_history[t]):
-            if state is ArrivalState.GOOD:
-                new = (
-                    count._replace(g2g=count.g2g + 1)
-                    if nxt is ArrivalState.GOOD
-                    else count._replace(g2b=count.g2b + 1)
-                )
-            else:
-                new = (
-                    count._replace(b2g=count.b2g + 1)
-                    if nxt is ArrivalState.GOOD
-                    else count._replace(b2b=count.b2b + 1)
-                )
-            recurse(t + 1, nxt, new)
-
-    for first in allowed(z_history[0]):
-        recurse(1, first, prior)
-
-    log_weights = {
-        key: math.log(c) + _log_beta_norm(key[1]) for key, c in entries.items()
-    }
-    m = max(log_weights.values())
-    log_evidence = m + math.log(sum(math.exp(x - m) for x in log_weights.values()))
-    return ExactPosterior(entries=entries, log_weights=log_weights, log_evidence=log_evidence)
 
 
 class SleepTimePlanner:
@@ -326,7 +212,7 @@ class PosteriorSamplingLearner:
 
     Follows the sequential policy protocol of ``harness``. ``reset``
     starts an episode from the prior with the given sampling stream;
-    the planner, and its cache, is shared across episodes.
+    the planner is shared across episodes.
     """
 
     deterministic = False
@@ -423,10 +309,6 @@ class EpisodeTrace:
             stream.write(record.to_json())
             stream.write("\n")
 
-    def planned_sleeps(self) -> list[int]:
-        """Timer values set at each failed harvest, in order."""
-        return [r.timer for r in self.records if r.action == "harvest" and r.observation == "B"]
-
 
 def run_learner(
     params: GEParams,
@@ -442,7 +324,7 @@ def run_learner(
     ``seed``, so traces are fully reproducible. Returns the per-slot
     trace and the discounted reward total.
     """
-    path = simulate(params, horizon, seed=seed)
+    states = simulate(params, horizon, seed=seed)
     rng = np.random.Generator(np.random.Philox(np.random.SeedSequence([seed, 1])))
     learner = PosteriorSamplingLearner(k=k, planner=SleepTimePlanner(cfg, table))
     records = []
@@ -459,5 +341,5 @@ def run_learner(
             )
         )
 
-    total = _run_episode(learner, rng, path.states, cfg, record)
+    total = _run_episode(learner, rng, states, cfg, record)
     return EpisodeTrace(records=tuple(records), total_discounted_reward=total, seed=seed)

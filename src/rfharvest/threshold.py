@@ -169,9 +169,7 @@ def _scan_policy_values(
     return v_good, v_wake
 
 
-def optimal_sleep_time(
-    params: GEParams, cfg: RewardConfig, n_max: int | None = None
-) -> tuple[ThresholdPolicy, PolicyValue]:
+def optimal_sleep_time(params: GEParams, cfg: RewardConfig) -> tuple[ThresholdPolicy, PolicyValue]:
     """Best sleep-after-failure count by exhaustive scan.
 
     The scan maximizes the post-success value over n, breaking ties
@@ -181,9 +179,7 @@ def optimal_sleep_time(
     threshold, so a nonpositive value there means sleeping forever
     (worth 0) is at least as good everywhere the policy could start.
     """
-    n_max = default_n_max(params) if n_max is None else n_max
-    if n_max < 1:
-        raise ValueError("n_max must be at least 1")
+    n_max = default_n_max(params)
     v_good, v_wake = _scan_policy_values(params, cfg, n_max)
     if float(np.max(v_wake)) < 0.0:
         # never harvesting earns exactly zero from every belief
@@ -227,6 +223,19 @@ def _nearest_index(axis: tuple[float, ...], x: float) -> int:
     arrays for a lookup that runs once per planned sleep.
     """
     return min(range(len(axis)), key=lambda i: abs(axis[i] - x))
+
+
+def _check_axis(name: str, axis: Sequence[float]) -> None:
+    if len(axis) == 0 or not all(a < b for a, b in zip(axis, axis[1:])):
+        raise ValueError(f"{name} must be nonempty and strictly ascending")
+
+
+def _require_keys(obj, keys: tuple[str, ...], what: str) -> None:
+    if not isinstance(obj, dict):
+        raise ValueError(f"{what} must be a JSON object, got {type(obj).__name__}")
+    missing = [key for key in keys if key not in obj]
+    if missing:
+        raise ValueError(f"{what} lacks {', '.join(missing)}")
 
 
 @dataclass(frozen=True)
@@ -308,13 +317,36 @@ class LookupTable:
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "LookupTable":
-        if data.get("schema") != "sleep-lookup-table/1":
+        """Table from its JSON document.
+
+        The document's shape is checked first, and a malformed one
+        raises ValueError naming the fault: the axes must be nonempty
+        and strictly ascending, and the cells must follow them in
+        row-major order, each valid cell with its policy.
+        """
+        if not isinstance(data, dict) or data.get("schema") != "sleep-lookup-table/1":
             raise ValueError("not a sleep lookup table document")
+        _require_keys(data, ("reward", "pi_g_axis", "t_b_axis", "cells"), "table document")
+        _require_keys(data["reward"], ("r1", "r0", "gamma"), "reward")
+        pi_g_axis, t_b_axis = data["pi_g_axis"], data["t_b_axis"]
+        for name, axis in (("pi_g_axis", pi_g_axis), ("t_b_axis", t_b_axis)):
+            if not isinstance(axis, list):
+                raise ValueError(f"{name} must be a list")
+            _check_axis(name, axis)
+        size = len(pi_g_axis) * len(t_b_axis)
+        if not isinstance(data["cells"], list) or len(data["cells"]) != size:
+            raise ValueError(f"cells must be a list of {len(pi_g_axis)} x {len(t_b_axis)} = {size} cells")
         cells = []
-        for c in data["cells"]:
+        for index, c in enumerate(data["cells"]):
+            where = f"cell {index}"
+            _require_keys(c, ("pi_g", "t_b", "p", "q", "valid", "policy", "v_good"), where)
+            pair = (pi_g_axis[index // len(t_b_axis)], t_b_axis[index % len(t_b_axis)])
+            if (c["pi_g"], c["t_b"]) != pair:
+                raise ValueError(f"{where} has (pi_g, t_b) = ({c['pi_g']}, {c['t_b']}), not its axis pair {pair}")
             policy = None
             if c["valid"]:
                 pol = c["policy"]
+                _require_keys(pol, ("never_harvest", "sleep_slots"), f"policy of valid {where}")
                 policy = (
                     ThresholdPolicy.never()
                     if pol["never_harvest"]
@@ -333,8 +365,8 @@ class LookupTable:
             )
         reward = data["reward"]
         return cls(
-            pi_g_axis=tuple(data["pi_g_axis"]),
-            t_b_axis=tuple(data["t_b_axis"]),
+            pi_g_axis=tuple(pi_g_axis),
+            t_b_axis=tuple(t_b_axis),
             cells=tuple(cells),
             r1=reward["r1"],
             r0=reward["r0"],
@@ -350,9 +382,14 @@ def build_lookup_table(
     pi_g_axis: Sequence[float],
     t_b_axis: Sequence[float],
     cfg: RewardConfig,
-    n_max: int | None = None,
 ) -> LookupTable:
-    """Optimal policy per (pi_g, t_b) cell; infeasible cells flagged."""
+    """Optimal policy per (pi_g, t_b) cell; infeasible cells flagged.
+
+    Both axes must be strictly ascending, the order ``LookupTable``
+    documents and ``LookupTable.from_json_dict`` checks.
+    """
+    _check_axis("pi_g_axis", pi_g_axis)
+    _check_axis("t_b_axis", t_b_axis)
     for pi_g in pi_g_axis:
         if not 0.0 < pi_g < 1.0:
             raise ValueError(f"pi_g axis values must lie in (0, 1), got {pi_g}")
@@ -370,7 +407,7 @@ def build_lookup_table(
                 )
                 continue
             params = GEParams(p=p, q=q)
-            policy, value = optimal_sleep_time(params, cfg, n_max=n_max)
+            policy, value = optimal_sleep_time(params, cfg)
             cells.append(
                 LookupCell(
                     pi_g=pi_g,

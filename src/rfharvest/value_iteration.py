@@ -29,7 +29,7 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .beliefs import Action, RewardConfig
+from .beliefs import RewardConfig
 from .gilbert_elliott import GEParams
 
 __all__ = [
@@ -41,8 +41,6 @@ __all__ = [
     "prune_lines",
     "bellman_backup_alpha",
     "solve",
-    "q_values",
-    "greedy_policy",
     "harvest_crossover",
     "difference_range",
     "sup_difference",
@@ -173,7 +171,6 @@ class VISettings:
 class SolveResult:
     value: PiecewiseLinearValue
     iterations: int
-    sup_deltas: tuple[float, ...]
     epsilon: float
 
 
@@ -273,11 +270,9 @@ def solve(
     scale = cfg.gamma / (1.0 - cfg.gamma)
 
     v = zero_alpha_value(params)
-    deltas: list[float] = []
     for it in range(1, settings.max_iterations + 1):
         v_next = bellman_backup_alpha(v, params, cfg)
         d_min, d_max = difference_range(v_next, v)
-        deltas.append(max(-d_min, d_max))
         v = v_next
         span = scale * (d_max - d_min)
         if span < eps:
@@ -286,7 +281,6 @@ def solve(
             return SolveResult(
                 value=PiecewiseLinearValue(lines=lines, lo=v.lo, hi=v.hi),
                 iterations=it,
-                sup_deltas=tuple(deltas),
                 epsilon=eps,
             )
     raise MaxIterationsExceeded(
@@ -294,25 +288,6 @@ def solve(
         f"(last span bound gamma/(1-gamma)*(max d - min d) = {span:.3e}, "
         f"epsilon {eps:.3e}); gamma may be too close to 1 for this budget"
     )
-
-
-def q_values(
-    v: PiecewiseLinearValue, params: GEParams, cfg: RewardConfig, b: float
-) -> tuple[float, float]:
-    """(harvest, sleep) action values at belief b under continuation v."""
-    v_fail = v.value(params.q)
-    v_good = v.value(1.0 - params.p)
-    q_h = (cfg.r0 + cfg.r1) * b - cfg.r0 + cfg.gamma * ((1.0 - b) * v_fail + b * v_good)
-    q_s = cfg.gamma * v.value(params.q + params.persistence * b)
-    return q_h, q_s
-
-
-def greedy_policy(
-    v: PiecewiseLinearValue, params: GEParams, cfg: RewardConfig, b: float
-) -> Action:
-    """Argmax action at belief b; ties break toward harvesting."""
-    q_h, q_s = q_values(v, params, cfg, b)
-    return Action.HARVEST if q_h >= q_s else Action.SLEEP
 
 
 def harvest_crossover(

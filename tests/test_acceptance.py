@@ -18,13 +18,12 @@ from rfharvest.battery import (
     absorption_analysis,
     build_chain,
     build_chain_from_success_probs,
-    simulate_chain,
     sweep_initial_levels,
 )
 from rfharvest.beliefs import Observation, RewardConfig
-from rfharvest.gilbert_elliott import ArrivalState, GEParams, stationary
+from rfharvest.gilbert_elliott import GEParams, stationary
 from rfharvest.harness import learning_comparison, mc_policy_value
-from rfharvest.learning import exact_posterior, initial_particles, observe
+from rfharvest.learning import initial_particles, observe
 from rfharvest.threshold import (
     ThresholdPolicy,
     build_lookup_table,
@@ -39,7 +38,8 @@ from rfharvest.value_iteration import (
     zero_alpha_value,
 )
 
-from test_learning import quadrature_state_marginal
+from test_battery import simulate_chain
+from test_learning import ArrivalState, exact_posterior, quadrature_state_marginal
 
 GAMMA = 0.99
 PI_G_AXIS = np.linspace(0.05, 0.95, 20)

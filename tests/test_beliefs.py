@@ -1,22 +1,64 @@
-"""Tests for belief updates and the reward model."""
+"""Tests for belief updates and the reward model.
+
+The per-step model equations below (``reward``, ``sleep_update``,
+``harvest_update``, ``initial_belief``) are the oracle: the package
+evaluates each of them only in closed form, and those closed forms are
+checked against these step-by-step statements.
+"""
+
+from enum import Enum
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rfharvest.beliefs import (
-    Action,
-    Observation,
-    RewardConfig,
-    belief_after_failure_and_sleep,
-    harvest_update,
-    initial_belief,
-    reward,
-    sleep_update,
-)
+from rfharvest.beliefs import Observation, RewardConfig, belief_after_failure_and_sleep
 from rfharvest.gilbert_elliott import GEParams, stationary
 
 from test_gilbert_elliott import valid_params
+
+
+class Action(Enum):
+    HARVEST = "harvest"
+    SLEEP = "sleep"
+
+
+def _check_belief(b: float) -> None:
+    if not 0.0 <= b <= 1.0:
+        raise ValueError(f"belief must lie in [0, 1], got {b}")
+
+
+def reward(b: float, action: Action, cfg: RewardConfig) -> float:
+    """Expected immediate reward: (r0 + r1) b - r0 when harvesting, 0 asleep."""
+    _check_belief(b)
+    if action is Action.SLEEP:
+        return 0.0
+    return (cfg.r0 + cfg.r1) * b - cfg.r0
+
+
+def sleep_update(b: float, params: GEParams) -> float:
+    """One unobserved step: b' = q + (1 - p - q) b.
+
+    The map is affine and contracting with factor ``persistence``,
+    so repeated sleeping drives the belief to the stationary good
+    probability q / (p + q).
+    """
+    _check_belief(b)
+    return params.q + params.persistence * b
+
+
+def harvest_update(outcome: Observation, params: GEParams) -> float:
+    """Next-slot belief after an observed harvest: 1 - p on good, q on bad."""
+    if outcome is Observation.GOOD:
+        return 1.0 - params.p
+    if outcome is Observation.BAD:
+        return params.q
+    raise ValueError("harvest_update needs an observed state, not Observation.NONE")
+
+
+def initial_belief(params: GEParams) -> float:
+    """Belief before any observation: the chain is assumed in steady state."""
+    return stationary(params).good
 
 
 class TestRewardConfig:
@@ -48,7 +90,7 @@ class TestReward:
 
     def test_sign_change_at_breakeven(self):
         cfg = RewardConfig(r1=3.0, r0=1.0, gamma=0.9)
-        b_star = cfg.breakeven_belief
+        b_star = cfg.r0 / (cfg.r0 + cfg.r1)
         assert reward(b_star, Action.HARVEST, cfg) == pytest.approx(0.0, abs=1e-12)
         assert reward(b_star + 1e-6, Action.HARVEST, cfg) > 0.0
         assert reward(b_star - 1e-6, Action.HARVEST, cfg) < 0.0

@@ -180,6 +180,16 @@ class TestBatteryCommand:
         assert out.read_text() == buf.getvalue()
 
 
+# malformed table document -> the message `learn --table` must exit 2 with
+MALFORMED_TABLE_ERRORS = {
+    "missing_cells": "table document lacks cells",
+    "short_cells": "cells must be a list of 3 x 3 = 9 cells",
+    "null_policy": "policy of valid cell",
+    "top_level_list": "not a sleep lookup table document",
+    "reversed_pi_g_axis": "pi_g_axis must be nonempty and strictly ascending",
+}
+
+
 class TestLearnCommand:
     def test_consumes_json_lookup_table(self, tmp_path, capsys):
         table = build_lookup_table(
@@ -197,6 +207,48 @@ class TestLearnCommand:
         )
         assert code == 0
         assert len(out.read_text().strip().split("\n")) == 60
+
+    @pytest.mark.parametrize("fault", sorted(MALFORMED_TABLE_ERRORS))
+    def test_malformed_table_exits_2(self, tmp_path, capsys, fault):
+        doc = build_lookup_table(
+            [0.4, 0.6, 0.8], [2.0, 4.0, 8.0], RewardConfig(r1=10, r0=10, gamma=0.99)
+        ).to_json_dict()
+        if fault == "missing_cells":
+            del doc["cells"]
+        elif fault == "short_cells":
+            doc["cells"] = doc["cells"][:-1]
+        elif fault == "null_policy":
+            next(c for c in doc["cells"] if c["valid"])["policy"] = None
+        elif fault == "top_level_list":
+            doc = [doc]
+        else:
+            doc["pi_g_axis"].reverse()
+        table_path = tmp_path / "table.json"
+        table_path.write_text(json.dumps(doc))
+        code, _, err = run_cli(
+            ["learn", "--pi-g", "0.6", "--t-b", "2.5", "--r0", "10", "--r1", "10",
+             "--gamma", "0.99", "--k", "5", "--horizon", "60", "--seed", "2",
+             "--table", str(table_path), "--output", str(tmp_path / "trace.jsonl")],
+            capsys,
+        )
+        assert code == 2
+        assert err.startswith("error: ") and MALFORMED_TABLE_ERRORS[fault] in err
+
+    def test_table_for_another_reward_exits_2(self, tmp_path, capsys):
+        table = build_lookup_table(
+            [0.4, 0.6, 0.8], [2.0, 4.0, 8.0], RewardConfig(r1=10, r0=10, gamma=0.99)
+        )
+        table_path = tmp_path / "table.json"
+        with open(table_path, "w") as fh:
+            table.dump_json(fh)
+        code, _, err = run_cli(
+            ["learn", "--pi-g", "0.6", "--t-b", "2.5", "--r0", "1", "--r1", "10",
+             "--gamma", "0.99", "--k", "5", "--horizon", "60", "--seed", "2",
+             "--table", str(table_path), "--output", str(tmp_path / "trace.jsonl")],
+            capsys,
+        )
+        assert code == 2
+        assert "(10, 10, 0.99)" in err and "(10.0, 1.0, 0.99)" in err
 
     def test_trace_file_deterministic(self, tmp_path, capsys):
         files = []

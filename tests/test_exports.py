@@ -1,9 +1,22 @@
-"""Every name a module exports must exist in it."""
+"""Every name a module exports must exist in it and have a caller.
+
+A caller is a reference from the package itself, outside the name's own
+definition, its ``__all__`` entry and its ``__init__`` re-export, or one
+from ``scripts/`` or ``perfbench/``; tests do not count. The search is
+textual, so a name that only its own docstring or messages mention still
+passes: this is a backstop against API that only tests reach, not a
+proof that every name is used.
+"""
 
 import importlib
+import re
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+ROOT = Path(__file__).resolve().parents[1]
 MODULES = [
     "rfharvest.battery",
     "rfharvest.beliefs",
@@ -13,6 +26,23 @@ MODULES = [
     "rfharvest.threshold",
     "rfharvest.value_iteration",
 ]
+SCRIPTS = sorted((ROOT / "scripts").glob("*.py"))
+
+_ALL_BLOCK = re.compile(r"^__all__ = \[.*?\]$", re.M | re.S)
+PACKAGE_TEXT = "\n".join(
+    _ALL_BLOCK.sub("", path.read_text())
+    for path in sorted((ROOT / "src" / "rfharvest").glob("*.py"))
+    if path.name != "__init__.py"
+)
+OUTSIDE_TEXT = "\n".join(
+    path.read_text() for folder in ("scripts", "perfbench") for path in sorted((ROOT / folder).glob("*.py"))
+)
+
+
+def has_caller(name: str) -> bool:
+    uses = len(re.findall(rf"\b{name}\b", PACKAGE_TEXT))
+    definitions = len(re.findall(rf"^(?:def|class) {name}\b", PACKAGE_TEXT, re.M))
+    return uses > definitions or re.search(rf"\b{name}\b", OUTSIDE_TEXT) is not None
 
 
 @pytest.mark.parametrize("name", MODULES)
@@ -20,3 +50,18 @@ def test_all_names_resolve(name):
     module = importlib.import_module(name)
     missing = [attr for attr in module.__all__ if not hasattr(module, attr)]
     assert not missing, f"{name}.__all__ names missing attributes: {missing}"
+
+
+@pytest.mark.parametrize("name", MODULES)
+def test_all_names_have_a_caller_outside_tests(name):
+    module = importlib.import_module(name)
+    unused = [attr for attr in module.__all__ if not has_caller(attr)]
+    assert not unused, f"{name}.__all__ names that only tests reach: {unused}"
+
+
+@pytest.mark.parametrize("script", SCRIPTS, ids=lambda path: path.name)
+def test_script_help_runs(script):
+    # importing a name the package no longer has fails here, before any work
+    proc = subprocess.run([sys.executable, str(script), "--help"], capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert "usage:" in proc.stdout

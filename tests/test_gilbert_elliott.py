@@ -6,9 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rfharvest.gilbert_elliott import (
-    ArrivalState,
     GEParams,
-    burst_parameterization,
     from_burst_parameterization,
     is_valid_chain,
     simulate,
@@ -97,7 +95,7 @@ class TestBurstParameterization:
     @given(valid_params())
     @settings(max_examples=100)
     def test_round_trip(self, params):
-        pi_g, t_b = burst_parameterization(params)
+        pi_g, t_b = stationary(params).good, 1.0 / params.q
         back = from_burst_parameterization(pi_g, t_b)
         assert back.p == pytest.approx(params.p, rel=1e-9)
         assert back.q == pytest.approx(params.q, rel=1e-9)
@@ -108,18 +106,16 @@ class TestSimulate:
         params = GEParams(p=0.2, q=0.3)
         a = simulate(params, horizon=500, seed=42)
         b = simulate(params, horizon=500, seed=42)
-        np.testing.assert_array_equal(a.states, b.states)
-        assert a.seed == 42
-
-    def test_explicit_initial_state(self):
-        params = GEParams(p=0.2, q=0.3)
-        path = simulate(params, horizon=10, seed=0, initial=ArrivalState.BAD)
-        assert path.states[0] == 0
+        np.testing.assert_array_equal(a, b)
+        assert a.dtype == np.int8 and a.shape == (500,)
+        assert not a.flags.writeable
 
     def test_near_absorbing_limit(self):
+        # the stationary start is good with probability 1 - 3.3e-9, and
+        # the path then stays good
         params = GEParams(p=1e-9, q=0.3)
-        path = simulate(params, horizon=10, seed=7, initial=ArrivalState.GOOD)
-        assert path.states.all()
+        path = simulate(params, horizon=10, seed=7)
+        assert path.all()
 
     def test_horizon_validation(self):
         with pytest.raises(ValueError):
@@ -128,8 +124,7 @@ class TestSimulate:
     def test_empirical_transition_frequency(self):
         # G-to-B frequency over 1e6 slots within 3 standard errors of p
         params = GEParams(p=0.2, q=0.3)
-        path = simulate(params, horizon=1_000_000, seed=123)
-        s = path.states
+        s = simulate(params, horizon=1_000_000, seed=123)
         from_good = s[:-1] == 1
         n_good = int(from_good.sum())
         exits = int(((s[:-1] == 1) & (s[1:] == 0)).sum())
@@ -145,12 +140,11 @@ class TestSimulate:
         # (1 + c) / (1 - c) with c the persistence factor
         c = params.persistence
         se = np.sqrt(pi_g * (1.0 - pi_g) / len(path) * (1.0 + c) / (1.0 - c))
-        assert abs(path.good_fraction() - pi_g) < 3.0 * se
+        assert abs(path.mean() - pi_g) < 3.0 * se
 
     def test_mean_bad_sojourn_length(self):
         params = GEParams(p=0.2, q=0.3)
-        path = simulate(params, horizon=1_000_000, seed=99)
-        s = path.states
+        s = simulate(params, horizon=1_000_000, seed=99)
         # runs of consecutive zeros
         boundaries = np.flatnonzero(np.diff(s))
         runs = np.diff(np.concatenate([[-1], boundaries, [len(s) - 1]]))

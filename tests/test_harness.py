@@ -15,7 +15,6 @@ from rfharvest.harness import (
     PolicyDef,
     _run_episode,
     evaluate,
-    load_result_json,
     mc_policy_value,
     write_result_csv,
     write_result_json,
@@ -130,11 +129,11 @@ class TestEvaluate:
         from rfharvest.harness import _episode_rng, _make_policy
 
         params = from_burst_parameterization(0.6, 2.5)
-        path = simulate(params, 500, seed=99)
+        states = simulate(params, 500, seed=99)
         policy = _make_policy(PolicyDef("random_sampling"), params, CFG)
         rewards = []
         for run in range(1024):
-            rewards.append(_run_episode(policy, _episode_rng(1, 0, run, 0), path.states, CFG))
+            rewards.append(_run_episode(policy, _episode_rng(1, 0, run, 0), states, CFG))
         rewards = np.asarray(rewards)
         se_n = rewards.reshape(-1, 16).mean(axis=1).std(ddof=1)
         se_2n = rewards.reshape(-1, 32).mean(axis=1).std(ddof=1)
@@ -243,7 +242,8 @@ class TestEmit:
         res = evaluate(small_spec())
         out = io.StringIO()
         write_result_json(res, out)
-        data = load_result_json(io.StringIO(out.getvalue()))
+        data = json.loads(out.getvalue())
+        assert data["schema"] == "experiment-result/1"
         assert data["spec"] == res.spec_echo
         assert data["policies"][0]["key"] == "always_harvest"
         assert data["policies"][0]["mean_discounted_reward"] == res.means["always_harvest"]

@@ -1,8 +1,15 @@
-"""Tests for the posterior-sampling learner and its exact oracle."""
+"""Tests for the posterior-sampling learner and its exact oracle.
+
+The oracle is a brute-force posterior (``exact_posterior`` below): it
+enumerates every hidden state history consistent with the observations,
+independently of the filter's recursion.
+"""
 
 import io
 import json
 import math
+from dataclasses import dataclass
+from enum import Enum
 
 import numpy as np
 import pytest
@@ -10,17 +17,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rfharvest.beliefs import Observation, RewardConfig
-from rfharvest.gilbert_elliott import ArrivalState, GEParams, from_burst_parameterization
+from rfharvest.gilbert_elliott import GEParams, from_burst_parameterization
 from rfharvest.learning import (
     BAD,
     GOOD,
     EmptyPosterior,
-    HistoryTooLong,
     HypothesisMap,
     PosteriorCount,
     SleepTimePlanner,
     UNIFORM_PRIOR,
-    exact_posterior,
     initial_particles,
     observe,
     run_learner,
@@ -31,6 +36,121 @@ from rfharvest.threshold import build_lookup_table, optimal_sleep_time
 CFG = RewardConfig(r1=10.0, r0=10.0, gamma=0.99)
 
 G, B, Z = Observation.GOOD, Observation.BAD, Observation.NONE
+
+
+class ArrivalState(Enum):
+    GOOD = "G"
+    BAD = "B"
+
+
+MAX_EXACT_HISTORY = 25
+
+
+class HistoryTooLong(ValueError):
+    """Brute-force enumeration is exponential; refuse long histories."""
+
+
+def _log_beta_norm(count: PosteriorCount) -> float:
+    """log of B(g2b, g2g) * B(b2g, b2b), the Beta integral over (p, q)."""
+    return (
+        math.lgamma(count.g2b)
+        + math.lgamma(count.g2g)
+        - math.lgamma(count.g2b + count.g2g)
+        + math.lgamma(count.b2g)
+        + math.lgamma(count.b2b)
+        - math.lgamma(count.b2g + count.b2b)
+    )
+
+
+@dataclass(frozen=True)
+class ExactPosterior:
+    """Brute-force posterior over (state, counts) after a history.
+
+    ``entries`` maps (state, counts) to the integer appearance count;
+    ``log_weights`` carries the unnormalized log posterior mass
+    log(C) + log Beta-normalizer, and ``log_evidence`` its total.
+    """
+
+    entries: dict[tuple[ArrivalState, PosteriorCount], int]
+    log_weights: dict[tuple[ArrivalState, PosteriorCount], float]
+    log_evidence: float
+
+    def state_marginal(self, state: ArrivalState) -> float:
+        logs = [lw for (s, _), lw in self.log_weights.items() if s is state]
+        if not logs:
+            return 0.0
+        m = max(logs)
+        return math.exp(m + math.log(sum(math.exp(x - m) for x in logs)) - self.log_evidence)
+
+    def posterior_mean_params(self) -> tuple[float, float]:
+        """Posterior means of (p, q), averaging Beta means over hypotheses."""
+        p_acc = q_acc = 0.0
+        for key, lw in self.log_weights.items():
+            w = math.exp(lw - self.log_evidence)
+            _, count = key
+            p_acc += w * count.mean_p
+            q_acc += w * count.mean_q
+        return p_acc, q_acc
+
+
+def exact_posterior(
+    z_history: list[Observation], prior: PosteriorCount = UNIFORM_PRIOR
+) -> ExactPosterior:
+    """Enumerate every state history consistent with the observations.
+
+    Each history pins one state per slot (observed slots are fixed,
+    slept slots branch) and contributes weight 1 to the appearance
+    count of its final (state, counts) pair on top of the prior counts.
+    The enumeration is exponential in the number of slept slots, so
+    those are capped; fully observed histories of any length enumerate
+    a single path.
+    """
+    unobserved = sum(1 for z in z_history if z is Observation.NONE)
+    if unobserved > MAX_EXACT_HISTORY:
+        raise HistoryTooLong(
+            f"{unobserved} unobserved slots exceed the enumeration bound {MAX_EXACT_HISTORY}"
+        )
+    if not z_history:
+        raise ValueError("history must contain at least one observation")
+
+    entries: dict[tuple[ArrivalState, PosteriorCount], int] = {}
+
+    def allowed(z: Observation) -> tuple[ArrivalState, ...]:
+        if z is Observation.GOOD:
+            return (ArrivalState.GOOD,)
+        if z is Observation.BAD:
+            return (ArrivalState.BAD,)
+        return (ArrivalState.GOOD, ArrivalState.BAD)
+
+    def recurse(t: int, state: ArrivalState, count: PosteriorCount) -> None:
+        if t == len(z_history):
+            key = (state, count)
+            entries[key] = entries.get(key, 0) + 1
+            return
+        for nxt in allowed(z_history[t]):
+            if state is ArrivalState.GOOD:
+                new = (
+                    count._replace(g2g=count.g2g + 1)
+                    if nxt is ArrivalState.GOOD
+                    else count._replace(g2b=count.g2b + 1)
+                )
+            else:
+                new = (
+                    count._replace(b2g=count.b2g + 1)
+                    if nxt is ArrivalState.GOOD
+                    else count._replace(b2b=count.b2b + 1)
+                )
+            recurse(t + 1, nxt, new)
+
+    for first in allowed(z_history[0]):
+        recurse(1, first, prior)
+
+    log_weights = {
+        key: math.log(c) + _log_beta_norm(key[1]) for key, c in entries.items()
+    }
+    m = max(log_weights.values())
+    log_evidence = m + math.log(sum(math.exp(x - m) for x in log_weights.values()))
+    return ExactPosterior(entries=entries, log_weights=log_weights, log_evidence=log_evidence)
 
 
 def hmap(good=(), bad=(), k=10, fresh=False):
@@ -422,7 +542,7 @@ class TestRunLearner:
         # settle on the optimum for the posterior-mean parameters
         params = from_burst_parameterization(0.6, 2.5)
         trace = run_learner(params, CFG, k=20, horizon=3_000, seed=2)
-        plans = trace.planned_sleeps()
+        plans = [r.timer for r in trace.records if r.action == "harvest" and r.observation == "B"]
         late = plans[-30:]
         modal = max(set(late), key=late.count)
         # posterior mean estimate at the end of the run

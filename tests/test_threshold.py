@@ -246,6 +246,11 @@ class TestLookupTable:
             build_lookup_table([1.2], [2.0], cfg)
         with pytest.raises(ValueError):
             build_lookup_table([0.5], [0.9], cfg)
+        # a JSON copy of the table must load, and loading checks the order
+        with pytest.raises(ValueError, match="pi_g_axis must be nonempty and strictly ascending"):
+            build_lookup_table([0.6, 0.4], [2.0], cfg)
+        with pytest.raises(ValueError, match="t_b_axis must be nonempty and strictly ascending"):
+            build_lookup_table([0.5], [2.0, 2.0], cfg)
 
 
 def test_threshold_policy_validation():

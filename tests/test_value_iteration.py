@@ -3,7 +3,9 @@
 A belief-grid value iteration (``grid_backup`` and friends below) is the
 independent oracle: it discretizes beliefs on [q, 1-p] and interpolates
 the sleep successor, so it must agree with the exact envelope up to
-interpolation error.
+interpolation error. ``q_values`` and ``greedy_policy`` state the
+action values at one belief directly, the oracle for the crossover that
+``harvest_crossover`` finds in closed form.
 """
 
 import math
@@ -13,7 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rfharvest.beliefs import Action, RewardConfig
+from rfharvest.beliefs import RewardConfig
 from rfharvest.gilbert_elliott import GEParams, from_burst_parameterization, stationary
 from rfharvest.threshold import optimal_sleep_time, vi_threshold_policy
 from rfharvest.value_iteration import (
@@ -23,19 +25,37 @@ from rfharvest.value_iteration import (
     VISettings,
     bellman_backup_alpha,
     difference_range,
-    greedy_policy,
     harvest_crossover,
     prune_lines,
-    q_values,
     solve,
     sup_difference,
     zero_alpha_value,
 )
 
+from test_beliefs import Action
 from test_gilbert_elliott import valid_params
 
 PARAMS = GEParams(p=0.2, q=0.3)
 CFG = RewardConfig(r1=10.0, r0=1.0, gamma=0.9)
+
+
+def q_values(
+    v: PiecewiseLinearValue, params: GEParams, cfg: RewardConfig, b: float
+) -> tuple[float, float]:
+    """(harvest, sleep) action values at belief b under continuation v."""
+    v_fail = v.value(params.q)
+    v_good = v.value(1.0 - params.p)
+    q_h = (cfg.r0 + cfg.r1) * b - cfg.r0 + cfg.gamma * ((1.0 - b) * v_fail + b * v_good)
+    q_s = cfg.gamma * v.value(params.q + params.persistence * b)
+    return q_h, q_s
+
+
+def greedy_policy(
+    v: PiecewiseLinearValue, params: GEParams, cfg: RewardConfig, b: float
+) -> Action:
+    """Argmax action at belief b; ties break toward harvesting."""
+    q_h, q_s = q_values(v, params, cfg, b)
+    return Action.HARVEST if q_h >= q_s else Action.SLEEP
 
 
 def grid_of(params, resolution):
@@ -218,7 +238,12 @@ class TestSolve:
 
     def test_contraction_rate(self):
         res = solve(PARAMS, CFG, VISettings(epsilon=1e-6))
-        deltas = res.sup_deltas
+        # replay the solver's backups and take the sup norm of each step
+        deltas, v = [], zero_alpha_value(PARAMS)
+        for _ in range(res.iterations):
+            v_next = bellman_backup_alpha(v, PARAMS, CFG)
+            deltas.append(sup_difference(v_next, v))
+            v = v_next
         for d_prev, d_next in zip(deltas, deltas[1:]):
             assert d_next <= CFG.gamma * d_prev + 1e-9
 
