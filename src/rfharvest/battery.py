@@ -42,6 +42,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .beliefs import belief_after_failure_and_sleep
 from .gilbert_elliott import GEParams, stationary
 from .threshold import ThresholdPolicy
 
@@ -142,10 +143,9 @@ def build_chain(
     if policy.never_harvest:
         raise PolicyNeverHarvests("a never-harvest policy induces no battery chain")
     n = policy.sleep_slots
-    m_power = np.linalg.matrix_power(params.transition_matrix(), n + 1)
     return build_chain_from_success_probs(
         success_after_success=1.0 - params.p,
-        success_after_failure=float(m_power[1, 0]),
+        success_after_failure=float(belief_after_failure_and_sleep(n, params)),
         sleep_slots=n,
         battery=battery,
     )

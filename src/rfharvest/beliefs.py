@@ -22,6 +22,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 
+import numpy as np
+
 from .gilbert_elliott import GEParams
 
 __all__ = [
@@ -54,14 +56,17 @@ class RewardConfig:
             raise ValueError(f"gamma must lie in [0, 1), got {self.gamma}")
 
 
-def belief_after_failure_and_sleep(n: int, params: GEParams) -> float:
+def belief_after_failure_and_sleep(n, params: GEParams):
     """Belief after a failed harvest followed by ``n`` sleeping slots.
 
     Closed form of the geometric recursion: q (1 - c^(n+1)) / (p + q)
     with c = 1 - p - q, which equals the sleeping step applied n times
-    to q.
+    to q. ``1 - c^(n+1)`` is taken as ``-expm1((n+1) log c)``, so the
+    belief keeps its relative precision when c is near 1. ``n`` may be
+    an integer array, giving the beliefs elementwise.
     """
-    if n < 0:
+    n = np.asarray(n)
+    if np.any(n < 0):
         raise ValueError(f"sleep count must be nonnegative, got {n}")
-    c = params.persistence
-    return params.q * (1.0 - c ** (n + 1)) / (params.p + params.q)
+    rise = -np.expm1((n + 1.0) * params.log_persistence)
+    return params.q * rise / (params.p + params.q)

@@ -20,7 +20,7 @@ from . import battery as battery_mod
 from . import harness as harness_mod
 from .beliefs import RewardConfig
 from .gilbert_elliott import GEParams, from_burst_parameterization, stationary
-from .learning import run_learner
+from .learning import SleepTimePlanner, run_learner
 from .threshold import (
     LookupTable,
     ThresholdPolicy,
@@ -190,9 +190,7 @@ def cmd_learn(args) -> int:
     if args.table:
         with open(args.table) as fh:
             table = _from_flags(LookupTable.load_json, fh)
-        built, run = (table.r1, table.r0, table.gamma), (cfg.r1, cfg.r0, cfg.gamma)
-        if built != run:
-            raise UsageError(f"--table was built for (r1, r0, gamma) = {built}, but this run uses {run}")
+        _from_flags(SleepTimePlanner, cfg, table)  # refuses a table built for another reward
     with open(args.output, "w") as fh:
         for episode in range(args.episodes):
             trace = run_learner(

@@ -8,6 +8,7 @@ two-state Markov chain with per-slot escape probabilities ``p``
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -64,9 +65,13 @@ class GEParams:
         """Memory factor ``1 - p - q`` of the chain, in (0, 1)."""
         return 1.0 - self.p - self.q
 
-    def transition_matrix(self) -> np.ndarray:
-        """Row-stochastic transition matrix in (GOOD, BAD) state order."""
-        return np.array([[1.0 - self.p, self.p], [self.q, 1.0 - self.q]])
+    @property
+    def log_persistence(self) -> float:
+        """``log(1 - p - q)`` as ``log1p(-(p + q))``, which keeps the digits
+        that forming ``1 - p - q`` loses when p + q is small; where p + q
+        rounds to 1 (while 1 - p - q stays positive) the plain log."""
+        s = self.p + self.q
+        return math.log1p(-s) if s < 1.0 else math.log(self.persistence)
 
 
 class Stationary(NamedTuple):

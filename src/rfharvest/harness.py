@@ -355,21 +355,19 @@ def mc_policy_value(
     episodes: int,
     horizon: int,
     seed: int,
-    initial_belief: float | None = None,
 ) -> tuple[float, float]:
     """Monte-Carlo value of the sleep-n policy, vectorized over episodes.
 
     Episodes start in harvesting mode with the hidden state drawn good
-    with probability ``initial_belief`` (default 1 - p, the
-    post-success belief). Returns (mean, standard error of the mean).
+    with probability 1 - p, the post-success belief. Returns (mean,
+    standard error of the mean).
     """
     rng = np.random.Generator(np.random.Philox(seed))
-    b0 = 1.0 - params.p if initial_belief is None else initial_belief
-    good = rng.random(episodes) < b0
+    stay_good = 1.0 - params.p
+    good = rng.random(episodes) < stay_good
     timer = np.zeros(episodes, dtype=np.int64)
     totals = np.zeros(episodes)
     discount = 1.0
-    stay_good = 1.0 - params.p
     leave_bad = params.q
     for _ in range(horizon):
         harvesting = timer == 0

@@ -163,9 +163,14 @@ class SleepTimePlanner:
     Consults a lookup table when one is supplied (nearest cell); on a
     miss, or without a table, computes the exact optimum. (Sampled
     estimates almost never repeat exactly, so there is nothing to cache.)
+    A table built for another (r1, r0, gamma) is refused with ValueError.
     """
 
     def __init__(self, cfg: RewardConfig, table: LookupTable | None = None):
+        if table is not None:
+            built, run = (table.r1, table.r0, table.gamma), (cfg.r1, cfg.r0, cfg.gamma)
+            if built != run:
+                raise ValueError(f"table was built for (r1, r0, gamma) = {built}, but this run uses {run}")
         self.cfg = cfg
         self.table = table
 

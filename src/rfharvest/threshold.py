@@ -4,17 +4,25 @@ The optimal policy either never harvests or keeps harvesting after
 every success and sleeps a fixed number of slots N after every
 failure. For a candidate sleep count n the three beliefs the policy
 visits (q after a failure, 1-p after a success, and the wake-up
-belief b' = q (1 - c^(n+1)) / (p+q)) satisfy a 3x3 linear system:
+belief b = q (1 - c^(n+1)) / (p+q)) satisfy a 3x3 linear system:
 
-    V(q)   = gamma^n V(b')
+    V(q)   = gamma^n V(b)
     V(1-p) = (1-p)(r0+r1) - r0 + gamma p V(q) + gamma (1-p) V(1-p)
-    V(b')  = b'(r0+r1) - r0 + gamma^(n+1) (1-b') V(b') + gamma b' V(1-p)
+    V(b)   = b(r0+r1) - r0 + gamma^(n+1) (1-b) V(b) + gamma b V(1-p)
 
-Solving it gives V(1-p) as a ratio of two closed-form polynomials in
-gamma^(n+1); the scan over n below uses that ratio (it is algebraically
-identical to the system solution, and the test suite asserts the
-agreement), while reported policy values always come from the linear
-system itself.
+Eliminating V(q) and V(b), with G = gamma^(n+1) and d = 1 - gamma,
+gives
+
+    V(1-p) = (r1 (1-p)(1-G) + G r1 b - p r0) / ((1-G)(d + gamma p) + G b d)
+    V(b)   = (b (r0+r1) - r0 + gamma b V(1-p)) / ((1-G) + G b)
+
+Both denominators are sums of positive terms, and 1 - G and
+1 - c^(n+1) come from ``expm1``, so the values keep their relative
+precision as gamma or the persistence c approaches 1. (Only the
+numerators mix signs; where their terms cancel, V(1-p) is near 0 and
+the never-harvest boundary is near.) This one closed form gives both
+the scan over n and every reported policy value; the tests check it
+against a direct solve of the system and a 60-digit oracle.
 """
 
 from __future__ import annotations
@@ -37,17 +45,12 @@ __all__ = [
     "PolicyValue",
     "LookupCell",
     "LookupTable",
-    "SingularSystem",
     "sleep_time_from_threshold",
     "policy_value_linear_system",
     "optimal_sleep_time",
     "vi_threshold_policy",
     "build_lookup_table",
 ]
-
-
-class SingularSystem(RuntimeError):
-    """Raised when the policy-value system is numerically singular."""
 
 
 @dataclass(frozen=True)
@@ -105,37 +108,44 @@ def sleep_time_from_threshold(bbar: float, params: GEParams) -> ThresholdPolicy:
         return ThresholdPolicy.never()
     if bbar <= params.q:
         return ThresholdPolicy.sleep(0)
-    c = params.persistence
     arg = (params.q - (params.p + params.q) * bbar) / params.q
     # a wake-up belief exactly on the threshold counts as clearing it;
     # the epsilon absorbs float noise in the log at such boundaries
-    n = math.ceil(math.log(arg) / math.log(c) - 1e-9) - 1
+    n = math.ceil(math.log(arg) / params.log_persistence - 1e-9) - 1
     return ThresholdPolicy.sleep(max(0, n))
 
 
-def policy_value_linear_system(n: int, params: GEParams, cfg: RewardConfig) -> PolicyValue:
-    """Solve the 3x3 system for the sleep-n policy values exactly."""
-    if n < 0:
-        raise ValueError(f"sleep count must be nonnegative, got {n}")
+# Values within this relative distance of the best count as tied, and
+# the smaller sleep count wins. The band sits above the rounding error
+# of v_good (under 3e-15 relative against a 60-digit oracle on 4,500
+# random solves near gamma = 1 and persistence = 1, away from values
+# near 0) and below 1e-12, so a count that wins by more is never set
+# aside.
+_TIE_BAND = 1e-13
+
+
+def _policy_values(n, params: GEParams, cfg: RewardConfig):
+    """(v_good, v_fail, v_wake) of the sleep-n policy, the field order of
+    ``PolicyValue``; n may be an array."""
+    n = np.asarray(n)
     g = cfg.gamma
+    d = 1.0 - g
     p = params.p
-    b_wake = belief_after_failure_and_sleep(n, params)
-    rs = cfg.r0 + cfg.r1
-    a = np.array(
-        [
-            [1.0, 0.0, -(g**n)],
-            [-g * p, 1.0 - g * (1.0 - p), 0.0],
-            [0.0, -g * b_wake, 1.0 - g ** (n + 1) * (1.0 - b_wake)],
-        ]
-    )
-    rhs = np.array([0.0, (1.0 - p) * rs - cfg.r0, b_wake * rs - cfg.r0])
-    try:
-        x = np.linalg.solve(a, rhs)
-    except np.linalg.LinAlgError as exc:
-        raise SingularSystem(f"policy-value system singular for n={n}") from exc
-    if not np.all(np.isfinite(x)):
-        raise SingularSystem(f"policy-value system ill-conditioned for n={n}")
-    return PolicyValue(v_good=float(x[1]), v_fail=float(x[0]), v_wake=float(x[2]))
+    b = belief_after_failure_and_sleep(n, params)
+    big_g = g ** (n + 1.0)
+    # where d rounds to 1 (gamma 0 or below 1.1e-16) log1p(-d) is
+    # undefined, and gamma^(n+1) is too small for 1 - G to cancel
+    rest = -np.expm1((n + 1.0) * math.log1p(-d)) if d < 1.0 else 1.0 - big_g
+    num = cfg.r1 * (1.0 - p) * rest + big_g * cfg.r1 * b - p * cfg.r0
+    den = rest * (d + g * p) + big_g * b * d
+    v_good = num / den
+    v_wake = (b * (cfg.r0 + cfg.r1) - cfg.r0 + g * b * v_good) / (rest + big_g * b)
+    return v_good, g**n * v_wake, v_wake
+
+
+def policy_value_linear_system(n: int, params: GEParams, cfg: RewardConfig) -> PolicyValue:
+    """Values of the sleep-n policy: the closed-form solution of the 3x3 system."""
+    return PolicyValue(*map(float, _policy_values(n, params, cfg)))
 
 
 def default_n_max(params: GEParams) -> int:
@@ -145,53 +155,30 @@ def default_n_max(params: GEParams) -> int:
     stationary limit the policy values are constant to machine
     precision, so the scan stops there (plus a small margin).
     """
-    c = params.persistence
     pi_g = stationary(params).good
-    n_conv = int(math.ceil(math.log(1e-12 / pi_g) / math.log(c)))
+    n_conv = int(math.ceil(math.log(1e-12 / pi_g) / params.log_persistence))
     return min(100_000, max(1, n_conv + 8))
-
-
-def _scan_policy_values(
-    params: GEParams, cfg: RewardConfig, n_max: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """(v_good, v_wake) for all n in 0..n_max via the closed-form ratio."""
-    n = np.arange(n_max + 1)
-    g = cfg.gamma
-    p = params.p
-    c = params.persistence
-    rs = cfg.r0 + cfg.r1
-    b_wake = params.q * (1.0 - c ** (n + 1)) / (params.p + params.q)
-    g_n1 = g ** (n + 1.0)
-    num = g_n1 * cfg.r1 * (b_wake - 1.0 + p) + cfg.r1 - p * rs
-    den = g_n1 * (b_wake * (1.0 - g) - (1.0 - g + g * p)) + 1.0 - g + g * p
-    v_good = num / den
-    v_wake = (b_wake * rs - cfg.r0 + g * b_wake * v_good) / (1.0 - g_n1 * (1.0 - b_wake))
-    return v_good, v_wake
 
 
 def optimal_sleep_time(params: GEParams, cfg: RewardConfig) -> tuple[ThresholdPolicy, PolicyValue]:
     """Best sleep-after-failure count by exhaustive scan.
 
     The scan maximizes the post-success value over n, breaking ties
-    toward the smaller count. Never harvesting is optimal exactly when
-    no candidate achieves a positive value at its wake-up belief: the
-    wake-up belief is the only one the policy reaches from below the
-    threshold, so a nonpositive value there means sleeping forever
-    (worth 0) is at least as good everywhere the policy could start.
+    (values within ``_TIE_BAND`` of the best, relatively) toward the
+    smaller count. Never harvesting is optimal exactly when no candidate
+    achieves a positive value at its wake-up belief: the wake-up belief
+    is the only one the policy reaches from below the threshold, so a
+    nonpositive value there means sleeping forever (worth 0) is at
+    least as good everywhere the policy could start.
     """
-    n_max = default_n_max(params)
-    v_good, v_wake = _scan_policy_values(params, cfg, n_max)
+    values = _policy_values(np.arange(default_n_max(params) + 1), params, cfg)
+    v_good, _, v_wake = values
     if float(np.max(v_wake)) < 0.0:
         # never harvesting earns exactly zero from every belief
         return ThresholdPolicy.never(), PolicyValue(v_good=0.0, v_fail=0.0, v_wake=0.0)
-
-    # re-anchor the argmax on the authoritative linear system around the
-    # scan winner (plus the always-harvest candidate n = 0)
-    scan_best = int(np.argmax(v_good))
-    candidates = sorted({0, *range(max(0, scan_best - 2), min(n_max, scan_best + 2) + 1)})
-    values = {n: policy_value_linear_system(n, params, cfg) for n in candidates}
-    best = min(candidates, key=lambda n: (-values[n].v_good, n))
-    return ThresholdPolicy.sleep(best), values[best]
+    top = np.max(v_good)
+    best = int(np.argmax(v_good >= top - _TIE_BAND * abs(top)))
+    return ThresholdPolicy.sleep(best), PolicyValue(*(float(v[best]) for v in values))
 
 
 def vi_threshold_policy(

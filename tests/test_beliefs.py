@@ -7,7 +7,9 @@ checked against these step-by-step statements.
 """
 
 from enum import Enum
+from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -151,8 +153,9 @@ class TestBeliefAfterFailure:
         assert belief_after_failure_and_sleep(200, params) == pytest.approx(pi_g, abs=1e-12)
 
     def test_rejects_negative(self):
-        with pytest.raises(ValueError):
-            belief_after_failure_and_sleep(-1, GEParams(p=0.2, q=0.3))
+        for n in (-1, np.array([0, 3, -1])):
+            with pytest.raises(ValueError, match="sleep count must be nonnegative"):
+                belief_after_failure_and_sleep(n, GEParams(p=0.2, q=0.3))
 
     @given(valid_params(), st.integers(0, 50))
     @settings(max_examples=100)
@@ -174,6 +177,21 @@ class TestBeliefAfterFailure:
         for _ in range(n):
             b = sleep_update(b, params)
         assert belief_after_failure_and_sleep(n, params) == pytest.approx(b, abs=1e-12)
+
+    @given(valid_params(), st.lists(st.integers(0, 500), min_size=1, max_size=20))
+    @settings(max_examples=50)
+    def test_array_matches_scalar(self, params, ns):
+        beliefs = belief_after_failure_and_sleep(np.array(ns), params)
+        assert beliefs.tolist() == [belief_after_failure_and_sleep(n, params) for n in ns]
+
+    @pytest.mark.parametrize("p,q,n", [(4e-7, 1e-6, 446), (3e-9, 2e-9, 10), (0.3, 0.2, 3)])
+    def test_relative_precision_near_persistence_one(self, p, q, n):
+        # 1 - c^(n+1) with c = 1 - p - q near 1 must not lose digits
+        params = GEParams(p=p, q=q)
+        fp, fq = Fraction(p), Fraction(q)
+        exact = fq * (1 - (1 - fp - fq) ** (n + 1)) / (fp + fq)
+        got = Fraction(float(belief_after_failure_and_sleep(n, params)))
+        assert abs(got - exact) <= Fraction(1, 10**14) * exact
 
     def test_matches_iteration_at_large_n(self):
         params = GEParams(p=0.05, q=0.05)

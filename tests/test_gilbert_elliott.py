@@ -1,5 +1,8 @@
 """Tests for the two-state arrival chain."""
 
+import math
+from decimal import Decimal, localcontext
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -52,9 +55,18 @@ class TestGEParams:
             constructs = False
         assert is_valid_chain(p, q) is constructs
 
-    def test_transition_matrix_rows_sum_to_one(self):
-        m = GEParams(p=0.2, q=0.3).transition_matrix()
-        np.testing.assert_allclose(m.sum(axis=1), 1.0)
+    @pytest.mark.parametrize("p,q", [(1e-9, 2e-9), (4e-7, 1e-6), (0.2, 0.3), (0.6, 0.39)])
+    def test_log_persistence_to_full_precision(self, p, q):
+        with localcontext() as ctx:
+            ctx.prec = 40
+            exact = (1 - Decimal(p) - Decimal(q)).ln()
+        assert abs(GEParams(p=p, q=q).log_persistence - float(exact)) <= 4e-16 * abs(float(exact))
+
+    def test_log_persistence_where_p_plus_q_rounds_to_one(self):
+        # the grid cell pi_g 0.05, t_b 20: p + q == 1.0, 1 - p - q = 4.2e-17
+        params = from_burst_parameterization(0.05, 20.0)
+        assert params.p + params.q == 1.0 and params.persistence > 0.0
+        assert params.log_persistence == math.log(params.persistence)
 
 
 class TestStationary:

@@ -19,7 +19,7 @@ from rfharvest.harness import (
     write_result_csv,
     write_result_json,
 )
-from rfharvest.threshold import optimal_sleep_time, policy_value_linear_system
+from rfharvest.threshold import build_lookup_table, optimal_sleep_time, policy_value_linear_system
 
 PARAMS = GEParams(p=0.2, q=0.3)
 CFG = RewardConfig(r1=10.0, r0=10.0, gamma=0.99)
@@ -56,6 +56,13 @@ class TestExperimentSpec:
 
 
 class TestEvaluate:
+    @pytest.mark.parametrize("name", ["bayes_learner", "impoverished_posterior", "random_sampling"])
+    def test_table_for_another_reward_rejected(self, name):
+        table = build_lookup_table([0.4, 0.6, 0.8], [2.0, 4.0, 8.0], RewardConfig(r1=10.0, r0=1.0, gamma=0.99))
+        opts = {"k": 5, "table": table} if name == "bayes_learner" else {"table": table}
+        with pytest.raises(ValueError, match="table was built for"):
+            evaluate(small_spec(policies=(PolicyDef(name, opts),)))
+
     def test_deterministic_given_seed(self):
         spec = small_spec(
             policies=(PolicyDef("bayes_learner", {"k": 4}), PolicyDef("always_harvest"))
@@ -212,21 +219,6 @@ class TestMcPolicyValue:
         sol = policy_value_linear_system(1, params, CFG)
         mean, se = mc_policy_value(params, CFG, sleep_slots=1, episodes=50_000, horizon=2_000, seed=3)
         assert abs(mean - sol.v_good) < 3.0 * se
-
-    def test_custom_initial_belief(self):
-        params = from_burst_parameterization(0.6, 2.5)
-        sol = policy_value_linear_system(1, params, CFG)
-        pi_g = stationary(params).good
-        analytic = (
-            (CFG.r0 + CFG.r1) * pi_g
-            - CFG.r0
-            + CFG.gamma * (pi_g * sol.v_good + (1.0 - pi_g) * sol.v_fail)
-        )
-        mean, se = mc_policy_value(
-            params, CFG, sleep_slots=1, episodes=50_000, horizon=2_000, seed=4,
-            initial_belief=pi_g,
-        )
-        assert abs(mean - analytic) < 3.0 * se
 
 
 class TestEmit:

@@ -505,6 +505,14 @@ class TestSampleAndPlan:
         cell = table.cell(1, 1)
         assert planner.plan(cell.p, cell.q) == cell.policy
 
+    def test_planner_refuses_table_for_another_reward(self):
+        other = RewardConfig(r1=10.0, r0=1.0, gamma=0.99)
+        table = build_lookup_table([0.4, 0.6, 0.8], [2.0, 4.0, 8.0], other)
+        with pytest.raises(ValueError, match=r"built for \(r1, r0, gamma\) = \(10.0, 1.0, 0.99\)"):
+            SleepTimePlanner(CFG, table=table)
+        with pytest.raises(ValueError, match="table was built for"):
+            run_learner(from_burst_parameterization(0.6, 2.5), CFG, k=5, horizon=60, seed=1, table=table)
+
 
 class TestRunLearner:
     def test_trace_is_reproducible(self):

@@ -1,18 +1,29 @@
-"""Tests for the closed-form threshold policies and lookup tables."""
+"""Tests for the closed-form threshold policies and lookup tables.
+
+Two oracles state the sleep-n policy values apart from the package's
+closed form: ``linear_system_values`` solves the 3x3 system in floats
+with numpy, and ``decimal_policy_values`` eliminates the same system in
+60-digit decimals, exact enough to judge the last float digits and the
+argmax near gamma = 1 and persistence = 1.
+"""
 
 import io
 import math
+import sys
+from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from rfharvest import cli
 from rfharvest.beliefs import RewardConfig, belief_after_failure_and_sleep
-from rfharvest.gilbert_elliott import GEParams, from_burst_parameterization, stationary
+from rfharvest.gilbert_elliott import GEParams, from_burst_parameterization, is_valid_chain, stationary
 from rfharvest.harness import mc_policy_value
 from rfharvest.threshold import (
     LookupTable,
+    PolicyValue,
     ThresholdPolicy,
     build_lookup_table,
     default_n_max,
@@ -21,7 +32,7 @@ from rfharvest.threshold import (
     sleep_time_from_threshold,
     vi_threshold_policy,
     _nearest_index,
-    _scan_policy_values,
+    _policy_values,
 )
 from rfharvest.value_iteration import VISettings
 
@@ -29,6 +40,103 @@ from test_gilbert_elliott import valid_params
 
 PARAMS = GEParams(p=0.2, q=0.3)
 CFG = RewardConfig(r1=10.0, r0=10.0, gamma=0.99)
+REWARDS = ((10.0, 1.0), (10.0, 10.0), (1.0, 10.0))
+
+
+def linear_system_values(n: int, params: GEParams, cfg: RewardConfig) -> PolicyValue:
+    """Sleep-n policy values from a float solve of the 3x3 system."""
+    g, p = cfg.gamma, params.p
+    b_wake = belief_after_failure_and_sleep(n, params)
+    rs = cfg.r0 + cfg.r1
+    a = np.array(
+        [
+            [1.0, 0.0, -(g**n)],
+            [-g * p, 1.0 - g * (1.0 - p), 0.0],
+            [0.0, -g * b_wake, 1.0 - g ** (n + 1) * (1.0 - b_wake)],
+        ]
+    )
+    rhs = np.array([0.0, (1.0 - p) * rs - cfg.r0, b_wake * rs - cfg.r0])
+    v_fail, v_good, v_wake = np.linalg.solve(a, rhs)
+    return PolicyValue(v_good=float(v_good), v_fail=float(v_fail), v_wake=float(v_wake))
+
+
+def decimal_policy_values(n: int, params: GEParams, cfg: RewardConfig):
+    """Exact (v_good, v_fail, v_wake) of the sleep-n policy, and their scales.
+
+    The float inputs convert exactly to 60-digit decimals, and the 3x3
+    system is eliminated with partial pivoting; cancellation near
+    gamma = 1 costs a few tens of the 60 digits, far from the 1e-12 the
+    tests resolve.
+
+    Each scale is what its value would be if the terms of the closed
+    form's numerators all had one sign. A float evaluation is off by
+    some rounding errors of that scale, so where the terms cancel to
+    near zero (v_good near 0 sits on the never-harvest boundary) no
+    evaluation keeps relative precision; elsewhere the scale is the
+    value's own size.
+    """
+    with localcontext() as ctx:
+        ctx.prec = 60
+        p, q, g, r1, r0 = map(Decimal, (params.p, params.q, cfg.gamma, cfg.r1, cfg.r0))
+        c = 1 - p - q
+        b = q * (1 - c ** (n + 1)) / (p + q)
+        g_n = g**n if n else Decimal(1)  # decimal leaves 0 ** 0 undefined
+        zero = Decimal(0)
+        rows = [
+            [Decimal(1), zero, -g_n, zero],
+            [-g * p, 1 - g * (1 - p), zero, (1 - p) * (r0 + r1) - r0],
+            [zero, -g * b, 1 - g ** (n + 1) * (1 - b), b * (r0 + r1) - r0],
+        ]
+        for k in range(3):
+            pivot = max(range(k, 3), key=lambda i: abs(rows[i][k]))
+            rows[k], rows[pivot] = rows[pivot], rows[k]
+            for i in range(k + 1, 3):
+                f = rows[i][k] / rows[k][k]
+                rows[i] = [x - f * y for x, y in zip(rows[i], rows[k])]
+        x = [zero] * 3
+        for i in (2, 1, 0):
+            x[i] = (rows[i][3] - sum(rows[i][j] * x[j] for j in range(i + 1, 3))) / rows[i][i]
+        v_fail, v_good, v_wake = x
+
+        big_g = g ** (n + 1)
+        den = (1 - big_g) * (1 - g + g * p) + big_g * b * (1 - g)
+        s_good = (r1 * (1 - p) * (1 - big_g) + big_g * r1 * b + p * r0) / den
+        s_wake = (b * (r0 + r1) + r0 + g * b * s_good) / (1 - big_g + big_g * b)
+        return (v_good, v_fail, v_wake), (s_good, g_n * s_wake, s_wake)
+
+
+def within(value: float, exact: Decimal, scale: Decimal) -> bool:
+    """1e-12 relative, plus 1e-14 (some 50 rounding errors) of the scale."""
+    return abs(Decimal(value) - exact) <= Decimal("1e-12") * abs(exact) + Decimal("1e-14") * scale
+
+
+def assert_values_exact(value: PolicyValue, oracle, n: int, cfg: RewardConfig) -> None:
+    """Each value within 1e-12 relative of its exact counterpart.
+
+    v_fail = gamma^n v_wake is checked only where gamma^n is a normal
+    float: a subnormal (or zero) power keeps fewer than 13 digits.
+    """
+    exact, scales = oracle
+    got = (value.v_good, value.v_fail, value.v_wake)
+    for name, v, e, scale in zip(("v_good", "v_fail", "v_wake"), got, exact, scales):
+        if name != "v_fail" or cfg.gamma**n >= sys.float_info.min:
+            assert within(v, e, scale), (name, v, e)
+
+
+@st.composite
+def edge_problems(draw):
+    """(params, cfg) with 1 - gamma in [1e-8, 1] and p + q in [1e-7, 1).
+
+    Both are drawn log-uniformly, with their edges (1 - gamma = 1e-8,
+    gamma = 0, p + q = 1e-7, p + q next to 1) drawn on purpose.
+    """
+    d = draw(st.sampled_from([1e-8, 1.0]) | st.floats(-8.0, 0.0).map(lambda x: 10.0**x))
+    s = draw(st.sampled_from([1e-7, 1.0 - 1e-12]) | st.floats(-7.0, 0.0, exclude_max=True).map(lambda x: 10.0**x))
+    pi_g = draw(st.floats(0.05, 0.95))
+    p, q = s * (1.0 - pi_g), s * pi_g
+    assume(is_valid_chain(p, q))
+    r1, r0 = draw(st.sampled_from(REWARDS))
+    return GEParams(p=p, q=q), RewardConfig(r1=r1, r0=r0, gamma=1.0 - d)
 
 
 class TestSleepTimeFromThreshold:
@@ -64,9 +172,12 @@ class TestSleepTimeFromThreshold:
 
 class TestPolicyValueLinearSystem:
     def test_myopic_gamma_zero(self):
-        cfg = RewardConfig(r1=10.0, r0=1.0, gamma=0.0)
-        value = policy_value_linear_system(3, PARAMS, cfg)
-        assert value.v_good == pytest.approx((1.0 - PARAMS.p) * 11.0 - 1.0, abs=1e-12)
+        # 1e-300 also rounds 1 - gamma to 1
+        for gamma in (0.0, 1e-300):
+            cfg = RewardConfig(r1=10.0, r0=1.0, gamma=gamma)
+            value = policy_value_linear_system(3, PARAMS, cfg)
+            assert value.v_good == pytest.approx((1.0 - PARAMS.p) * 11.0 - 1.0, abs=1e-12)
+            assert optimal_sleep_time(PARAMS, cfg)[0] == ThresholdPolicy.sleep(0)
 
     @given(valid_params(), st.integers(0, 40))
     @settings(max_examples=100)
@@ -77,12 +188,21 @@ class TestPolicyValueLinearSystem:
     @given(valid_params(), st.integers(0, 40))
     @settings(max_examples=100)
     def test_closed_form_ratio_equals_system_solution(self, params, n):
-        # the scan's closed-form ratio must agree with the authoritative
-        # 3x3 solve
-        v_good, v_wake = _scan_policy_values(params, CFG, max(n, 1))
-        sol = policy_value_linear_system(n, params, CFG)
-        assert v_good[n] == pytest.approx(sol.v_good, rel=1e-10, abs=1e-10)
-        assert v_wake[n] == pytest.approx(sol.v_wake, rel=1e-10, abs=1e-10)
+        # the closed form, at one n and inside the scan, must agree with
+        # a direct float solve of the 3x3 system
+        sol = linear_system_values(n, params, CFG)
+        scan = _policy_values(np.arange(n + 1), params, CFG)
+        for value in (policy_value_linear_system(n, params, CFG), PolicyValue(*(float(v[n]) for v in scan))):
+            assert value.v_good == pytest.approx(sol.v_good, rel=1e-10, abs=1e-10)
+            assert value.v_fail == pytest.approx(sol.v_fail, rel=1e-10, abs=1e-10)
+            assert value.v_wake == pytest.approx(sol.v_wake, rel=1e-10, abs=1e-10)
+
+    @given(edge_problems(), st.integers(0, 20_000))
+    @settings(max_examples=150, deadline=None)
+    def test_matches_decimal_oracle_at_edges(self, problem, n):
+        params, cfg = problem
+        value = policy_value_linear_system(n, params, cfg)
+        assert_values_exact(value, decimal_policy_values(n, params, cfg), n, cfg)
 
     def test_monte_carlo_oracle(self):
         # simulated discounted returns of the sleep-n policy started at
@@ -134,8 +254,69 @@ class TestOptimalSleepTime:
         policy, _ = optimal_sleep_time(params, cfg)
         assert policy.never_harvest
         # the naive sign-of-best-value test would say otherwise
-        v_good, _ = _scan_policy_values(params, cfg, default_n_max(params))
+        v_good, _, _ = _policy_values(np.arange(default_n_max(params) + 1), params, cfg)
         assert float(np.max(v_good)) > 0.0
+
+    @given(edge_problems())
+    @settings(max_examples=60, deadline=None)
+    def test_argmax_matches_decimal_oracle_at_edges(self, problem):
+        # N is the exact argmax over a +-6 window unless the exact values
+        # tie within 1e-12, and the reported values are exact to 1e-12
+        params, cfg = problem
+        policy, value = optimal_sleep_time(params, cfg)
+        if policy.never_harvest:
+            _, _, v_wake = _policy_values(np.arange(default_n_max(params) + 1), params, cfg)
+            peak = int(np.argmax(v_wake))
+            for n in range(max(0, peak - 6), peak + 7):
+                (_, _, wake), (_, _, scale) = decimal_policy_values(n, params, cfg)
+                assert wake <= Decimal("1e-14") * scale
+            return
+        n = policy.sleep_slots
+        window = {m: decimal_policy_values(m, params, cfg) for m in range(max(0, n - 6), n + 7)}
+        best = max(window, key=lambda m: window[m][0][0])
+        (top, _, _), (top_scale, _, _) = window[best]
+        (v_n, _, _), (scale_n, _, _) = window[n]
+        assert top - v_n <= Decimal("1e-12") * abs(top) + Decimal("1e-14") * (top_scale + scale_n), (n, best)
+        assert_values_exact(value, window[n], n, cfg)
+
+    def test_far_corner_reproducer(self):
+        # p + q = 1.4e-6 and 1 - gamma = 2e-8: a scan that formed
+        # 1 - gamma^(n+1) and c^(n+1) directly picked 448
+        params = GEParams(p=4e-7, q=1e-6)
+        cfg = RewardConfig(r1=10.0, r0=1.0, gamma=0.99999998)
+        policy, value = optimal_sleep_time(params, cfg)
+        assert policy.sleep_slots == 446
+        assert_values_exact(value, decimal_policy_values(446, params, cfg), 446, cfg)
+
+    @pytest.mark.parametrize("p", [0.1, 0.25, 0.2069, 0.4815])
+    def test_half_q_tie_goes_to_no_sleep(self, p):
+        # at q = 1/2 and r0 = r1, sleeping 0 and 1 slots are worth exactly
+        # the same; the tie goes to the smaller count
+        params = GEParams(p=p, q=0.5)
+        for r in (1.0, 10.0):
+            cfg = RewardConfig(r1=r, r0=r, gamma=0.99)
+            exact = [decimal_policy_values(n, params, cfg)[0][0] for n in (0, 1)]
+            assert abs(exact[0] - exact[1]) <= Decimal("1e-50") * abs(exact[0])
+            policy, _ = optimal_sleep_time(params, cfg)
+            assert policy.sleep_slots == 0, (p, r)
+
+    def test_learner_half_q_estimates_take_no_sleep(self):
+        # equal bad-to-good and bad-to-bad counts give q = 1/2
+        cfg = RewardConfig(r1=10.0, r0=10.0, gamma=0.99)
+        for a in range(1, 12):
+            for b in range(1, 12):
+                p = a / (a + b)
+                if is_valid_chain(p, 0.5):
+                    policy, _ = optimal_sleep_time(GEParams(p=p, q=0.5), cfg)
+                    assert policy.never_harvest or policy.sleep_slots == 0, (a, b)
+
+    @pytest.mark.parametrize(
+        "flags,slots",
+        [("--p 4e-7 --q 1e-6 --r1 10 --r0 1 --gamma 0.99999998", 446), ("--p 0.25 --q 0.5 --r1 10 --r0 10 --gamma 0.99", 0)],
+    )
+    def test_cli_policy(self, capsys, flags, slots):
+        assert cli.main(["policy", *flags.split()]) == 0
+        assert f"sleep_slots {slots}\n" in capsys.readouterr().out
 
     @given(valid_params())
     @settings(max_examples=30, deadline=None)
