@@ -16,21 +16,27 @@ with Q the transient block and h the full-charge hit probabilities,
 getting there, solve (I - Q) y = h * w with y = h * T, where w is the
 per-transition slot cost (1 or N+1 by phase).
 
-I - Q is never formed. With the unknowns ordered level-major (index
-2 * (level - 1) + phase), a harvest moves from (phase, level) only to
-(0, level + gain) or (1, level - loss), so I - Q is banded: lower
-bandwidth 2 * loss, upper bandwidth 2 * gain. It is a nonsingular
-M-matrix, so Gaussian elimination without pivoting keeps its fill-in
-inside the band and is stable. One factorisation serves all three
-right-hand sides, in O(capacity * gain * loss) time and
-O(capacity * (gain + loss)) memory. Each pivot is taken as the
-absorbing mass of its row plus the magnitudes of its remaining
-off-diagonal entries (Grassmann, Taksar & Heyman 1985): the eliminated
-diagonal in exact arithmetic, but a sum of nonnegative terms. Every
-step of the sweep then adds terms of one sign, so probabilities far
-below machine epsilon keep their relative accuracy until they leave
-the floating-point range. The tests check the sweep against dense
-(I - Q) solves.
+I - Q is never formed. A harvest from (phase, level L) reaches only
+(0, L + 1) or (1, L - 1), so the chain is a two-phase quasi-birth-death
+process and each linear system is solved by linear level reduction
+(Latouche & Ramaswami 1999). Sweeping upward from the depletion
+boundary, each level's two unknowns are written in terms of the next
+level's post-success unknown:
+
+    X0(L) = m_L * X0(L+1) + e_L,    X1(L) = a_L * X0(L+1) + c_L
+
+and back-substitution runs down from the full-charge boundary. The
+coefficients m and a depend only on the chain, so the full-charge,
+depletion and slot-count systems share them; e and c carry each
+system's right-hand side. The complement 1 - a is carried as its own
+product, never as a subtraction, so every step of the recursion adds
+terms of one sign (the property Grassmann, Taksar & Heyman 1985 get
+for Gaussian elimination by building pivots from row sums).
+Probabilities far below machine epsilon therefore keep their relative
+accuracy until they leave the floating-point range. Time is linear in
+capacity and memory a few doubles per level. The tests check the
+recursion against dense (I - Q) solves in floats and in 50-digit
+decimals.
 """
 
 from __future__ import annotations
@@ -39,6 +45,7 @@ import csv
 import io
 from array import array
 from dataclasses import dataclass
+from itertools import repeat
 
 import numpy as np
 
@@ -73,17 +80,13 @@ class PolicyNeverHarvests(ValueError):
 
 @dataclass(frozen=True)
 class BatteryConfig:
-    """Integer-unit battery: capacity, per-success gain, per-failure loss."""
+    """Integer-unit battery: a success adds one unit, a failure spends one."""
 
     capacity: int
-    gain: int = 1
-    loss: int = 1
 
     def __post_init__(self) -> None:
         if self.capacity < 2:
             raise ValueError("capacity must be at least 2 units")
-        if self.gain < 1 or self.loss < 1:
-            raise ValueError("gain and loss must be at least 1 unit")
 
 
 @dataclass(frozen=True)
@@ -93,21 +96,16 @@ class BatteryChain:
     Transient states are (phase, level) for levels 1..capacity-1 with
     phase 0 = last harvest succeeded, phase 1 = last harvest failed.
     A harvest from phase ``ph`` succeeds with ``success_after_success``
-    (ph = 0) or ``success_after_failure`` (ph = 1), moving ``gain``
-    levels up into phase 0, and otherwise ``loss`` levels down into
-    phase 1. ``slot_weights[ph]`` gives the slots consumed by one
-    transition out of phase ``ph``.
+    (ph = 0) or ``success_after_failure`` (ph = 1), moving one level up
+    into phase 0, and otherwise one level down into phase 1. A
+    transition out of phase 0 takes one slot, and one out of phase 1
+    takes ``sleep_slots + 1``.
     """
 
     battery: BatteryConfig
     sleep_slots: int
     success_after_success: float
     success_after_failure: float
-    slot_weights: np.ndarray
-
-    @property
-    def n_transient(self) -> int:
-        return 2 * (self.battery.capacity - 1)
 
 
 def build_chain_from_success_probs(
@@ -119,12 +117,14 @@ def build_chain_from_success_probs(
     """Assemble the embedded chain from raw per-phase success probabilities.
 
     This is the degenerate-friendly entry point: it accepts any success
-    probabilities in (0, 1), including the memoryless case where both
-    phases succeed equally, which has a gambler's-ruin closed form.
+    probabilities in (0, 1], including the memoryless case where both
+    phases succeed equally, which has a gambler's-ruin closed form, and
+    a success probability of exactly 1, which ``1 - p`` rounds to when
+    p is at most 2^-54.
     """
     for s in (success_after_success, success_after_failure):
-        if not 0.0 < s < 1.0:
-            raise ValueError(f"success probabilities must lie in (0, 1), got {s}")
+        if not 0.0 < s <= 1.0:
+            raise ValueError(f"success probabilities must lie in (0, 1], got {s}")
     if sleep_slots < 0:
         raise ValueError("sleep_slots must be nonnegative")
     return BatteryChain(
@@ -132,7 +132,6 @@ def build_chain_from_success_probs(
         sleep_slots=sleep_slots,
         success_after_success=success_after_success,
         success_after_failure=success_after_failure,
-        slot_weights=np.array([1.0, sleep_slots + 1.0]),
     )
 
 
@@ -171,89 +170,68 @@ class AbsorptionResult:
 
 
 def absorption_analysis(chain: BatteryChain) -> AbsorptionResult:
-    """Solve for h, the depletion probabilities and y = h * T in one sweep.
+    """Solve for h, the depletion probabilities and y = h * T by level recursion.
 
-    Elimination runs row by row. Row i of I - Q is held over columns
-    i - lo .. i + up (diagonal at offset lo); its entries left of the
-    diagonal are cleared with the finished rows above it, whose
-    multipliers are kept for the third right-hand side. The finished
-    rows are stored flat behind ``lo`` rows of the identity, so row i
-    sits at index lo + i and every row has ``lo`` rows above it.
+    With s0, s1 the per-phase success probabilities, the shared
+    coefficients run upward from a_0 = 0 and abar_0 = 1 - a_0 = 1:
+
+        g_L = s0 + (1 - s0) abar_{L-1}      m_L = s0 / g_L
+        a_L = s1 + (1 - s1) a_{L-1} m_L     abar_L = (1 - s1) abar_{L-1} / g_L
+
+    and a system with per-level costs cost0_L, cost1_L (zero for the
+    probabilities, w * h for y) and depletion value c_0 adds
+
+        e_L = (cost0_L + (1 - s0) c_{L-1}) / g_L
+        c_L = cost1_L + (1 - s1) (a_{L-1} e_L + c_{L-1})
+
+    before X0(L) = m_L X0(L+1) + e_L and X1(L) = a_L X0(L+1) + c_L are
+    substituted back from X0(capacity), the full-charge value. Every
+    term is nonnegative, so no step cancels.
     """
     cap = chain.battery.capacity
-    gain, loss = chain.battery.gain, chain.battery.loss
-    lo, up = 2 * loss, 2 * gain
-    n = chain.n_transient
-    succ = (chain.success_after_success, chain.success_after_failure)
-    pivots = array("d", [1.0] * lo)
-    uppers = array("d", [0.0] * (lo * up))  # up entries right of each pivot
-    factors = array("d")  # lo multipliers per row
-    full = array("d", [0.0] * lo)
-    dep = array("d", [0.0] * lo)
-    for i in range(n):
-        phase = i % 2
-        level = i // 2 + 1
-        s = succ[phase]
-        row = [0.0] * (lo + 1 + up)
-        b_full = b_dep = 0.0
-        if level + gain < cap:
-            row[lo + up - phase] = -s
-        else:
-            b_full = s
-        if level - loss > 0:
-            row[1 - phase] = -(1.0 - s)
-        else:
-            b_dep = 1.0 - s
-        for c in range(lo):
-            k = i + c  # stored index of row i - lo + c
-            f = row[c] / pivots[k]
-            factors.append(f)
-            for j in range(up):
-                row[c + 1 + j] -= f * uppers[k * up + j]
-            b_full -= f * full[k]
-            b_dep -= f * dep[k]
-        # GTH pivot: each row of [I - Q | R] sums to 0, and elimination
-        # keeps it so; the eliminated diagonal row[lo] is never read
-        upper = row[lo + 1 :]
-        pivots.append(b_full + b_dep - sum(upper))
-        uppers.extend(upper)
-        full.append(b_full)
-        dep.append(b_dep)
+    s0, s1 = chain.success_after_success, chain.success_after_failure
+    f0, f1 = 1.0 - s0, 1.0 - s1
+    g, m, a = array("d"), array("d"), array("d", [0.0])  # g, m from level 1; a from 0
+    abar = 1.0
+    for _ in range(cap - 1):
+        g_l = s0 + f0 * abar
+        m_l = s0 / g_l
+        g.append(g_l)
+        m.append(m_l)
+        a.append(s1 + f1 * a[-1] * m_l)
+        abar = f1 * abar / g_l
 
-    def back_substitute(b: array) -> np.ndarray:
-        x = array("d", bytes(8 * (lo + n + up)))
-        for k in range(lo + n - 1, lo - 1, -1):
-            acc = b[k]
-            for j in range(up):
-                acc -= uppers[k * up + j] * x[k + 1 + j]
-            x[k] = acc / pivots[k]
-        return np.frombuffer(x)[lo : lo + n]
+    def solve(cost0, cost1, at_zero: float, at_cap: float) -> np.ndarray:
+        """(phase, level) table of one system; cost0/1 iterate levels 1..cap-1."""
+        e, c = array("d"), array("d", [at_zero])
+        c_l = at_zero
+        for g_l, a_prev, k0, k1 in zip(g, a, cost0, cost1):
+            e_l = (k0 + f0 * c_l) / g_l
+            c_l = k1 + f1 * (a_prev * e_l + c_l)
+            e.append(e_l)
+            c.append(c_l)
+        x0, x1 = array("d", [at_cap]), array("d", [at_cap])  # levels cap down to 1
+        up = at_cap
+        for m_l, e_l, a_l, c_l in zip(reversed(m), reversed(e), reversed(a), reversed(c)):
+            x1.append(a_l * up + c_l)
+            up = m_l * up + e_l
+            x0.append(up)
+        x = np.empty((2, cap + 1))
+        x[:, 0] = at_zero
+        x[0, :0:-1] = x0
+        x[1, :0:-1] = x1
+        return x
 
-    h = back_substitute(full)
-    depl = back_substitute(dep)
-    weights = [float(w) for w in chain.slot_weights]
-    z = array("d", [0.0] * lo)
-    for i, h_i in enumerate(h.tolist()):
-        acc = weights[i % 2] * h_i
-        for c in range(lo):
-            acc -= factors[i * lo + c] * z[i + c]
-        z.append(acc)
-    y = back_substitute(z)
-
-    def by_phase(x: np.ndarray, at_zero: float, at_cap: float) -> np.ndarray:
-        out = np.empty((2, cap + 1))
-        out[:, 0] = at_zero
-        out[:, cap] = at_cap
-        out[:, 1:cap] = x.reshape(cap - 1, 2).T
-        return out
-
-    full_prob = by_phase(h, 0.0, 1.0)
+    zeros = repeat(0.0)
+    full_prob = solve(zeros, zeros, 0.0, 1.0)
+    w1 = chain.sleep_slots + 1.0
+    y = solve(memoryview(full_prob[0, 1:]), memoryview(w1 * full_prob[1, 1:]), 0.0, 0.0)
     with np.errstate(invalid="ignore", divide="ignore"):
-        slots = np.where(full_prob > 0.0, by_phase(y, 0.0, 0.0) / full_prob, np.nan)
+        slots = np.where(full_prob > 0.0, y / full_prob, np.nan)
     return AbsorptionResult(
         capacity=cap,
         full_charge_prob=full_prob,
-        depletion_prob=by_phase(depl, 1.0, 0.0),
+        depletion_prob=solve(zeros, zeros, 1.0, 0.0),
         expected_slots_conditional=slots,
     )
 

@@ -161,6 +161,21 @@ class TestBatteryCommand:
         assert lines[0].startswith("initial_level,")
         assert len(lines) == 6  # header + levels 0,5,10,15,20
 
+    def test_success_probability_rounding_to_one(self, tmp_path, capsys):
+        # 1 - p rounds to 1.0 at p = 1e-17; the chain is still well posed
+        out = tmp_path / "battery.csv"
+        code, _, _ = run_cli(
+            ["battery", "--p", "1e-17", "--q", "0.5", "--r0", "10", "--r1", "10",
+             "--capacity", "10", "--level-step", "1", "--output", str(out)],
+            capsys,
+        )
+        assert code == 0
+        rows = out.read_text().strip().split("\n")[1:]
+        assert len(rows) == 11
+        for row in rows:
+            _, _, full, dep, _ = row.split(",")
+            assert abs(float(full) + float(dep) - 1.0) <= 1e-12, row
+
     def test_byte_identical_to_library_serialization(self, tmp_path, capsys):
         from rfharvest.battery import BatteryConfig, sweep_initial_levels, write_sweep_csv
 

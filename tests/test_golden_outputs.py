@@ -11,8 +11,8 @@ it stops after fewer backups than the sup-norm rule before it and shifts
 the result by a constant, so the printed iterations and values differ
 from that solver's (the never-harvest case, solved exactly by one
 backup, kept its digest). The battery
-digests were recorded on the banded absorption sweep; the dense
-(I - Q) solve before it printed different last digits. Rerunning one
+digests were recorded on the level recursion for absorption; the
+banded elimination sweep before it printed different last digits. Rerunning one
 version twice (acceptance criterion 8) cannot catch a change to the
 random draws or to the floating-point operations; these can. A change
 that alters them on purpose must say so and record new digests.
@@ -54,8 +54,8 @@ SOLVE_DIGESTS = {
 # (capacity, level step) -> sha256 of `rfharvest battery --pi-g 0.7 --t-b 5
 # --r0 10 --r1 10 --gamma 0.99` CSV; (50, 10) is the README command
 BATTERY_DIGESTS = {
-    (50, 10): "fcdc97318869cd2fce10d872faf338b8126d96a15a20e13c574c79f5176d7139",
-    (2000, 100): "749a7eb42772c414e8644510f57e3ea0ccb1f2a78c615e95536dfc2a7b5915f0",
+    (50, 10): "e5800b13dacc9adb01a2e51c4c56c531fc49b472689404f53d187f65e6db2b9e",
+    (2000, 100): "f6b9eb7667c52fcd99ca55b72a3ba60a5389d28c7314a12f611a1cd08d8f95e4",
 }
 
 # the four desk policies on the reference chain, 2 paths x 2 runs, base seed 3
