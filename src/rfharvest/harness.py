@@ -11,6 +11,7 @@ from __future__ import annotations
 import csv
 import io
 import json
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -348,6 +349,12 @@ def learning_comparison(
     return evaluate(spec)
 
 
+# episodes that mc_policy_value steps together: enough to amortize the
+# numpy calls, few enough that the working set stays in cache and does
+# not grow with the episode count
+_MC_BLOCK = 4096
+
+
 def mc_policy_value(
     params: GEParams,
     cfg: RewardConfig,
@@ -356,26 +363,72 @@ def mc_policy_value(
     horizon: int,
     seed: int,
 ) -> tuple[float, float]:
-    """Monte-Carlo value of the sleep-n policy, vectorized over episodes.
+    """Monte-Carlo value of the sleep-n policy, one renewal cycle at a time.
 
     Episodes start in harvesting mode with the hidden state drawn good
-    with probability 1 - p, the post-success belief. Returns (mean,
-    standard error of the mean).
+    with probability 1 - p, the post-success belief. The policy sees the
+    chain only when it harvests, so each loop step advances every live
+    episode by a whole cycle: a run of successes, ended by a failure
+    with probability p per harvest, then a streak of failures n + 1
+    slots apart, ended by the first wake-up that finds the good state.
+    The wake-up state is drawn from the (n + 1)-step transition matrix,
+    not from the package's closed form, so the value stays a check of
+    it. Both reward sums are geometric series cut at the horizon.
+    Returns (mean, standard error of the mean); the standard error is
+    NaN for one episode.
     """
+    if sleep_slots < 0:
+        raise ValueError(f"sleep_slots must be nonnegative, got {sleep_slots}")
+    if episodes < 1 or horizon < 1:
+        raise ValueError(f"episodes and horizon must be positive, got {episodes} and {horizon}")
     rng = np.random.Generator(np.random.Philox(seed))
-    stay_good = 1.0 - params.p
-    good = rng.random(episodes) < stay_good
-    timer = np.zeros(episodes, dtype=np.int64)
+    p, q = params.p, params.q
+    # a sleep of horizon slots or more never wakes inside the horizon, so
+    # longer sleeps need not be told apart
+    period = min(sleep_slots, horizon) + 1
+    # object entries keep this 2x2 power in Python floats: a float64
+    # matmul would load the BLAS library, whose buffers add ~0.4 MB of RSS
+    step = np.array([[1.0 - p, p], [q, 1.0 - q]], dtype=object)
+    wake_good = float(np.linalg.matrix_power(step, period)[1, 0])
+    d = 1.0 - cfg.gamma
+    if d < 1.0:
+        log_g = math.log1p(-d)
+
+        def discounted(first, count, spacing):
+            # sum of gamma^(first + j spacing) over j < count, with each
+            # 1 - gamma^k taken as -expm1(k log1p(-d))
+            shrink = d if spacing == 1 else -math.expm1(spacing * log_g)
+            return np.exp(first * log_g) * -np.expm1(count * (spacing * log_g)) / shrink
+
+    else:
+        # gamma 0 or below 1.1e-16: only the first slot counts
+        def discounted(first, count, spacing):
+            return ((first == 0) & (count > 0)).astype(float)
+
     totals = np.zeros(episodes)
-    discount = 1.0
-    leave_bad = params.q
-    for _ in range(horizon):
-        harvesting = timer == 0
-        totals += discount * np.where(harvesting, np.where(good, cfg.r1, -cfg.r0), 0.0)
-        failed = harvesting & ~good
-        timer = np.where(failed, sleep_slots, np.where(harvesting, 0, timer - 1))
-        good = rng.random(episodes) < np.where(good, stay_good, leave_bad)
-        discount *= cfg.gamma
+    for lo in range(0, episodes, _MC_BLOCK):
+        block = totals[lo : lo + _MC_BLOCK]  # a view: the cycles add into totals
+        live = np.arange(block.size)
+        start = np.zeros(block.size, dtype=np.int64)
+        # runs count successes: the first run may be empty, later ones
+        # begin with the wake-up's success. Clamping each draw to the
+        # slots left keeps the slot sums within int64.
+        runs = rng.geometric(p, block.size) - 1
+        while True:
+            runs = np.minimum(runs, horizon - start)
+            block[live] += cfg.r1 * discounted(start, runs, 1)
+            fail = start + runs
+            inside = fail < horizon
+            live, fail = live[inside], fail[inside]
+            if live.size == 0:
+                break
+            fits = (horizon - 1 - fail) // period + 1  # failure slots left
+            streak = np.minimum(rng.geometric(wake_good, live.size), fits)
+            block[live] -= cfg.r0 * discounted(fail, streak, period)
+            woke = streak < fits
+            live = live[woke]
+            start = fail[woke] + streak[woke] * period
+            runs = rng.geometric(p, live.size)
     mean = float(totals.mean())
     se = float(totals.std(ddof=1) / np.sqrt(episodes)) if episodes > 1 else float("nan")
     return mean, se

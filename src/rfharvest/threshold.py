@@ -27,6 +27,7 @@ against a direct solve of the system and a 60-digit oracle.
 
 from __future__ import annotations
 
+import bisect
 import csv
 import io
 import json
@@ -204,12 +205,19 @@ class LookupCell:
 
 
 def _nearest_index(axis: tuple[float, ...], x: float) -> int:
-    """Index of the axis value nearest to x, the first one on a tie.
+    """Index of the ascending axis value nearest to x, the first one on a tie.
 
-    Same choice as ``np.argmin(np.abs(axis - x))``, without building
-    arrays for a lookup that runs once per planned sleep.
+    Same choice as ``np.argmin(np.abs(axis - x))``: a binary search
+    finds the two neighbours of x, and on equal distances the search
+    walks left, since the distances only grow (or stay equal) away
+    from x.
     """
-    return min(range(len(axis)), key=lambda i: abs(axis[i] - x))
+    i = bisect.bisect_left(axis, x)
+    if i == len(axis) or (i > 0 and x - axis[i - 1] <= axis[i] - x):
+        i -= 1
+        while i > 0 and x - axis[i - 1] == x - axis[i]:
+            i -= 1
+    return i
 
 
 def _check_axis(name: str, axis: Sequence[float]) -> None:

@@ -1,7 +1,14 @@
-"""Tests for the paired Monte-Carlo experiment harness."""
+"""Tests for the paired Monte-Carlo experiment harness.
+
+``mc_policy_value`` steps renewal cycles; two oracles state the sleep-n
+policy's truncated return apart from it: ``per_slot_policy_value``, the
+slot-by-slot simulation it replaced, and ``exact_truncated_value``, the
+expectation by a forward recursion over (hidden state, sleep timer).
+"""
 
 import io
 import json
+import zlib
 
 import numpy as np
 import pytest
@@ -213,12 +220,122 @@ class TestEpisodeLoop:
         assert total == pytest.approx(expected, abs=1e-9)
 
 
+def per_slot_policy_value(params, cfg, sleep_slots, episodes, horizon, seed):
+    """Monte-Carlo value of the sleep-n policy, one slot at a time for all
+    episodes; the same start and result as ``mc_policy_value``."""
+    rng = np.random.Generator(np.random.Philox(seed))
+    stay_good = 1.0 - params.p
+    good = rng.random(episodes) < stay_good
+    timer = np.zeros(episodes, dtype=np.int64)
+    totals = np.zeros(episodes)
+    discount = 1.0
+    leave_bad = params.q
+    for _ in range(horizon):
+        harvesting = timer == 0
+        totals += discount * np.where(harvesting, np.where(good, cfg.r1, -cfg.r0), 0.0)
+        failed = harvesting & ~good
+        timer = np.where(failed, sleep_slots, np.where(harvesting, 0, timer - 1))
+        good = rng.random(episodes) < np.where(good, stay_good, leave_bad)
+        discount *= cfg.gamma
+    mean = float(totals.mean())
+    se = float(totals.std(ddof=1) / np.sqrt(episodes)) if episodes > 1 else float("nan")
+    return mean, se
+
+
+def exact_truncated_value(params, cfg, sleep_slots, horizon):
+    """Expected discounted return of the sleep-n policy over ``horizon``
+    slots, started harvesting with the state good with probability 1 - p.
+
+    ``good[k]``/``bad[k]`` hold the probability of each hidden state with
+    k sleeping slots left in the current slot (k = 0 harvests).
+    """
+    p, q = params.p, params.q
+    good = np.zeros(sleep_slots + 1)
+    bad = np.zeros(sleep_slots + 1)
+    good[0], bad[0] = 1.0 - p, p
+    total = 0.0
+    for t in range(horizon):
+        total += cfg.gamma**t * (good[0] * cfg.r1 - bad[0] * cfg.r0)
+        next_good = np.zeros_like(good)
+        next_bad = np.zeros_like(bad)
+        next_good[0] += good[0]  # success: harvest again
+        next_bad[sleep_slots] += bad[0]  # failure: sleep n slots
+        next_good[:-1] += good[1:]  # one sleeping slot passes
+        next_bad[:-1] += bad[1:]
+        good = next_good * (1.0 - p) + next_bad * q
+        bad = next_good * p + next_bad * (1.0 - q)
+    return total
+
+
+@st.composite
+def mc_problems(draw):
+    p = draw(st.floats(0.01, 0.97))
+    q = draw(st.floats(0.01, 0.98 - p))
+    gamma = draw(st.one_of(st.just(0.0), st.floats(0.0, 0.999)))
+    return GEParams(p=p, q=q), RewardConfig(r1=draw(st.floats(0.5, 10.0)), r0=draw(st.floats(0.5, 10.0)), gamma=gamma)
+
+
 class TestMcPolicyValue:
     def test_matches_linear_system(self):
         params = from_burst_parameterization(0.6, 2.5)
         sol = policy_value_linear_system(1, params, CFG)
         mean, se = mc_policy_value(params, CFG, sleep_slots=1, episodes=50_000, horizon=2_000, seed=3)
         assert abs(mean - sol.v_good) < 3.0 * se
+
+    @given(mc_problems(), st.integers(0, 70), st.integers(1, 60))
+    @settings(max_examples=100, deadline=None)
+    def test_both_simulations_match_exact_recursion(self, problem, n, horizon):
+        params, cfg = problem
+        exact = exact_truncated_value(params, cfg, n, horizon)
+        seed = zlib.crc32(repr((params, cfg, n, horizon)).encode())
+        for simulate_value in (mc_policy_value, per_slot_policy_value):
+            mean, se = simulate_value(params, cfg, n, episodes=4_000, horizon=horizon, seed=seed)
+            assert abs(mean - exact) <= 5.0 * se + 1e-9 * abs(exact), simulate_value.__name__
+
+    @pytest.mark.parametrize("pi_g,t_b,seed", [(0.6, 2.5, 1), (0.7, 5.0, 2), (0.3, 8.0, 3)])
+    def test_standard_error_matches_per_slot_simulation(self, pi_g, t_b, seed):
+        params = from_burst_parameterization(pi_g, t_b)
+        n = optimal_sleep_time(params, CFG)[0].sleep_slots
+        _, se = mc_policy_value(params, CFG, n, episodes=200_000, horizon=200, seed=seed)
+        _, oracle_se = per_slot_policy_value(params, CFG, n, episodes=200_000, horizon=200, seed=seed)
+        assert se == pytest.approx(oracle_se, rel=0.1)
+
+    @pytest.mark.parametrize(
+        "params,gamma,n,horizon",
+        [
+            (PARAMS, 1.0 - 1e-8, 1, 2_000),
+            (PARAMS, 0.99, 0, 2_000),
+            (PARAMS, 0.99, 1_000, 2_000),
+            (GEParams(p=1e-12, q=0.3), 0.99, 2, 1_000),
+            # the geometric draws saturate at the int64 maximum here
+            (GEParams(p=1e-300, q=0.3), 0.99, 2, 1_000),
+            (GEParams(p=0.3, q=1e-300), 0.99, 2, 1_000),
+        ],
+    )
+    def test_edges_match_exact_recursion(self, params, gamma, n, horizon):
+        cfg = RewardConfig(r1=CFG.r1, r0=CFG.r0, gamma=gamma)
+        exact = exact_truncated_value(params, cfg, n, horizon)
+        mean, se = mc_policy_value(params, cfg, n, episodes=20_000, horizon=horizon, seed=17)
+        assert abs(mean - exact) <= 5.0 * se + 1e-9 * abs(exact)
+
+    @pytest.mark.parametrize("gamma,horizon", [(0.0, 1_000), (1e-300, 1_000), (0.99, 1)])
+    def test_first_slot_only(self, gamma, horizon):
+        # only the first harvest counts: r1 with probability 1 - p, else -r0
+        cfg = RewardConfig(r1=CFG.r1, r0=CFG.r0, gamma=gamma)
+        mean, se = mc_policy_value(PARAMS, cfg, 3, episodes=20_000, horizon=horizon, seed=23)
+        assert abs(mean - ((1.0 - PARAMS.p) * cfg.r1 - PARAMS.p * cfg.r0)) <= 5.0 * se
+
+    def test_one_episode_has_no_standard_error(self):
+        mean, se = mc_policy_value(PARAMS, CFG, 1, episodes=1, horizon=500, seed=5)
+        assert np.isfinite(mean)
+        assert np.isnan(se)
+
+    @pytest.mark.parametrize(
+        "sleep_slots,episodes,horizon", [(-1, 100, 100), (1, 0, 100), (1, 100, 0)]
+    )
+    def test_rejects_invalid_arguments(self, sleep_slots, episodes, horizon):
+        with pytest.raises(ValueError):
+            mc_policy_value(PARAMS, CFG, sleep_slots, episodes=episodes, horizon=horizon, seed=1)
 
 
 class TestEmit:

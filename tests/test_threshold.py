@@ -417,9 +417,23 @@ class TestLookupTable:
         x = data.draw(st.sampled_from(mids) if mids and data.draw(st.booleans()) else st.floats(0.0, 60.0))
         assert _nearest_index(axis, x) == int(np.argmin(np.abs(np.asarray(axis) - x)))
 
+    @given(st.lists(st.floats(0.01, 50.0), min_size=1, max_size=25, unique=True), st.lists(st.floats(-10.0, 70.0)))
+    @settings(max_examples=300, deadline=None)
+    def test_nearest_index_matches_scan(self, axis, points):
+        # the binary search returns what the linear scan it replaced
+        # returned: at random points, every axis point, every midpoint
+        # and points outside the axis
+        axis = tuple(sorted(axis))
+        mids = [(a + b) / 2 for a, b in zip(axis, axis[1:])]
+        outside = [axis[0] - 1.0, axis[-1] + 1.0, -math.inf, math.inf]
+        for x in [*points, *axis, *mids, *outside]:
+            assert _nearest_index(axis, x) == min(range(len(axis)), key=lambda i: abs(axis[i] - x))
+
     def test_nearest_index_exact_midpoint_takes_first(self):
         assert _nearest_index((1.0, 2.0, 3.0), 2.5) == 1
         assert _nearest_index((1.0, 1.0, 3.0), 1.0) == 0
+        # distinct points at one float distance: 1e17 - 1 and 1e17 - 2 both round to 1e17
+        assert _nearest_index((1.0, 2.0), 1e17) == 0
 
     def test_axis_validation(self):
         cfg = RewardConfig(r1=1.0, r0=1.0, gamma=0.5)
