@@ -39,7 +39,7 @@ import numpy as np
 
 from .beliefs import RewardConfig, belief_after_failure_and_sleep
 from .gilbert_elliott import GEParams, is_valid_chain, stationary
-from .value_iteration import VISettings, harvest_crossover, solve
+from .value_iteration import VISettings, _sleep_count, harvest_crossover, solve
 
 __all__ = [
     "ThresholdPolicy",
@@ -95,25 +95,12 @@ class PolicyValue:
 def sleep_time_from_threshold(bbar: float, params: GEParams) -> ThresholdPolicy:
     """Sleep count implied by a harvest threshold on beliefs.
 
-    After a failure the belief climbs toward the stationary good
-    probability, so a threshold at or above it is never reached and
-    the policy never harvests. Otherwise the count is
-
-        N = ceil(log_c ((q - (p+q) bbar) / q)) - 1,  c = 1 - p - q,
-
-    clamped at zero (thresholds at or below q need no sleeping).
+    A threshold at or above the stationary good probability is never
+    reached after a failure, so the policy never harvests; the count
+    itself comes from ``value_iteration``, whose policy steps read it
+    off every iterate's crossover.
     """
-    if math.isnan(bbar):
-        raise ValueError("threshold must be a number")
-    if bbar >= stationary(params).good:
-        return ThresholdPolicy.never()
-    if bbar <= params.q:
-        return ThresholdPolicy.sleep(0)
-    arg = (params.q - (params.p + params.q) * bbar) / params.q
-    # a wake-up belief exactly on the threshold counts as clearing it;
-    # the epsilon absorbs float noise in the log at such boundaries
-    n = math.ceil(math.log(arg) / params.log_persistence - 1e-9) - 1
-    return ThresholdPolicy.sleep(max(0, n))
+    return ThresholdPolicy(_sleep_count(bbar, params))
 
 
 # Values within this relative distance of the best count as tied, and

@@ -17,8 +17,19 @@ max d (Puterman 1994, section 6.6.3). So once gamma/(1-gamma)
 (max d - min d) < epsilon, adding the midpoint constant gamma/(1-gamma)
 (max d + min d)/2 to every line lands within epsilon/2 of the fixed
 point. The span is at most twice the sup norm of d, so this never stops
-later than the sup-norm rule, and on fast-mixing chains it stops after
-a few hundred backups where the sup-norm rule needs about 1/(1-gamma).
+later than the sup-norm rule.
+
+The bounds hold from any starting value, so a failed span check is
+followed by a policy-iteration step (Puterman & Shin 1978, Hansen
+1998). The greedy policy of an iterate harvests after a success and,
+after a failure, sleeps the N slots its crossover implies (or never
+wakes). Every line of its value is "sleep k slots, then harvest", a
+sleep transform of the harvesting line, which is affine in
+(x, y) = (V(q), V(1-p)); so the policy's value follows from a 2x2
+linear system, and the next iterate is the envelope of those lines and
+the zero line. Once the greedy policy repeats, never harvests or sleeps
+past ``MAX_STEP_SLEEP``, plain backups take over. Even slowly mixing chains then stop after a handful
+of backups, where the plain loop needs about 1/(1-gamma).
 """
 
 from __future__ import annotations
@@ -30,7 +41,7 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from .beliefs import RewardConfig
-from .gilbert_elliott import GEParams
+from .gilbert_elliott import GEParams, stationary
 
 __all__ = [
     "AlphaVector",
@@ -47,6 +58,11 @@ __all__ = [
 ]
 
 PRUNE_TOL = 1e-12
+# A policy step builds one line per slot slept: 1e5 slots take about
+# 1.2 s on one x86 core and keep ~50k envelope lines. A greedy policy
+# that sleeps longer, possible only when p + q is tiny, ends the policy
+# steps instead.
+MAX_STEP_SLEEP = 100_000
 
 
 class MaxIterationsExceeded(RuntimeError):
@@ -251,12 +267,75 @@ def sup_difference(v1: PiecewiseLinearValue, v2: PiecewiseLinearValue) -> float:
     return max(-d_min, d_max)
 
 
+def _sleep_count(bbar: float, params: GEParams) -> int | None:
+    """Slots to sleep after a failure under harvest threshold ``bbar``.
+
+    After a failure the belief climbs toward the stationary good
+    probability, so a threshold at or above it is never reached: None,
+    never wake. Otherwise the count is
+
+        N = ceil(log_c ((q - (p+q) bbar) / q)) - 1,  c = 1 - p - q,
+
+    clamped at zero (thresholds at or below q need no sleeping).
+    """
+    if math.isnan(bbar):
+        raise ValueError("threshold must be a number")
+    if bbar >= stationary(params).good:
+        return None
+    if bbar <= params.q:
+        return 0
+    arg = (params.q - (params.p + params.q) * bbar) / params.q
+    # a wake-up belief exactly on the threshold counts as clearing it;
+    # the epsilon absorbs float noise in the log at such boundaries
+    n = math.ceil(math.log(arg) / params.log_persistence - 1e-9) - 1
+    return max(0, n)
+
+
+def _policy_value(
+    n: int | None, params: GEParams, cfg: RewardConfig
+) -> PiecewiseLinearValue:
+    """Value of "harvest after a success; after a failure sleep n slots,
+    then harvest" (n None: never harvest after a failure), where each
+    belief may also sleep fewer slots, or forever, before joining it.
+
+    The harvesting line is h = c + x e_x + y e_y in (x, y) = (V(q),
+    V(1-p)), with c = (-r0, r0+r1), e_x = (gamma, -gamma) and
+    e_y = (0, gamma), and the sleep transform S is linear, so
+    S^k h = S^k c + x S^k e_x + y S^k e_y. With d = 1 - gamma the
+    policy's values solve
+
+        (d + gamma p) y - gamma p x = r1 (1-p) - r0 p     (harvest at 1-p)
+        x = (S^n h)(q)                                    (x = 0 if n is None)
+
+    and the result is the envelope of S^k h, k = 0..n, and the zero line.
+    """
+    g, p = cfg.gamma, params.p
+    lo, hi = _domain(params)
+    r_good = cfg.r1 * (1.0 - p) - cfg.r0 * p
+    diag = (1.0 - g) + g * p
+    if n is None:
+        x, y = 0.0, r_good / diag
+    else:
+        basis = [AlphaVector(-cfg.r0, cfg.r0 + cfg.r1), AlphaVector(g, -g), AlphaVector(0.0, g)]
+        for _ in range(n):
+            basis = _sleep_lines(basis, params, g)
+        a_c, a_x, a_y = (ln.at(lo) for ln in basis)
+        det = diag * (1.0 - a_x) - g * p * a_y
+        x = (diag * a_c + a_y * r_good) / det
+        y = (r_good * (1.0 - a_x) + g * p * a_c) / det
+    lines = [_harvest_line(x, y, cfg)]
+    for _ in range(n or 0):
+        lines.extend(_sleep_lines(lines[-1:], params, g))
+    lines.append(AlphaVector(0.0, 0.0))
+    return PiecewiseLinearValue(lines=prune_lines(lines, lo, hi), lo=lo, hi=hi)
+
+
 def solve(
     params: GEParams,
     cfg: RewardConfig,
     settings: VISettings | None = None,
 ) -> SolveResult:
-    """Iterate the Bellman backup until the span stopping rule is met.
+    """Back up until the span stopping rule is met, with policy steps.
 
     Stops at the first backup whose step d satisfies gamma/(1-gamma)
     (max d - min d) < epsilon, and returns that iterate with every alpha
@@ -264,12 +343,20 @@ def solve(
     epsilon/2 of the fixed point in sup norm. The constant shift leaves
     the slopes, and so the greedy crossover, unchanged. With gamma = 0
     the bound is 0 after the first backup, which is already exact.
+
+    After each failed check the greedy policy of the backed-up iterate
+    is priced exactly and its value becomes the next iterate, until the
+    greedy policy repeats one already priced, never harvests or sleeps
+    more than ``MAX_STEP_SLEEP`` slots. ``iterations`` counts backups
+    only.
     """
     settings = settings or VISettings()
     eps = settings.resolved_epsilon(cfg)
     scale = cfg.gamma / (1.0 - cfg.gamma)
 
     v = zero_alpha_value(params)
+    priced: set[int | None] = set()
+    stepping = True
     for it in range(1, settings.max_iterations + 1):
         v_next = bellman_backup_alpha(v, params, cfg)
         d_min, d_max = difference_range(v_next, v)
@@ -283,6 +370,13 @@ def solve(
                 iterations=it,
                 epsilon=eps,
             )
+        if stepping:
+            bbar = harvest_crossover(v, params, cfg)
+            n = _sleep_count(bbar, params)
+            stepping = bbar <= v.hi and n not in priced and (n or 0) <= MAX_STEP_SLEEP
+            if stepping:
+                priced.add(n)
+                v = _policy_value(n, params, cfg)
     raise MaxIterationsExceeded(
         f"stopping rule not met after {settings.max_iterations} iterations "
         f"(last span bound gamma/(1-gamma)*(max d - min d) = {span:.3e}, "

@@ -6,11 +6,14 @@ episode loop were rewritten. The (0.6, 2.5) learner digests were
 recorded after the sleep-count scan began to break exact value ties
 toward the smaller count: the first plan of each of those runs is for
 the estimates (2/9, 1/2), where sleeping 0 and 1 slots are worth the
-same, and it now sleeps 0 slots where it slept 1. The solve digests were recorded under the span stopping rule:
-it stops after fewer backups than the sup-norm rule before it and shifts
-the result by a constant, so the printed iterations and values differ
-from that solver's (the never-harvest case, solved exactly by one
-backup, kept its digest). The battery
+same, and it now sleeps 0 slots where it slept 1. The solve digests were
+recorded after the span-rule loop gained policy-iteration steps: the
+loop now backs up exact policy values, not the plain iterates, so it
+stops after a few backups (2-4 here, 29-255 before) and prints other
+iterations and values within epsilon of the old ones. The never-harvest
+case is solved exactly by its first backup, which takes no policy step,
+so it kept its digest through this change and the span rule before
+it. The battery
 digests were recorded on the level recursion for absorption; the
 banded elimination sweep before it printed different last digits. Rerunning one
 version twice (acceptance criterion 8) cannot catch a change to the
@@ -45,10 +48,10 @@ LEARN_DIGESTS = {
 
 # (chain flags, r1) -> sha256 of `rfharvest solve ... --r0 10 --epsilon 1e-4` stdout
 SOLVE_DIGESTS = {
-    ("--pi-g 0.6 --t-b 2.5", 10): "97a9650a00647d20ee3e18aa7b77977c1edc83e1dc47b7fc131e66991712cf18",
+    ("--pi-g 0.6 --t-b 2.5", 10): "80daaf1ffe1a3d4dab13a60c5e889111fd20fdc25fc27a4bf963d3868c1afffa",
     ("--pi-g 0.6 --t-b 2.5", 1): "35de2a2ab994543702d8a1eace7473b8bde3226e9e4cd55688c36c23fe739f49",
-    ("--p 0.0026 --q 0.05", 10): "3e066adcac131e1d4d57b5824e68942f5a761bb79f5d8936f0c0a984365a781f",
-    ("--p 0.0026 --q 0.05", 1): "f8c6a4359ec40ff8eae62e46c777dfa9a9b902a4028a6dd0c899c8b1e044b9f8",
+    ("--p 0.0026 --q 0.05", 10): "f8d2db26439eb80c8b4af54b1f47026e3c460e8a373f552d7798420e3f0f0b71",
+    ("--p 0.0026 --q 0.05", 1): "71d87ee4d092c4f11d265fb8db983a5dcd8b8e148dc70d3416190a837436a85c",
 }
 
 # (capacity, level step) -> sha256 of `rfharvest battery --pi-g 0.7 --t-b 5

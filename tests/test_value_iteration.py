@@ -5,7 +5,8 @@ independent oracle: it discretizes beliefs on [q, 1-p] and interpolates
 the sleep successor, so it must agree with the exact envelope up to
 interpolation error. ``q_values`` and ``greedy_policy`` state the
 action values at one belief directly, the oracle for the crossover that
-``harvest_crossover`` finds in closed form.
+``harvest_crossover`` finds in closed form. ``plain_solve`` is the span
+rule loop without policy steps, the oracle for ``solve``.
 """
 
 import math
@@ -15,14 +16,24 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from rfharvest import value_iteration
 from rfharvest.beliefs import RewardConfig
 from rfharvest.gilbert_elliott import GEParams, from_burst_parameterization, stationary
-from rfharvest.threshold import optimal_sleep_time, vi_threshold_policy
+from rfharvest.threshold import (
+    ThresholdPolicy,
+    optimal_sleep_time,
+    policy_value_linear_system,
+    sleep_time_from_threshold,
+    vi_threshold_policy,
+)
 from rfharvest.value_iteration import (
     AlphaVector,
     MaxIterationsExceeded,
     PiecewiseLinearValue,
+    SolveResult,
     VISettings,
+    _policy_value,
+    _sleep_count,
     bellman_backup_alpha,
     difference_range,
     harvest_crossover,
@@ -56,6 +67,27 @@ def greedy_policy(
     """Argmax action at belief b; ties break toward harvesting."""
     q_h, q_s = q_values(v, params, cfg, b)
     return Action.HARVEST if q_h >= q_s else Action.SLEEP
+
+
+def plain_solve(params: GEParams, cfg: RewardConfig, settings: VISettings) -> SolveResult:
+    """Backups from the zero value under the span stopping rule, with no
+    policy steps: ``solve`` as it stood before them."""
+    eps = settings.resolved_epsilon(cfg)
+    scale = cfg.gamma / (1.0 - cfg.gamma)
+    v = zero_alpha_value(params)
+    for it in range(1, settings.max_iterations + 1):
+        v_next = bellman_backup_alpha(v, params, cfg)
+        d_min, d_max = difference_range(v_next, v)
+        v = v_next
+        if scale * (d_max - d_min) < eps:
+            shift = scale * 0.5 * (d_max + d_min)
+            lines = tuple(AlphaVector(a + shift, b) for a, b in v.lines)
+            return SolveResult(
+                value=PiecewiseLinearValue(lines=lines, lo=v.lo, hi=v.hi),
+                iterations=it,
+                epsilon=eps,
+            )
+    raise MaxIterationsExceeded(f"plain loop not done after {settings.max_iterations} backups")
 
 
 def grid_of(params, resolution):
@@ -237,8 +269,8 @@ class TestSolve:
             assert res.value.value(float(b)) == pytest.approx(expected, abs=1e-12)
 
     def test_contraction_rate(self):
-        res = solve(PARAMS, CFG, VISettings(epsilon=1e-6))
-        # replay the solver's backups and take the sup norm of each step
+        res = plain_solve(PARAMS, CFG, VISettings(epsilon=1e-6))
+        # replay the plain loop's backups and take the sup norm of each step
         deltas, v = [], zero_alpha_value(PARAMS)
         for _ in range(res.iterations):
             v_next = bellman_backup_alpha(v, PARAMS, CFG)
@@ -248,8 +280,9 @@ class TestSolve:
             assert d_next <= CFG.gamma * d_prev + 1e-9
 
     def test_max_iterations_exceeded(self):
+        # with policy steps, 2 backups already meet epsilon 1e-8 here
         with pytest.raises(MaxIterationsExceeded, match=r"span bound .* epsilon 1\.000e-08"):
-            solve(PARAMS, CFG, VISettings(epsilon=1e-8, max_iterations=3))
+            solve(PARAMS, CFG, VISettings(epsilon=1e-8, max_iterations=1))
 
     def test_value_matches_policy_oracle(self):
         # converged value at the post-success belief equals the best
@@ -262,8 +295,8 @@ class TestSolve:
         assert res.value.value(1.0 - params.p) == pytest.approx(best.v_good, abs=eps)
 
     def test_solver_convexity_and_history(self):
-        res = solve(PARAMS, CFG, VISettings(epsilon=1e-4))
-        # replay the solver's iterates: res.iterations backups from zero
+        res = plain_solve(PARAMS, CFG, VISettings(epsilon=1e-4))
+        # replay the plain loop's iterates: res.iterations backups from zero
         iterates = []
         v = zero_alpha_value(PARAMS)
         for _ in range(res.iterations):
@@ -326,8 +359,6 @@ class TestGreedyPolicy:
         # here harvesting is greedy on the whole interval; the alpha solver
         # reports the extrapolated threshold, the grid oracle clamps to q,
         # and both imply a zero sleep count
-        from rfharvest.threshold import sleep_time_from_threshold
-
         res_a = solve(PARAMS, CFG, VISettings(epsilon=1e-6))
         b_a = harvest_crossover(res_a.value, PARAMS, CFG)
         b_g = grid_crossover(*grid_solve(PARAMS, CFG, epsilon=1e-6, resolution=1e-4), PARAMS, CFG)
@@ -429,6 +460,126 @@ class TestSpanStopping:
         via_vi, _ = vi_threshold_policy(params, cfg, settings_)
         direct, _ = optimal_sleep_time(params, cfg)
         assert via_vi == direct
+
+
+def random_chain(rng) -> GEParams:
+    """A chain with pi_G uniform and persistence 1 - p - q log-uniform
+    on [0.01, 0.99], so that slowly mixing chains are drawn often."""
+    s = math.exp(rng.uniform(math.log(0.01), math.log(0.99)))
+    pi_g = rng.uniform(0.02, 0.98)
+    return GEParams(p=s * (1.0 - pi_g), q=s * pi_g)
+
+
+REWARDS = st.sampled_from([(10.0, 1.0), (10.0, 10.0), (1.0, 10.0)])
+
+
+class TestPolicySteps:
+    @given(
+        st.integers(0, 2**32 - 1),
+        st.sampled_from([0.0, 0.5, 0.9, 0.99, 0.999]),
+        REWARDS,
+        st.sampled_from([1e-2, 1e-4, 1e-6]),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_matches_plain_loop(self, seed, gamma, rewards, eps):
+        params = random_chain(np.random.default_rng(seed))
+        cfg = RewardConfig(r1=rewards[0], r0=rewards[1], gamma=gamma)
+        res = solve(params, cfg, VISettings(epsilon=eps))
+        ref = plain_solve(params, cfg, VISettings(epsilon=eps))
+        # each lies within epsilon/2 of the fixed point
+        assert sup_difference(res.value, ref.value) <= eps
+        if gamma == 0.0:
+            # the first backup is exact, and no policy step follows it
+            assert res == ref and res.iterations == 1
+        n_res, n_ref = (
+            _sleep_count(harvest_crossover(r.value, params, cfg), params) for r in (res, ref)
+        )
+        if n_res != n_ref:
+            # criterion 1's rule: one slot apart, at a closed-form value tie
+            assert n_res is not None and n_ref is not None and abs(n_res - n_ref) == 1
+            v_res, v_ref = (policy_value_linear_system(n, params, cfg).v_good for n in (n_res, n_ref))
+            assert abs(v_res - v_ref) < 1e-6
+
+    @given(valid_params(), st.sampled_from([0.5, 0.9, 0.99]), REWARDS)
+    @settings(max_examples=100, deadline=None)
+    def test_priced_optimum_matches_closed_form(self, params, gamma, rewards):
+        # at the optimal count no belief gains by sleeping fewer slots
+        # first, so the priced envelope passes through the closed-form
+        # values at q and 1-p
+        cfg = RewardConfig(r1=rewards[0], r0=rewards[1], gamma=gamma)
+        policy, value = optimal_sleep_time(params, cfg)
+        if policy.never_harvest:
+            return
+        v = _policy_value(policy.sleep_slots, params, cfg)
+        assert v.value(params.q) == pytest.approx(value.v_fail, rel=1e-9, abs=1e-9)
+        assert v.value(1.0 - params.p) == pytest.approx(value.v_good, rel=1e-9, abs=1e-9)
+
+    def test_long_sleep_ends_policy_steps(self, monkeypatch):
+        # a greedy policy sleeping past the cap is not priced; with every
+        # policy over it, solve is the plain loop backup for backup
+        monkeypatch.setattr(value_iteration, "MAX_STEP_SLEEP", -1)
+        cfg = RewardConfig(r1=10.0, r0=10.0, gamma=0.99)
+        params = GEParams(p=0.0026, q=0.05)
+        assert solve(params, cfg, VISettings(epsilon=1e-6)) == plain_solve(
+            params, cfg, VISettings(epsilon=1e-6)
+        )
+
+    def test_never_wake_value(self):
+        # harvest while succeeding, never after a failure: a run of
+        # successes is the whole value after a success, and a failure
+        # belief earns 0 unless harvesting once more pays there
+        cfg = RewardConfig(r1=10.0, r0=10.0, gamma=0.9)
+        v = _policy_value(None, PARAMS, cfg)
+        p, q, g = PARAMS.p, PARAMS.q, cfg.gamma
+        run = (cfg.r1 * (1.0 - p) - cfg.r0 * p) / (1.0 - g * (1.0 - p))
+        assert v.value(1.0 - p) == pytest.approx(run, rel=1e-12)
+        once = (cfg.r0 + cfg.r1) * q - cfg.r0 + g * q * run
+        assert v.value(q) == pytest.approx(max(0.0, once), rel=1e-12)
+
+    def test_never_harvest_cell(self):
+        # the first backup already harvests nowhere: no policy step, and
+        # the value is exactly zero
+        params = from_burst_parameterization(0.6, 2.5)
+        cfg = RewardConfig(r1=1.0, r0=10.0, gamma=0.99)
+        res = solve(params, cfg, VISettings(epsilon=1e-6))
+        assert res.iterations == 1
+        assert res.value.lines == (AlphaVector(0.0, 0.0),)
+        bbar = harvest_crossover(res.value, params, cfg)
+        assert bbar > 1.0 - params.p
+        assert sleep_time_from_threshold(bbar, params) == ThresholdPolicy.never()
+        assert optimal_sleep_time(params, cfg)[0] == ThresholdPolicy.never()
+
+    def test_never_wake_cell_is_never_harvest(self):
+        # harvesting pays after a success but never after a failure; the
+        # closed form calls that never harvesting
+        params = from_burst_parameterization(0.5, 15.0)
+        cfg = RewardConfig(r1=1.0, r0=10.0, gamma=0.99)
+        res = solve(params, cfg, VISettings(epsilon=1e-6))
+        bbar = harvest_crossover(res.value, params, cfg)
+        assert bbar <= 1.0 - params.p and _sleep_count(bbar, params) is None
+        assert optimal_sleep_time(params, cfg)[0] == ThresholdPolicy.never()
+        ref = plain_solve(params, cfg, VISettings(epsilon=1e-6))
+        assert sup_difference(res.value, ref.value) <= 1e-6
+
+    def test_never_wake_first_policy(self):
+        # the first greedy policy never wakes after a failure, which no
+        # sleep count expresses; the steps still reach the optimum N = 9
+        params = from_burst_parameterization(0.3, 8.0)
+        cfg = RewardConfig(r1=10.0, r0=10.0, gamma=0.99999)
+        v1 = bellman_backup_alpha(zero_alpha_value(params), params, cfg)
+        bbar = harvest_crossover(v1, params, cfg)
+        assert bbar <= 1.0 - params.p and _sleep_count(bbar, params) is None
+        settings_ = VISettings(epsilon=1e-6, max_iterations=50)
+        via_vi, _ = vi_threshold_policy(params, cfg, settings_)
+        assert via_vi == optimal_sleep_time(params, cfg)[0] == ThresholdPolicy.sleep(9)
+
+    def test_slowly_mixing_chain_within_budget(self):
+        # persistence 0.998: the plain loop needs 231,306 backups here
+        params = from_burst_parameterization(0.5, 1000.0)
+        cfg = RewardConfig(r1=10.0, r0=10.0, gamma=0.9999)
+        settings_ = VISettings(epsilon=1e-6, max_iterations=50)
+        via_vi, _ = vi_threshold_policy(params, cfg, settings_)
+        assert via_vi == optimal_sleep_time(params, cfg)[0] == ThresholdPolicy.sleep(44)
 
 
 @given(valid_params())
