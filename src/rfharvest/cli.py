@@ -22,9 +22,12 @@ from .beliefs import RewardConfig
 from .gilbert_elliott import GEParams, from_burst_parameterization, stationary
 from .learning import SleepTimePlanner, run_learner
 from .threshold import (
+    STANDARD_PI_G,
+    STANDARD_T_B,
     LookupTable,
     ThresholdPolicy,
     build_lookup_table,
+    grid_axis,
     optimal_sleep_time,
     sleep_time_from_threshold,
 )
@@ -137,18 +140,12 @@ def cmd_policy(args) -> int:
     return 0
 
 
-def _axis(lo: float, hi: float, steps: int) -> list[float]:
-    if steps == 1:
-        return [lo]
-    return [lo + (hi - lo) * i / (steps - 1) for i in range(steps)]
-
-
 def cmd_table(args) -> int:
     cfg = _reward_from_args(args)
     table = _from_flags(
         build_lookup_table,
-        pi_g_axis=_axis(args.pi_g_min, args.pi_g_max, args.pi_g_steps),
-        t_b_axis=_axis(args.t_b_min, args.t_b_max, args.t_b_steps),
+        pi_g_axis=grid_axis(args.pi_g_min, args.pi_g_max, args.pi_g_steps),
+        t_b_axis=grid_axis(args.t_b_min, args.t_b_max, args.t_b_steps),
         cfg=cfg,
     )
     with open(args.output, "w") as fh:
@@ -216,6 +213,9 @@ def cmd_compare(args) -> int:
             harness_mod.write_result_json(result, fh)
     for key in result.policy_keys:
         print(f"{key} mean {_fmt(result.means[key])} se {_fmt(result.std_errors[key])}")
+    learner = result.policy_keys[0]
+    gap, se = result.paired_gap(learner, "always_harvest")
+    print(f"paired_gap {learner} over always_harvest mean {_fmt(gap)} se {_fmt(se)}")
     print(f"wrote {args.output}")
     return 0
 
@@ -242,12 +242,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_table = sub.add_parser("table", help="sleep-count lookup table over a grid")
     _add_reward_flags(p_table)
-    p_table.add_argument("--pi-g-min", type=_probability, default=0.05)
-    p_table.add_argument("--pi-g-max", type=_probability, default=0.95)
-    p_table.add_argument("--pi-g-steps", type=_positive_int, default=20)
-    p_table.add_argument("--t-b-min", type=_positive, default=1.1)
-    p_table.add_argument("--t-b-max", type=_positive, default=20.0)
-    p_table.add_argument("--t-b-steps", type=_positive_int, default=20)
+    pi_g_min, pi_g_max, pi_g_steps = STANDARD_PI_G
+    t_b_min, t_b_max, t_b_steps = STANDARD_T_B
+    p_table.add_argument("--pi-g-min", type=_probability, default=pi_g_min)
+    p_table.add_argument("--pi-g-max", type=_probability, default=pi_g_max)
+    p_table.add_argument("--pi-g-steps", type=_positive_int, default=pi_g_steps)
+    p_table.add_argument("--t-b-min", type=_positive, default=t_b_min)
+    p_table.add_argument("--t-b-max", type=_positive, default=t_b_max)
+    p_table.add_argument("--t-b-steps", type=_positive_int, default=t_b_steps)
     p_table.add_argument("--output", required=True)
     p_table.add_argument("--format", choices=("csv", "json"), default="csv")
     p_table.set_defaults(func=cmd_table)

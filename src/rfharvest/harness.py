@@ -19,7 +19,7 @@ import numpy as np
 from .beliefs import RewardConfig
 from .gilbert_elliott import GEParams, from_burst_parameterization, simulate
 from .learning import PosteriorCount, PosteriorSamplingLearner, SleepTimePlanner, _run_episode
-from .threshold import LookupTable, ThresholdPolicy, build_lookup_table, optimal_sleep_time
+from .threshold import STANDARD_PI_G, STANDARD_T_B, LookupTable, build_lookup_table, grid_axis
 
 __all__ = [
     "PolicyDef",
@@ -114,18 +114,20 @@ class ExperimentSpec:
 
 
 class FixedThresholdPolicy:
-    """Known-parameter policy: sleep a fixed count after each failure."""
+    """Known-parameter policy: sleep a fixed count after each failure (None: never harvest)."""
 
     deterministic = True
 
-    def __init__(self, policy: ThresholdPolicy):
-        self.policy = policy
+    def __init__(self, sleep_slots: int | None):
+        if sleep_slots is not None and sleep_slots < 0:
+            raise ValueError(f"sleep_slots must be nonnegative, got {sleep_slots}")
+        self.sleep_slots = sleep_slots
 
     def reset(self, rng) -> int | None:
-        return None if self.policy.never_harvest else 0
+        return None if self.sleep_slots is None else 0
 
     def after_harvest(self, good: bool) -> int:
-        return 0 if good else self.policy.sleep_slots
+        return 0 if good else self.sleep_slots
 
     def after_sleep(self) -> None:
         pass
@@ -207,18 +209,15 @@ class RandomSamplingPolicy:
         pass
 
 
-def _make_policy(defn: PolicyDef, params: GEParams, cfg: RewardConfig):
+def _make_policy(defn: PolicyDef, cfg: RewardConfig):
     opts = dict(defn.options)
     table = opts.pop("table", None)
     if defn.name == "always_harvest":
-        return FixedThresholdPolicy(policy=ThresholdPolicy.sleep(0), **opts)
+        return FixedThresholdPolicy(0, **opts)
     if defn.name == "fixed_threshold":
-        if "sleep_slots" in opts:
-            n = opts.pop("sleep_slots")
-            policy = ThresholdPolicy.never() if n is None else ThresholdPolicy.sleep(n)
-        else:
-            policy, _ = optimal_sleep_time(params, cfg)
-        return FixedThresholdPolicy(policy=policy, **opts)
+        if "sleep_slots" not in opts:
+            raise ValueError("fixed_threshold needs a sleep_slots option: a count, or None to never harvest")
+        return FixedThresholdPolicy(**opts)
     if defn.name == "bayes_learner":
         return PosteriorSamplingLearner(planner=SleepTimePlanner(cfg, table), **opts)
     if defn.name == "impoverished_posterior":
@@ -274,7 +273,7 @@ def evaluate(spec: ExperimentSpec) -> ExperimentResult:
     repeat the same episode. Standard errors are computed across
     path-level means.
     """
-    policies = [(_make_policy(d, spec.params, spec.cfg), d.key()) for d in spec.policies]
+    policies = [(_make_policy(d, spec.cfg), d.key()) for d in spec.policies]
     keys = tuple(key for _, key in policies)
     if len(set(keys)) != len(keys):
         raise ValueError("policy keys must be unique within an experiment")
@@ -302,20 +301,15 @@ def evaluate(spec: ExperimentSpec) -> ExperimentResult:
     )
 
 
-def learning_comparison(
-    scale: str = "desk",
-    base_seed: int = 0,
-    k: int = 20,
-    table: LookupTable | None = None,
-) -> ExperimentResult:
+def learning_comparison(scale: str = "desk", base_seed: int = 0, k: int = 20) -> ExperimentResult:
     """Learner-versus-baselines comparison on a bursty reference chain.
 
     The chain has stationary good probability 0.6 and mean bad-burst
     length 2.5 with symmetric rewards r1 = r0 = 10 at gamma = 0.99.
     Desk scale runs 30 paths x 20 runs x 500 slots; paper scale runs
     300 x 100 x 500. Policies that plan from parameter estimates share
-    a precomputed sleep-count lookup table, built here over the
-    standard grid when none is supplied.
+    one sleep-count lookup table over the standard grid, the table that
+    ``rfharvest table --r1 10 --r0 10 --gamma 0.99`` writes.
     """
     if scale == "desk":
         paths, runs = 30, 20
@@ -325,12 +319,7 @@ def learning_comparison(
         raise ValueError(f"scale must be 'desk' or 'paper', got {scale!r}")
     params = from_burst_parameterization(pi_g=0.6, t_b=2.5)
     cfg = RewardConfig(r1=10.0, r0=10.0, gamma=0.99)
-    if table is None:
-        table = build_lookup_table(
-            pi_g_axis=[0.05 + 0.9 * i / 19 for i in range(20)],
-            t_b_axis=[1.1 + 18.9 * i / 19 for i in range(20)],
-            cfg=cfg,
-        )
+    table = build_lookup_table(grid_axis(*STANDARD_PI_G), grid_axis(*STANDARD_T_B), cfg)
     opts = {"table": table}
     spec = ExperimentSpec(
         params=params,

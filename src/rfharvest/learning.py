@@ -307,7 +307,6 @@ class SlotRecord:
 class EpisodeTrace:
     records: tuple[SlotRecord, ...]
     total_discounted_reward: float
-    seed: int
 
     def write_jsonl(self, stream) -> None:
         for record in self.records:
@@ -347,4 +346,4 @@ def run_learner(
         )
 
     total = _run_episode(learner, rng, states, cfg, record)
-    return EpisodeTrace(records=tuple(records), total_discounted_reward=total, seed=seed)
+    return EpisodeTrace(records=tuple(records), total_discounted_reward=total)

@@ -50,6 +50,9 @@ __all__ = [
     "policy_value_linear_system",
     "optimal_sleep_time",
     "vi_threshold_policy",
+    "STANDARD_PI_G",
+    "STANDARD_T_B",
+    "grid_axis",
     "build_lookup_table",
 ]
 
@@ -358,6 +361,19 @@ class LookupTable:
     @classmethod
     def load_json(cls, stream: io.TextIOBase) -> "LookupTable":
         return cls.from_json_dict(json.load(stream))
+
+
+# The standard (pi_g, t_b) grid, (lo, hi, steps) per axis: the default
+# grid of ``rfharvest table`` and the one the learning comparison plans on.
+STANDARD_PI_G = (0.05, 0.95, 20)
+STANDARD_T_B = (1.1, 20.0, 20)
+
+
+def grid_axis(lo: float, hi: float, steps: int) -> list[float]:
+    """``steps`` evenly spaced values from lo to hi, both included."""
+    if steps == 1:
+        return [lo]
+    return [lo + (hi - lo) * i / (steps - 1) for i in range(steps)]
 
 
 def build_lookup_table(

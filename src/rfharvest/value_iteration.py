@@ -82,10 +82,8 @@ def _crossing(low: AlphaVector, high: AlphaVector) -> float:
     return (low.alpha - high.alpha) / (high.beta - low.beta)
 
 
-def prune_lines(
-    lines: Sequence[AlphaVector], lo: float, hi: float, tol: float = PRUNE_TOL
-) -> tuple[AlphaVector, ...]:
-    """Keep only the lines that win by more than ``tol`` somewhere on [lo, hi].
+def prune_lines(lines: Sequence[AlphaVector], lo: float, hi: float) -> tuple[AlphaVector, ...]:
+    """Keep only the lines that win by more than ``PRUNE_TOL`` somewhere on [lo, hi].
 
     Lines with numerically coincident slopes are merged first (the one
     with the larger value survives), then a monotone-chain sweep in
@@ -93,7 +91,7 @@ def prune_lines(
     envelope neighbors is concave with its peak where the neighbors
     cross, so evaluating there (clamped into the interval) bounds the
     margin over the whole envelope; lines that cannot beat it by more
-    than ``tol`` are dropped during the sweep.
+    than ``PRUNE_TOL`` are dropped during the sweep.
     """
     if not lines:
         raise ValueError("cannot prune an empty line set")
@@ -101,7 +99,7 @@ def prune_lines(
     ordered = sorted(set(lines), key=lambda l: (l.beta, l.alpha))
     dedup: list[AlphaVector] = []
     for ln in ordered:
-        if dedup and ln.beta - dedup[-1].beta <= tol:
+        if dedup and ln.beta - dedup[-1].beta <= PRUNE_TOL:
             if ln.at(mid) > dedup[-1].at(mid):
                 dedup[-1] = ln
             continue
@@ -114,19 +112,19 @@ def prune_lines(
             if len(hull) >= 2:
                 x = _crossing(hull[-2], ln)
                 x = lo if x < lo else hi if x > hi else x
-                if top.at(x) <= max(hull[-2].at(x), ln.at(x)) + tol:
+                if top.at(x) <= max(hull[-2].at(x), ln.at(x)) + PRUNE_TOL:
                     hull.pop()
                     continue
             else:
                 # a lone flatter line wins (if ever) at the left endpoint
-                if top.at(lo) <= ln.at(lo) + tol:
+                if top.at(lo) <= ln.at(lo) + PRUNE_TOL:
                     hull.pop()
                     continue
             break
         hull.append(ln)
-    # the steepest line must beat its neighbor by more than tol at the
+    # the steepest line must beat its neighbor by more than PRUNE_TOL at the
     # right endpoint to win inside the interval at all
-    while len(hull) >= 2 and hull[-1].at(hi) <= hull[-2].at(hi) + tol:
+    while len(hull) >= 2 and hull[-1].at(hi) <= hull[-2].at(hi) + PRUNE_TOL:
         hull.pop()
     return tuple(hull)
 

@@ -6,9 +6,10 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from rfharvest import cli
+from rfharvest import cli, harness
 from rfharvest.beliefs import RewardConfig
 from rfharvest.gilbert_elliott import from_burst_parameterization
 from rfharvest.threshold import LookupTable, build_lookup_table, optimal_sleep_time
@@ -146,6 +147,18 @@ class TestTableCommand:
         direct = build_lookup_table([0.3, 0.7], [2.0, 4.0], RewardConfig(r1=10, r0=1, gamma=0.99))
         assert loaded == direct
 
+    def test_default_grid_is_the_comparison_table(self, tmp_path, capsys, monkeypatch):
+        # the table the learning comparison plans from, read off its spec
+        # without running the episodes
+        monkeypatch.setattr(harness, "evaluate", lambda spec: spec)
+        spec = harness.learning_comparison("desk")
+        planned = io.StringIO()
+        spec.policies[0].options["table"].dump_json(planned)
+        out = tmp_path / "t.json"
+        argv = ["table", "--r0", "10", "--r1", "10", "--format", "json", "--output", str(out)]
+        assert run_cli(argv, capsys)[0] == 0
+        assert out.read_bytes() == planned.getvalue().encode()
+
 
 class TestBatteryCommand:
     def test_writes_expected_rows(self, tmp_path, capsys):
@@ -280,6 +293,29 @@ class TestLearnCommand:
         assert files[0] == files[1]
         first = json.loads(files[0].decode().splitlines()[0])
         assert first["action"] == "harvest"
+
+
+class TestCompareCommand:
+    def test_reports_paired_gap_over_always_harvest(self, tmp_path, capsys, monkeypatch):
+        spec = harness.ExperimentSpec(
+            params=from_burst_parameterization(0.6, 2.5),
+            cfg=RewardConfig(r1=10.0, r0=10.0, gamma=0.99),
+            horizon=500,
+            paths=3,
+            runs_per_path=2,
+            base_seed=0,
+            policies=(harness.PolicyDef("bayes_learner", {"k": 4}), harness.PolicyDef("always_harvest")),
+        )
+        monkeypatch.setattr(harness, "learning_comparison", lambda **kwargs: harness.evaluate(spec))
+        out = tmp_path / "r.json"
+        code, stdout, _ = run_cli(["compare", "--output", str(out), "--format", "json"], capsys)
+        assert code == 0
+        learner, always = (np.array(p["path_means"]) for p in json.loads(out.read_text())["policies"])
+        diffs = learner - always
+        words = stdout.splitlines()[-2].split()
+        assert words[:4] == ["paired_gap", "bayes_learner(k=4)", "over", "always_harvest"]
+        assert words[4] == "mean" and float(words[5]) == pytest.approx(diffs.mean(), rel=1e-12)
+        assert words[6] == "se" and float(words[7]) == pytest.approx(diffs.std(ddof=1) / np.sqrt(3), rel=1e-12)
 
 
 class TestConfigFile:

@@ -89,6 +89,11 @@ class TestEvaluate:
         assert res.means[key] == 0.0
         assert np.all(res.path_means[key] == 0.0)
 
+    @pytest.mark.parametrize("options", [{}, {"sleep_slots": -1}])
+    def test_fixed_threshold_needs_a_nonnegative_count(self, options):
+        with pytest.raises(ValueError, match="sleep_slots"):
+            evaluate(small_spec(policies=(PolicyDef("fixed_threshold", options),)))
+
     def test_always_harvest_matches_closed_form(self):
         # stationary start makes the per-slot expected reward constant,
         # so the discounted total is a geometric series
@@ -144,7 +149,7 @@ class TestEvaluate:
 
         params = from_burst_parameterization(0.6, 2.5)
         states = simulate(params, 500, seed=99)
-        policy = _make_policy(PolicyDef("random_sampling"), params, CFG)
+        policy = _make_policy(PolicyDef("random_sampling"), CFG)
         rewards = []
         for run in range(1024):
             rewards.append(_run_episode(policy, _episode_rng(1, 0, run, 0), states, CFG))
