@@ -12,19 +12,45 @@ good. The model's per-step equations are:
   stationary good probability ``q / (p + q)``.
 
 Each equation is evaluated once, in closed form, where it is used:
-``belief_after_failure_and_sleep`` below, the alpha-vector backup in
-``value_iteration`` and the episode loop in ``learning``. The tests
-state the per-step forms separately, as the oracle for those.
+``belief_after_failure_and_sleep`` and the sleep-N policy values below,
+the alpha-vector backup in ``value_iteration`` and the episode loop in
+``learning``. The tests state the per-step forms separately, as the
+oracle for those.
+
+The policy that keeps harvesting after every success and sleeps n
+slots after every failure visits three beliefs: q after a failure,
+1-p after a success, and the wake-up belief b = q (1 - c^(n+1)) / (p+q).
+Its values there satisfy a 3x3 linear system:
+
+    V(q)   = gamma^n V(b)
+    V(1-p) = (1-p)(r0+r1) - r0 + gamma p V(q) + gamma (1-p) V(1-p)
+    V(b)   = b(r0+r1) - r0 + gamma^(n+1) (1-b) V(b) + gamma b V(1-p)
+
+Eliminating V(q) and V(b), with G = gamma^(n+1) and d = 1 - gamma,
+gives
+
+    V(1-p) = (r1 (1-p)(1-G) + G r1 b - p r0) / ((1-G)(d + gamma p) + G b d)
+    V(b)   = (b (r0+r1) - r0 + gamma b V(1-p)) / ((1-G) + G b)
+
+Both denominators are sums of positive terms, and 1 - G and
+1 - c^(n+1) come from ``expm1``, so the values keep their relative
+precision as gamma or the persistence c approaches 1. (Only the
+numerators mix signs; where their terms cancel, V(1-p) is near 0 and
+the never-harvest boundary is near.) This one closed form gives the
+scan over n in ``threshold``, every reported policy value and the
+policy-iteration steps of ``value_iteration``; the tests check it
+against a direct solve of the system and a 60-digit oracle.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
 
-from .gilbert_elliott import GEParams
+from .gilbert_elliott import GEParams, stationary
 
 __all__ = [
     "Observation",
@@ -65,8 +91,53 @@ def belief_after_failure_and_sleep(n, params: GEParams):
     belief keeps its relative precision when c is near 1. ``n`` may be
     an integer array, giving the beliefs elementwise.
     """
-    n = np.asarray(n)
-    if np.any(n < 0):
+    # n stays as given, so an int runs through as float scalars; np.any
+    # alone costs microseconds on the 0-d array a scalar would become
+    if (np.asarray(n) < 0).any():
         raise ValueError(f"sleep count must be nonnegative, got {n}")
     rise = -np.expm1((n + 1.0) * params.log_persistence)
     return params.q * rise / (params.p + params.q)
+
+
+def _sleep_count(bbar: float, params: GEParams) -> int | None:
+    """Slots to sleep after a failure under harvest threshold ``bbar``:
+    the inverse of ``belief_after_failure_and_sleep``.
+
+    After a failure the belief climbs toward the stationary good
+    probability, so a threshold at or above it is never reached: None,
+    never wake. Otherwise the count is
+
+        N = ceil(log_c ((q - (p+q) bbar) / q)) - 1,  c = 1 - p - q,
+
+    clamped at zero (thresholds at or below q need no sleeping).
+    """
+    if math.isnan(bbar):
+        raise ValueError("threshold must be a number")
+    if bbar >= stationary(params).good:
+        return None
+    if bbar <= params.q:
+        return 0
+    arg = (params.q - (params.p + params.q) * bbar) / params.q
+    # a wake-up belief exactly on the threshold counts as clearing it;
+    # the epsilon absorbs float noise in the log at such boundaries
+    n = math.ceil(math.log(arg) / params.log_persistence - 1e-9) - 1
+    return max(0, n)
+
+
+def _policy_values(n, params: GEParams, cfg: RewardConfig):
+    """(v_good, v_fail, v_wake) of the sleep-n policy, the field order of
+    ``threshold.PolicyValue``, from the closed form above; n may be an
+    integer array, giving the values elementwise."""
+    g = cfg.gamma
+    d = 1.0 - g
+    p = params.p
+    b = belief_after_failure_and_sleep(n, params)
+    big_g = g ** (n + 1.0)
+    # where d rounds to 1 (gamma 0 or below 1.1e-16) log1p(-d) is
+    # undefined, and gamma^(n+1) is too small for 1 - G to cancel
+    rest = -np.expm1((n + 1.0) * math.log1p(-d)) if d < 1.0 else 1.0 - big_g
+    num = cfg.r1 * (1.0 - p) * rest + big_g * cfg.r1 * b - p * cfg.r0
+    den = rest * (d + g * p) + big_g * b * d
+    v_good = num / den
+    v_wake = (b * (cfg.r0 + cfg.r1) - cfg.r0 + g * b * v_good) / (rest + big_g * b)
+    return v_good, g**n * v_wake, v_wake

@@ -19,7 +19,7 @@ import numpy as np
 from .beliefs import RewardConfig
 from .gilbert_elliott import GEParams, from_burst_parameterization, simulate
 from .learning import PosteriorCount, PosteriorSamplingLearner, SleepTimePlanner, _run_episode
-from .threshold import STANDARD_PI_G, STANDARD_T_B, LookupTable, build_lookup_table, grid_axis
+from .threshold import STANDARD_PI_G, STANDARD_T_B, LookupTable, ThresholdPolicy, build_lookup_table, grid_axis
 
 __all__ = [
     "PolicyDef",
@@ -110,27 +110,8 @@ class ExperimentSpec:
 # after_sleep() is called on every slept slot; ``deterministic`` marks
 # policies whose episodes do not depend on the rng.
 # learning._run_episode steps a policy through a path and counts the
-# sleeps down; learning.PosteriorSamplingLearner is the Bayes learner.
-
-
-class FixedThresholdPolicy:
-    """Known-parameter policy: sleep a fixed count after each failure (None: never harvest)."""
-
-    deterministic = True
-
-    def __init__(self, sleep_slots: int | None):
-        if sleep_slots is not None and sleep_slots < 0:
-            raise ValueError(f"sleep_slots must be nonnegative, got {sleep_slots}")
-        self.sleep_slots = sleep_slots
-
-    def reset(self, rng) -> int | None:
-        return None if self.sleep_slots is None else 0
-
-    def after_harvest(self, good: bool) -> int:
-        return 0 if good else self.sleep_slots
-
-    def after_sleep(self) -> None:
-        pass
+# sleeps down; threshold.ThresholdPolicy is the known-parameter rule and
+# learning.PosteriorSamplingLearner the Bayes learner.
 
 
 class ImpoverishedPosteriorPolicy:
@@ -213,11 +194,11 @@ def _make_policy(defn: PolicyDef, cfg: RewardConfig):
     opts = dict(defn.options)
     table = opts.pop("table", None)
     if defn.name == "always_harvest":
-        return FixedThresholdPolicy(0, **opts)
+        return ThresholdPolicy(0, **opts)
     if defn.name == "fixed_threshold":
         if "sleep_slots" not in opts:
             raise ValueError("fixed_threshold needs a sleep_slots option: a count, or None to never harvest")
-        return FixedThresholdPolicy(**opts)
+        return ThresholdPolicy(**opts)
     if defn.name == "bayes_learner":
         return PosteriorSamplingLearner(planner=SleepTimePlanner(cfg, table), **opts)
     if defn.name == "impoverished_posterior":

@@ -2,27 +2,9 @@
 
 The optimal policy either never harvests or keeps harvesting after
 every success and sleeps a fixed number of slots N after every
-failure. For a candidate sleep count n the three beliefs the policy
-visits (q after a failure, 1-p after a success, and the wake-up
-belief b = q (1 - c^(n+1)) / (p+q)) satisfy a 3x3 linear system:
-
-    V(q)   = gamma^n V(b)
-    V(1-p) = (1-p)(r0+r1) - r0 + gamma p V(q) + gamma (1-p) V(1-p)
-    V(b)   = b(r0+r1) - r0 + gamma^(n+1) (1-b) V(b) + gamma b V(1-p)
-
-Eliminating V(q) and V(b), with G = gamma^(n+1) and d = 1 - gamma,
-gives
-
-    V(1-p) = (r1 (1-p)(1-G) + G r1 b - p r0) / ((1-G)(d + gamma p) + G b d)
-    V(b)   = (b (r0+r1) - r0 + gamma b V(1-p)) / ((1-G) + G b)
-
-Both denominators are sums of positive terms, and 1 - G and
-1 - c^(n+1) come from ``expm1``, so the values keep their relative
-precision as gamma or the persistence c approaches 1. (Only the
-numerators mix signs; where their terms cancel, V(1-p) is near 0 and
-the never-harvest boundary is near.) This one closed form gives both
-the scan over n and every reported policy value; the tests check it
-against a direct solve of the system and a 60-digit oracle.
+failure. ``optimal_sleep_time`` scans N over the closed-form values of
+that policy, which ``beliefs`` states and derives. ``ThresholdPolicy``
+is also the known-parameter policy the harness runs.
 """
 
 from __future__ import annotations
@@ -37,9 +19,9 @@ from typing import Sequence
 
 import numpy as np
 
-from .beliefs import RewardConfig, belief_after_failure_and_sleep
+from .beliefs import RewardConfig, _policy_values, _sleep_count
 from .gilbert_elliott import GEParams, is_valid_chain, stationary
-from .value_iteration import VISettings, _sleep_count, harvest_crossover, solve
+from .value_iteration import VISettings, harvest_crossover, solve
 
 __all__ = [
     "ThresholdPolicy",
@@ -59,13 +41,18 @@ __all__ = [
 
 @dataclass(frozen=True)
 class ThresholdPolicy:
-    """Either never harvest, or sleep ``sleep_slots`` after each failure."""
+    """Either never harvest, or sleep ``sleep_slots`` after each failure.
+
+    ``reset``, ``after_harvest`` and ``after_sleep`` follow the sequential
+    policy protocol of ``harness``, which runs this rule as its
+    fixed-threshold and always-harvest policies."""
 
     sleep_slots: int | None
+    deterministic = True
 
     def __post_init__(self) -> None:
         if self.sleep_slots is not None and self.sleep_slots < 0:
-            raise ValueError("sleep_slots must be nonnegative")
+            raise ValueError(f"sleep_slots must be nonnegative, got {self.sleep_slots}")
 
     @property
     def never_harvest(self) -> bool:
@@ -81,6 +68,15 @@ class ThresholdPolicy:
 
     def label(self) -> str:
         return "never" if self.never_harvest else str(self.sleep_slots)
+
+    def reset(self, rng) -> int | None:
+        return None if self.sleep_slots is None else 0
+
+    def after_harvest(self, good: bool) -> int | None:
+        return 0 if good else self.sleep_slots
+
+    def after_sleep(self) -> None:
+        pass
 
 
 @dataclass(frozen=True)
@@ -100,8 +96,8 @@ def sleep_time_from_threshold(bbar: float, params: GEParams) -> ThresholdPolicy:
 
     A threshold at or above the stationary good probability is never
     reached after a failure, so the policy never harvests; the count
-    itself comes from ``value_iteration``, whose policy steps read it
-    off every iterate's crossover.
+    itself comes from ``beliefs``, and ``value_iteration``'s policy
+    steps read it off every iterate's crossover too.
     """
     return ThresholdPolicy(_sleep_count(bbar, params))
 
@@ -113,25 +109,6 @@ def sleep_time_from_threshold(bbar: float, params: GEParams) -> ThresholdPolicy:
 # near 0) and below 1e-12, so a count that wins by more is never set
 # aside.
 _TIE_BAND = 1e-13
-
-
-def _policy_values(n, params: GEParams, cfg: RewardConfig):
-    """(v_good, v_fail, v_wake) of the sleep-n policy, the field order of
-    ``PolicyValue``; n may be an array."""
-    n = np.asarray(n)
-    g = cfg.gamma
-    d = 1.0 - g
-    p = params.p
-    b = belief_after_failure_and_sleep(n, params)
-    big_g = g ** (n + 1.0)
-    # where d rounds to 1 (gamma 0 or below 1.1e-16) log1p(-d) is
-    # undefined, and gamma^(n+1) is too small for 1 - G to cancel
-    rest = -np.expm1((n + 1.0) * math.log1p(-d)) if d < 1.0 else 1.0 - big_g
-    num = cfg.r1 * (1.0 - p) * rest + big_g * cfg.r1 * b - p * cfg.r0
-    den = rest * (d + g * p) + big_g * b * d
-    v_good = num / den
-    v_wake = (b * (cfg.r0 + cfg.r1) - cfg.r0 + g * b * v_good) / (rest + big_g * b)
-    return v_good, g**n * v_wake, v_wake
 
 
 def policy_value_linear_system(n: int, params: GEParams, cfg: RewardConfig) -> PolicyValue:

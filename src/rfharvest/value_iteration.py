@@ -24,12 +24,13 @@ followed by a policy-iteration step (Puterman & Shin 1978, Hansen
 1998). The greedy policy of an iterate harvests after a success and,
 after a failure, sleeps the N slots its crossover implies (or never
 wakes). Every line of its value is "sleep k slots, then harvest", a
-sleep transform of the harvesting line, which is affine in
-(x, y) = (V(q), V(1-p)); so the policy's value follows from a 2x2
-linear system, and the next iterate is the envelope of those lines and
-the zero line. Once the greedy policy repeats, never harvests or sleeps
-past ``MAX_STEP_SLEEP``, plain backups take over. Even slowly mixing chains then stop after a handful
-of backups, where the plain loop needs about 1/(1-gamma).
+sleep transform of the harvesting line through the policy's values
+(V(q), V(1-p)). Those come in O(1) from the closed form in ``beliefs``,
+and the next iterate is the envelope of those lines and the zero line.
+Once the greedy policy repeats, never harvests or sleeps past
+``MAX_STEP_SLEEP``, plain backups take over. Even slowly mixing chains
+then stop after a handful of backups, where the plain loop needs about
+1/(1-gamma).
 """
 
 from __future__ import annotations
@@ -40,8 +41,8 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .beliefs import RewardConfig
-from .gilbert_elliott import GEParams, stationary
+from .beliefs import RewardConfig, _policy_values, _sleep_count
+from .gilbert_elliott import GEParams
 
 __all__ = [
     "AlphaVector",
@@ -59,9 +60,9 @@ __all__ = [
 
 PRUNE_TOL = 1e-12
 # A policy step builds one line per slot slept: 1e5 slots take about
-# 1.2 s on one x86 core and keep ~50k envelope lines. A greedy policy
-# that sleeps longer, possible only when p + q is tiny, ends the policy
-# steps instead.
+# 0.35 s on one core of a 2-core Xeon host and keep up to ~50k envelope
+# lines. A greedy policy that sleeps longer, possible only when p + q is
+# tiny, ends the policy steps instead.
 MAX_STEP_SLEEP = 100_000
 
 
@@ -265,30 +266,6 @@ def sup_difference(v1: PiecewiseLinearValue, v2: PiecewiseLinearValue) -> float:
     return max(-d_min, d_max)
 
 
-def _sleep_count(bbar: float, params: GEParams) -> int | None:
-    """Slots to sleep after a failure under harvest threshold ``bbar``.
-
-    After a failure the belief climbs toward the stationary good
-    probability, so a threshold at or above it is never reached: None,
-    never wake. Otherwise the count is
-
-        N = ceil(log_c ((q - (p+q) bbar) / q)) - 1,  c = 1 - p - q,
-
-    clamped at zero (thresholds at or below q need no sleeping).
-    """
-    if math.isnan(bbar):
-        raise ValueError("threshold must be a number")
-    if bbar >= stationary(params).good:
-        return None
-    if bbar <= params.q:
-        return 0
-    arg = (params.q - (params.p + params.q) * bbar) / params.q
-    # a wake-up belief exactly on the threshold counts as clearing it;
-    # the epsilon absorbs float noise in the log at such boundaries
-    n = math.ceil(math.log(arg) / params.log_persistence - 1e-9) - 1
-    return max(0, n)
-
-
 def _policy_value(
     n: int | None, params: GEParams, cfg: RewardConfig
 ) -> PiecewiseLinearValue:
@@ -296,31 +273,20 @@ def _policy_value(
     then harvest" (n None: never harvest after a failure), where each
     belief may also sleep fewer slots, or forever, before joining it.
 
-    The harvesting line is h = c + x e_x + y e_y in (x, y) = (V(q),
-    V(1-p)), with c = (-r0, r0+r1), e_x = (gamma, -gamma) and
-    e_y = (0, gamma), and the sleep transform S is linear, so
-    S^k h = S^k c + x S^k e_x + y S^k e_y. With d = 1 - gamma the
-    policy's values solve
-
-        (d + gamma p) y - gamma p x = r1 (1-p) - r0 p     (harvest at 1-p)
-        x = (S^n h)(q)                                    (x = 0 if n is None)
-
-    and the result is the envelope of S^k h, k = 0..n, and the zero line.
+    The policy's values (x, y) = (V(q), V(1-p)) are the closed-form
+    (v_fail, v_good) of ``beliefs._policy_values``; with n None, x = 0
+    and y is the value of a run of harvests, (r1 (1-p) - r0 p) /
+    (1 - gamma + gamma p). With h the harvesting line through (x, y) and
+    S the sleep transform, the result is the envelope of S^k h,
+    k = 0..n, and the zero line.
     """
     g, p = cfg.gamma, params.p
     lo, hi = _domain(params)
-    r_good = cfg.r1 * (1.0 - p) - cfg.r0 * p
-    diag = (1.0 - g) + g * p
     if n is None:
-        x, y = 0.0, r_good / diag
+        x, y = 0.0, (cfg.r1 * (1.0 - p) - cfg.r0 * p) / ((1.0 - g) + g * p)
     else:
-        basis = [AlphaVector(-cfg.r0, cfg.r0 + cfg.r1), AlphaVector(g, -g), AlphaVector(0.0, g)]
-        for _ in range(n):
-            basis = _sleep_lines(basis, params, g)
-        a_c, a_x, a_y = (ln.at(lo) for ln in basis)
-        det = diag * (1.0 - a_x) - g * p * a_y
-        x = (diag * a_c + a_y * r_good) / det
-        y = (r_good * (1.0 - a_x) + g * p * a_c) / det
+        v_good, v_fail, _ = _policy_values(n, params, cfg)
+        x, y = float(v_fail), float(v_good)
     lines = [_harvest_line(x, y, cfg)]
     for _ in range(n or 0):
         lines.extend(_sleep_lines(lines[-1:], params, g))

@@ -13,7 +13,11 @@ stops after a few backups (2-4 here, 29-255 before) and prints other
 iterations and values within epsilon of the old ones. The never-harvest
 case is solved exactly by its first backup, which takes no policy step,
 so it kept its digest through this change and the span rule before
-it. The battery
+it. The other three solve digests were recorded again when the policy
+steps began to take the policy's values from the closed form in
+``beliefs`` instead of a 2x2 solve over sleep-transformed basis lines:
+the iterations and sleep counts stayed, and the values and crossover
+moved in their last digits. The battery
 digests were recorded on the level recursion for absorption; the
 banded elimination sweep before it printed different last digits. Rerunning one
 version twice (acceptance criterion 8) cannot catch a change to the
@@ -48,10 +52,10 @@ LEARN_DIGESTS = {
 
 # (chain flags, r1) -> sha256 of `rfharvest solve ... --r0 10 --epsilon 1e-4` stdout
 SOLVE_DIGESTS = {
-    ("--pi-g 0.6 --t-b 2.5", 10): "80daaf1ffe1a3d4dab13a60c5e889111fd20fdc25fc27a4bf963d3868c1afffa",
+    ("--pi-g 0.6 --t-b 2.5", 10): "3cab786cf2387ecd3571db47d727e07c17ca82cc5fd4ccd1d202d312e6544cc7",
     ("--pi-g 0.6 --t-b 2.5", 1): "35de2a2ab994543702d8a1eace7473b8bde3226e9e4cd55688c36c23fe739f49",
-    ("--p 0.0026 --q 0.05", 10): "f8d2db26439eb80c8b4af54b1f47026e3c460e8a373f552d7798420e3f0f0b71",
-    ("--p 0.0026 --q 0.05", 1): "71d87ee4d092c4f11d265fb8db983a5dcd8b8e148dc70d3416190a837436a85c",
+    ("--p 0.0026 --q 0.05", 10): "d9dc115ebabb8a64adb667f0f49f339f5a403c13b46321922bf0a4912f9dbc11",
+    ("--p 0.0026 --q 0.05", 1): "0001dd948a81d4368a35b42f4257bb65f481c5beb20d165fbd56d0d149336cd2",
 }
 
 # (capacity, level step) -> sha256 of `rfharvest battery --pi-g 0.7 --t-b 5

@@ -18,7 +18,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from rfharvest import cli
-from rfharvest.beliefs import RewardConfig, belief_after_failure_and_sleep
+from rfharvest.beliefs import RewardConfig, _policy_values, belief_after_failure_and_sleep
 from rfharvest.gilbert_elliott import GEParams, from_burst_parameterization, is_valid_chain, stationary
 from rfharvest.harness import mc_policy_value
 from rfharvest.threshold import (
@@ -32,7 +32,6 @@ from rfharvest.threshold import (
     sleep_time_from_threshold,
     vi_threshold_policy,
     _nearest_index,
-    _policy_values,
 )
 from rfharvest.value_iteration import VISettings
 

@@ -7,6 +7,9 @@ interpolation error. ``q_values`` and ``greedy_policy`` state the
 action values at one belief directly, the oracle for the crossover that
 ``harvest_crossover`` finds in closed form. ``plain_solve`` is the span
 rule loop without policy steps, the oracle for ``solve``.
+``basis_policy_value`` prices a policy step by sleeping three basis
+lines and solving a 2x2 system, the oracle for the closed form that
+``_policy_value`` takes from ``beliefs``.
 """
 
 import math
@@ -17,7 +20,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rfharvest import value_iteration
-from rfharvest.beliefs import RewardConfig
+from rfharvest.beliefs import RewardConfig, _sleep_count
 from rfharvest.gilbert_elliott import GEParams, from_burst_parameterization, stationary
 from rfharvest.threshold import (
     ThresholdPolicy,
@@ -33,7 +36,6 @@ from rfharvest.value_iteration import (
     SolveResult,
     VISettings,
     _policy_value,
-    _sleep_count,
     bellman_backup_alpha,
     difference_range,
     harvest_crossover,
@@ -88,6 +90,39 @@ def plain_solve(params: GEParams, cfg: RewardConfig, settings: VISettings) -> So
                 epsilon=eps,
             )
     raise MaxIterationsExceeded(f"plain loop not done after {settings.max_iterations} backups")
+
+
+def basis_policy_value(n: int, params: GEParams, cfg: RewardConfig) -> PiecewiseLinearValue:
+    """``_policy_value(n, ...)`` with the policy's values from a 2x2 solve.
+
+    The harvesting line is h = c + x e_x + y e_y in (x, y) = (V(q),
+    V(1-p)), with c = (-r0, r0+r1), e_x = (gamma, -gamma) and
+    e_y = (0, gamma), and the sleep transform S is linear, so
+    S^k h = S^k c + x S^k e_x + y S^k e_y. With d = 1 - gamma the
+    policy's values solve
+
+        (d + gamma p) y - gamma p x = r1 (1-p) - r0 p     (harvest at 1-p)
+        x = (S^n h)(q)
+
+    and the result is the envelope of S^k h, k = 0..n, and the zero line.
+    Its determinant cancels as gamma approaches 1.
+    """
+    g, p = cfg.gamma, params.p
+    lo, hi = params.q, 1.0 - p
+    r_good = cfg.r1 * (1.0 - p) - cfg.r0 * p
+    diag = (1.0 - g) + g * p
+    basis = [AlphaVector(-cfg.r0, cfg.r0 + cfg.r1), AlphaVector(g, -g), AlphaVector(0.0, g)]
+    for _ in range(n):
+        basis = value_iteration._sleep_lines(basis, params, g)
+    a_c, a_x, a_y = (ln.at(lo) for ln in basis)
+    det = diag * (1.0 - a_x) - g * p * a_y
+    x = (diag * a_c + a_y * r_good) / det
+    y = (r_good * (1.0 - a_x) + g * p * a_c) / det
+    lines = [value_iteration._harvest_line(x, y, cfg)]
+    for _ in range(n):
+        lines.extend(value_iteration._sleep_lines(lines[-1:], params, g))
+    lines.append(AlphaVector(0.0, 0.0))
+    return PiecewiseLinearValue(lines=prune_lines(lines, lo, hi), lo=lo, hi=hi)
 
 
 def grid_of(params, resolution):
@@ -513,6 +548,43 @@ class TestPolicySteps:
         v = _policy_value(policy.sleep_slots, params, cfg)
         assert v.value(params.q) == pytest.approx(value.v_fail, rel=1e-9, abs=1e-9)
         assert v.value(1.0 - params.p) == pytest.approx(value.v_good, rel=1e-9, abs=1e-9)
+
+    @given(
+        st.integers(0, 2**32 - 1),
+        st.sampled_from([0.0, 0.5, 0.9, 0.99, 0.999, 0.9999, 0.99999]),
+        REWARDS,
+        st.integers(0, 300),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_policy_step_matches_basis_solve(self, seed, gamma, rewards, n):
+        params = random_chain(np.random.default_rng(seed))
+        cfg = RewardConfig(r1=rewards[0], r0=rewards[1], gamma=gamma)
+        got = _policy_value(n, params, cfg)
+        ref = basis_policy_value(n, params, cfg)
+        # the 2x2 determinant loses digits like 1/(1-gamma), relative to
+        # the size of the values
+        tol = 16 * np.finfo(float).eps * max(rewards) / (1.0 - gamma) ** 2
+        for b in (params.q, 1.0 - params.p):
+            assert abs(got.value(b) - ref.value(b)) <= tol
+
+    @given(
+        valid_params(),
+        st.sampled_from([0.5, 0.9, 0.99]),
+        REWARDS,
+        st.sampled_from([1e-2, 1e-4, 1e-6]),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_solve_values_match_closed_form(self, params, gamma, rewards, eps):
+        # solve lands within epsilon/2 of the fixed point, and the closed
+        # form gives the fixed point at q and 1-p when the optimum harvests
+        cfg = RewardConfig(r1=rewards[0], r0=rewards[1], gamma=gamma)
+        policy, value = optimal_sleep_time(params, cfg)
+        if policy.never_harvest:
+            return
+        v = solve(params, cfg, VISettings(epsilon=eps)).value
+        slack = 1e-12 * max(rewards) / (1.0 - gamma)
+        assert abs(v.value(params.q) - value.v_fail) <= eps / 2 + slack
+        assert abs(v.value(1.0 - params.p) - value.v_good) <= eps / 2 + slack
 
     def test_long_sleep_ends_policy_steps(self, monkeypatch):
         # a greedy policy sleeping past the cap is not priced; with every
