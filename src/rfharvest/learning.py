@@ -18,6 +18,12 @@ branches everything and keeps it all, so the hypothesis count at most
 doubles per sleeping slot; to stay tractable only the 2K heaviest
 hypotheses survive each step.
 
+The map is kept as two dicts, one per landing state, keyed by the four
+counts packed into one int. A transition adds a constant to the packed
+key, so each dict carries one offset added to all of its keys: a
+harvest whose hypotheses all sit in one state only moves that offset,
+and other updates merge the two shifted dicts with int additions.
+
 When a harvest fails, one hypothesis is drawn with probability
 proportional to its weight, its Beta-mean parameter estimates are
 mapped to the precomputed optimal sleep count, and the node sleeps
@@ -79,18 +85,88 @@ UNIFORM_PRIOR = PosteriorCount(1, 1, 1, 1)
 
 
 # A hypothesis is keyed (state, g2b, g2g, b2g, b2b) with state 0 for good
-# and 1 for bad: a tuple of plain ints hashes in C, where an Enum member
-# would hash through a Python-level __hash__ on every dict access.
+# and 1 for bad. Inside the map the four counts are packed into one int,
+# ((g2b*S + g2g)*S + b2g)*S + b2b: its order is the tuple order, and a
+# transition adds one constant to it. S bounds every count; reaching 2^64
+# would take 2^64 slots, more than any run can simulate.
 GOOD, BAD = 0, 1
 HypothesisKey = tuple[int, int, int, int, int]
+S = 2**64
+# the key step of each transition, by (from, to) state
+_G2G, _G2B, _B2G, _B2B = S**2, S**3, S, 1
 
 
-class HypothesisMap(NamedTuple):
-    """Exact integer weight of every surviving hypothesis, at most 2K."""
+def _pack(g2b: int, g2g: int, b2g: int, b2b: int) -> int:
+    return ((g2b * S + g2g) * S + b2g) * S + b2b
 
-    weights: dict[HypothesisKey, int]
-    k: int
-    fresh: bool = False
+
+def _unpack(packed: int) -> tuple[int, int, int, int]:
+    rest, b2b = divmod(packed, S)
+    rest, b2g = divmod(rest, S)
+    g2b, g2g = divmod(rest, S)
+    return g2b, g2g, b2g, b2b
+
+
+class HypothesisMap:
+    """Exact integer weight of every surviving hypothesis, at most 2K.
+
+    Stored as two dicts, one per landing state, from packed counts to
+    weight. Each dict carries an offset that is added to every stored
+    key, so a transition that moves all of a state's hypotheses alike
+    only moves the offset. Maps are never mutated: an update may share
+    a dict with the map it came from.
+
+    ``weights`` decodes the map to ``(state, g2b, g2g, b2g, b2b) ->
+    weight``; ``len`` counts hypotheses without decoding.
+    """
+
+    __slots__ = ("_good", "_good_offset", "_bad", "_bad_offset", "k", "fresh")
+
+    def __init__(
+        self,
+        good: dict[int, int],
+        good_offset: int,
+        bad: dict[int, int],
+        bad_offset: int,
+        k: int,
+        fresh: bool = False,
+    ):
+        self._good = good
+        self._good_offset = good_offset
+        self._bad = bad
+        self._bad_offset = bad_offset
+        self.k = k
+        self.fresh = fresh
+
+    @classmethod
+    def from_weights(cls, weights: dict[HypothesisKey, int], k: int, fresh: bool = False) -> HypothesisMap:
+        """Map from absolute ``(state, g2b, g2g, b2g, b2b) -> weight`` entries.
+
+        Refuses a state other than GOOD or BAD and a count outside
+        [0, S), which the packed key cannot hold.
+        """
+        if k < 1:
+            raise ValueError("k must be at least 1")
+        by_state = ({}, {})
+        for (state, *counts), w in weights.items():
+            if state not in (GOOD, BAD):
+                raise ValueError(f"hypothesis state must be GOOD (0) or BAD (1), got {state!r}")
+            if not all(0 <= c < S for c in counts):
+                raise ValueError(f"hypothesis counts {tuple(counts)} must lie in [0, S) with S = {S}")
+            by_state[state][_pack(*counts)] = w
+        return cls(by_state[GOOD], 0, by_state[BAD], 0, k, fresh)
+
+    @property
+    def weights(self) -> dict[HypothesisKey, int]:
+        view = {}
+        by_state = (GOOD, self._good, self._good_offset), (BAD, self._bad, self._bad_offset)
+        for state, entries, offset in by_state:
+            for key, w in entries.items():
+                view[(state, *_unpack(key + offset))] = w
+        return view
+
+    def __len__(self) -> int:
+        return len(self._good) + len(self._bad)
 
 
 def initial_particles(k: int) -> HypothesisMap:
@@ -99,14 +175,55 @@ def initial_particles(k: int) -> HypothesisMap:
     The counts [1, 1, 1, 1] make both transition probabilities uniform
     on (0, 1).
     """
-    if k < 1:
-        raise ValueError("k must be at least 1")
-    return HypothesisMap({(GOOD, *UNIFORM_PRIOR): 1, (BAD, *UNIFORM_PRIOR): 1}, k, fresh=True)
+    return HypothesisMap.from_weights({(GOOD, *UNIFORM_PRIOR): 1, (BAD, *UNIFORM_PRIOR): 1}, k, fresh=True)
+
+
+def _merge(a: dict[int, int], a_offset: int, b: dict[int, int], b_offset: int) -> tuple[dict[int, int], int]:
+    """The union of two offset dicts, summing the weights of equal keys.
+
+    Copies the larger dict and adds the smaller one into the copy, so
+    neither input changes; an empty side returns the other as it is.
+    """
+    if len(a) < len(b):
+        a, a_offset, b, b_offset = b, b_offset, a, a_offset
+    if not b:
+        return a, a_offset
+    merged = a.copy()
+    get = merged.get
+    shift = b_offset - a_offset
+    for key, w in b.items():
+        key += shift
+        merged[key] = get(key, 0) + w
+    return merged, a_offset
+
+
+def _truncate(good: dict[int, int], bad: dict[int, int], keep: int) -> tuple[dict[int, int], dict[int, int]]:
+    """The ``keep`` heaviest hypotheses; ties go good before bad, then to
+    ascending counts.
+
+    Keys of one state share an offset, so their stored order is their
+    absolute order and the offsets need not be added.
+    """
+    ranked = [(-w, GOOD, key) for key, w in good.items()]
+    ranked += [(-w, BAD, key) for key, w in bad.items()]
+    ranked.sort()
+    del ranked[keep:]
+    return (
+        {key: -w for w, state, key in ranked if state == GOOD},
+        {key: -w for w, state, key in ranked if state == BAD},
+    )
 
 
 def observe(hyp: HypothesisMap, z: Observation) -> HypothesisMap:
     """Incorporate one slot: advance hypotheses, condition on the landing
     state if it was observed, merge duplicates, truncate to 2K.
+
+    A transition adds one step to the packed key: S^2 for good-to-good,
+    S^3 for good-to-bad, S for bad-to-good and 1 for bad-to-bad. A
+    harvest therefore moves each state's offset by its step into the
+    landing state; it is O(1) when all hypotheses sit in one state, and
+    otherwise merges the two shifted dicts. A sleep branches both
+    states into both, two merges.
 
     Weights are carried without renormalization. Truncation keeps the
     2K heaviest hypotheses; ties break on the key, good before bad and
@@ -115,46 +232,40 @@ def observe(hyp: HypothesisMap, z: Observation) -> HypothesisMap:
     On a fresh prior an observed state only selects the matching
     hypotheses (no transition has elapsed yet), and a fresh sleep
     leaves the map unchanged; the skipped transition is counted by the
-    next update.
+    next update. An unknown observation raises ValueError.
     """
+    good, good_offset, bad, bad_offset = hyp._good, hyp._good_offset, hyp._bad, hyp._bad_offset
     if hyp.fresh:
         if z is Observation.NONE:
-            return HypothesisMap(hyp.weights, hyp.k)
-        state = {Observation.GOOD: GOOD, Observation.BAD: BAD}.get(z)
-        weights = {key: w for key, w in hyp.weights.items() if key[0] == state}
-        if not weights:
+            return HypothesisMap(good, good_offset, bad, bad_offset, hyp.k)
+        if z is Observation.GOOD:
+            bad = {}
+        elif z is Observation.BAD:
+            good = {}
+        else:
+            raise ValueError(f"unknown observation {z!r}")
+        if not good and not bad:
             raise EmptyPosterior(f"no hypothesis matches initial observation {z}")
-        return HypothesisMap(weights, hyp.k)
+        return HypothesisMap(good, good_offset, bad, bad_offset, hyp.k)
 
-    # one loop per observation keeps the per-hypothesis work to the
-    # branches that survive; this is the learner's innermost loop
-    weights: dict[HypothesisKey, int] = {}
-    get = weights.get
-    items = hyp.weights.items()
     if z is Observation.GOOD:
-        for (state, g2b, g2g, b2g, b2b), w in items:
-            key = (GOOD, g2b, g2g + 1, b2g, b2b) if state == GOOD else (GOOD, g2b, g2g, b2g + 1, b2b)
-            weights[key] = get(key, 0) + w
+        good, good_offset = _merge(good, good_offset + _G2G, bad, bad_offset + _B2G)
+        bad, bad_offset = {}, 0
     elif z is Observation.BAD:
-        for (state, g2b, g2g, b2g, b2b), w in items:
-            key = (BAD, g2b + 1, g2g, b2g, b2b) if state == GOOD else (BAD, g2b, g2g, b2g, b2b + 1)
-            weights[key] = get(key, 0) + w
+        bad, bad_offset = _merge(good, good_offset + _G2B, bad, bad_offset + _B2B)
+        good, good_offset = {}, 0
     elif z is Observation.NONE:
-        for (state, g2b, g2g, b2g, b2b), w in items:
-            if state == GOOD:
-                to_good, to_bad = (GOOD, g2b, g2g + 1, b2g, b2b), (BAD, g2b + 1, g2g, b2g, b2b)
-            else:
-                to_good, to_bad = (GOOD, g2b, g2g, b2g + 1, b2b), (BAD, g2b, g2g, b2g, b2b + 1)
-            weights[to_good] = get(to_good, 0) + w
-            weights[to_bad] = get(to_bad, 0) + w
+        (good, good_offset), (bad, bad_offset) = (
+            _merge(good, good_offset + _G2G, bad, bad_offset + _B2G),
+            _merge(good, good_offset + _G2B, bad, bad_offset + _B2B),
+        )
     else:
         raise ValueError(f"unknown observation {z!r}")
-    if not weights:
+    if not good and not bad:
         raise EmptyPosterior("update left no hypotheses")
-    if len(weights) > 2 * hyp.k:
-        heaviest = sorted([(-w, key) for key, w in weights.items()])[: 2 * hyp.k]
-        weights = {key: -w for w, key in heaviest}
-    return HypothesisMap(weights, hyp.k)
+    if len(good) + len(bad) > 2 * hyp.k:
+        good, bad = _truncate(good, bad, 2 * hyp.k)
+    return HypothesisMap(good, good_offset, bad, bad_offset, hyp.k)
 
 
 class SleepTimePlanner:
@@ -198,12 +309,16 @@ def sample_and_plan(
     not stop observing forever on the strength of a possibly wrong
     estimate.
     """
-    entries = sorted(hyp.weights.items())
-    if not entries:
+    good, bad = sorted(hyp._good), sorted(hyp._bad)
+    if not good and not bad:
         raise EmptyPosterior("cannot sample from an empty hypothesis set")
-    weights = np.array([float(w) for _, w in entries])
-    idx = int(rng.choice(len(entries), p=weights / weights.sum()))
-    count = PosteriorCount(*entries[idx][0][1:])
+    weights = np.array([float(hyp._good[key]) for key in good] + [float(hyp._bad[key]) for key in bad])
+    idx = int(rng.choice(len(weights), p=weights / weights.sum()))
+    if idx < len(good):
+        packed = good[idx] + hyp._good_offset
+    else:
+        packed = bad[idx - len(good)] + hyp._bad_offset
+    count = PosteriorCount(*_unpack(packed))
     p_hat, q_hat = count.mean_p, count.mean_q
     policy = planner.plan(p_hat, q_hat)
     if policy is None or policy.never_harvest:
@@ -341,7 +456,7 @@ def run_learner(
                 observation=None if good is None else ("G" if good else "B"),
                 timer=timer,
                 reward=reward,
-                hypothesis_count=len(learner.hypotheses.weights),
+                hypothesis_count=len(learner.hypotheses),
             )
         )
 

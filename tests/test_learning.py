@@ -157,7 +157,7 @@ def hmap(good=(), bad=(), k=10, fresh=False):
     """Map from (counts, weight) pairs given per state."""
     weights = {(GOOD, *count): w for count, w in good}
     weights.update({(BAD, *count): w for count, w in bad})
-    return HypothesisMap(weights, k, fresh)
+    return HypothesisMap.from_weights(weights, k, fresh)
 
 
 def by_state(hyp):
@@ -344,23 +344,85 @@ class TestObserve:
     @given(st.integers(1, 4), st.lists(st.sampled_from([G, B, Z, Z]), min_size=1, max_size=60))
     @settings(max_examples=150, deadline=None)
     def test_matches_reference_filter(self, k, zs):
-        # after every step the map equals the reference filter's, entry for
-        # entry, and sample_and_plan draws from the reference's order with
-        # the same float probabilities; small k makes truncation fire
-        s = initial_particles(k)
-        good = bad = ((UNIFORM_PRIOR, 1),)
-        fresh = True
-        for z in zs:
-            s = observe(s, z)
-            good, bad = reference_observe(good, bad, k, fresh, z)
-            fresh = False
-            ref_entries = [(ArrivalState.GOOD, c, w) for c, w in good]
-            ref_entries += [(ArrivalState.BAD, c, w) for c, w in bad]
-            assert by_state(s) == {(state, c): w for state, c, w in ref_entries}
-            probs, estimates = draw_order(s)
-            ref_weights = np.array([float(w) for _, _, w in ref_entries])
-            assert np.array_equal(probs, ref_weights / ref_weights.sum())
-            assert estimates == [(c.mean_p, c.mean_q) for _, c, _ in ref_entries]
+        # small k makes truncation fire
+        assert_matches_reference_filter(k, zs)
+
+    @given(st.integers(1, 6), st.lists(st.sampled_from([G, B, Z]), max_size=20))
+    @settings(max_examples=60, deadline=None)
+    def test_matches_reference_filter_untruncated_from_sleeps(self, leading_sleeps, zs):
+        # no truncation, and the episode opens with sleeps on the fresh prior
+        assert_matches_reference_filter(10**9, [Z] * leading_sleeps + zs)
+
+    def test_unknown_observation_raises_value_error(self):
+        with pytest.raises(ValueError, match="unknown observation 'X'"):
+            observe(initial_particles(3), "X")
+        with pytest.raises(ValueError, match="unknown observation 'X'"):
+            observe(replay([G, Z]), "X")
+
+    def test_fresh_harvest_without_match_raises(self):
+        with pytest.raises(EmptyPosterior, match="initial observation"):
+            observe(hmap(bad=[(UNIFORM_PRIOR, 1)], fresh=True), G)
+
+
+def assert_matches_reference_filter(k, zs):
+    """After every step the map equals the reference filter's, entry for
+    entry, and sample_and_plan draws from the reference's order with the
+    same float probabilities."""
+    s = initial_particles(k)
+    good = bad = ((UNIFORM_PRIOR, 1),)
+    fresh = True
+    for z in zs:
+        s = observe(s, z)
+        good, bad = reference_observe(good, bad, k, fresh, z)
+        fresh = False
+        ref_entries = [(ArrivalState.GOOD, c, w) for c, w in good]
+        ref_entries += [(ArrivalState.BAD, c, w) for c, w in bad]
+        assert by_state(s) == {(state, c): w for state, c, w in ref_entries}
+        assert len(s) == len(s.weights)
+        probs, estimates = draw_order(s)
+        ref_weights = np.array([float(w) for _, _, w in ref_entries])
+        assert np.array_equal(probs, ref_weights / ref_weights.sum())
+        assert estimates == [(c.mean_p, c.mean_q) for _, c, _ in ref_entries]
+
+
+COUNT = st.one_of(st.integers(0, 2**32), st.integers(2**32 + 1, 2**63))
+
+
+class TestHypothesisMap:
+    @given(st.dictionaries(st.tuples(st.sampled_from([GOOD, BAD]), COUNT, COUNT, COUNT, COUNT), st.integers(1, 2**80)))
+    @settings(max_examples=200, deadline=None)
+    def test_from_weights_round_trip(self, weights):
+        hyp = HypothesisMap.from_weights(weights, k=3)
+        assert hyp.weights == weights
+        assert len(hyp) == len(weights)
+
+    def test_update_at_large_counts(self):
+        # counts far above 2**32 still advance as plain counts
+        big = PosteriorCount(2**63, 2**40, 2**33 + 5, 2**62)
+        s = observe(hmap(good=[(big, 3)]), Z)
+        assert s.weights == {
+            (GOOD, big.g2b, big.g2g + 1, big.b2g, big.b2b): 3,
+            (BAD, big.g2b + 1, big.g2g, big.b2g, big.b2b): 3,
+        }
+
+    @pytest.mark.parametrize(
+        "key, message",
+        [
+            ((GOOD, 1, 2**64, 1, 1), r"must lie in \[0, S\)"),
+            ((BAD, -1, 1, 1, 1), r"must lie in \[0, S\)"),
+            ((2, 1, 1, 1, 1), "state must be GOOD"),
+        ],
+    )
+    def test_from_weights_refuses_unpackable_keys(self, key, message):
+        with pytest.raises(ValueError, match=message):
+            HypothesisMap.from_weights({key: 1}, k=3)
+
+    def test_updates_leave_earlier_maps_unchanged(self):
+        s = replay([G, Z, Z, B, Z])
+        before = s.weights
+        for z in (G, B, Z):
+            observe(s, z)
+        assert s.weights == before
 
 
 class TestExactPosterior:
