@@ -91,11 +91,22 @@ def belief_after_failure_and_sleep(n, params: GEParams):
     belief keeps its relative precision when c is near 1. ``n`` may be
     an integer array, giving the beliefs elementwise.
     """
+    _check_counts(n)
+    return _wake_belief(n + 1.0, params)
+
+
+def _check_counts(n) -> None:
     # n stays as given, so an int runs through as float scalars; np.any
     # alone costs microseconds on the 0-d array a scalar would become
     if (np.asarray(n) < 0).any():
         raise ValueError(f"sleep count must be nonnegative, got {n}")
-    rise = -np.expm1((n + 1.0) * params.log_persistence)
+
+
+def _wake_belief(steps, params):
+    """q (1 - c^steps) / (p + q): the belief ``steps`` slots after a
+    failed one. Each field of ``params`` may also be an array as long as
+    ``steps``, one chain per element."""
+    rise = -np.expm1(steps * params.log_persistence)
     return params.q * rise / (params.p + params.q)
 
 
@@ -124,20 +135,33 @@ def _sleep_count(bbar: float, params: GEParams) -> int | None:
     return max(0, n)
 
 
-def _policy_values(n, params: GEParams, cfg: RewardConfig):
+def _discount_terms(n, gamma: float) -> tuple:
+    """The parts of the sleep-n policy values that depend only on n and
+    gamma: (n + 1, 1 - G, G, gamma^n) with G = gamma^(n+1). n may be an
+    int or an int array, giving the terms elementwise."""
+    _check_counts(n)
+    steps = n + 1.0
+    big_g = gamma**steps
+    d = 1.0 - gamma
+    # where d rounds to 1 (gamma 0 or below 1.1e-16) log1p(-d) is
+    # undefined, and gamma^(n+1) is too small for 1 - G to cancel
+    rest = -np.expm1(steps * math.log1p(-d)) if d < 1.0 else 1.0 - big_g
+    return steps, rest, big_g, gamma**n
+
+
+def _policy_values(terms: tuple, params: GEParams, cfg: RewardConfig):
     """(v_good, v_fail, v_wake) of the sleep-n policy, the field order of
-    ``threshold.PolicyValue``, from the closed form above; n may be an
-    integer array, giving the values elementwise."""
+    ``threshold.PolicyValue``, from the closed form above; ``terms`` are
+    the ``_discount_terms`` of n under ``cfg.gamma``. With n an integer
+    array the values come elementwise, and the fields of ``params`` may
+    be arrays of the same length, as in ``_wake_belief``."""
+    steps, rest, big_g, gamma_n = terms
     g = cfg.gamma
     d = 1.0 - g
     p = params.p
-    b = belief_after_failure_and_sleep(n, params)
-    big_g = g ** (n + 1.0)
-    # where d rounds to 1 (gamma 0 or below 1.1e-16) log1p(-d) is
-    # undefined, and gamma^(n+1) is too small for 1 - G to cancel
-    rest = -np.expm1((n + 1.0) * math.log1p(-d)) if d < 1.0 else 1.0 - big_g
+    b = _wake_belief(steps, params)
     num = cfg.r1 * (1.0 - p) * rest + big_g * cfg.r1 * b - p * cfg.r0
     den = rest * (d + g * p) + big_g * b * d
     v_good = num / den
     v_wake = (b * (cfg.r0 + cfg.r1) - cfg.r0 + g * b * v_good) / (rest + big_g * b)
-    return v_good, g**n * v_wake, v_wake
+    return v_good, gamma_n * v_wake, v_wake

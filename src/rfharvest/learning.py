@@ -201,17 +201,21 @@ def _truncate(good: dict[int, int], bad: dict[int, int], keep: int) -> tuple[dic
     """The ``keep`` heaviest hypotheses; ties go good before bad, then to
     ascending counts.
 
-    Keys of one state share an offset, so their stored order is their
-    absolute order and the offsets need not be added.
+    Only the weights are sorted: every hypothesis heavier than the
+    ``keep``-th weight stays, and those equal to it fill the places left
+    in that tie order. Keys of one state share an offset, so their
+    stored order is their absolute order and the offsets need not be
+    added.
     """
-    ranked = [(-w, GOOD, key) for key, w in good.items()]
-    ranked += [(-w, BAD, key) for key, w in bad.items()]
-    ranked.sort()
-    del ranked[keep:]
-    return (
-        {key: -w for w, state, key in ranked if state == GOOD},
-        {key: -w for w, state, key in ranked if state == BAD},
-    )
+    weights = sorted([*good.values(), *bad.values()], reverse=True)
+    cut = weights[keep - 1]
+    room = keep - weights.index(cut)
+    kept = []
+    for entries in (good, bad):
+        ties = sorted(key for key, w in entries.items() if w == cut)[:room]
+        room -= len(ties)
+        kept.append({key: w for key, w in entries.items() if w > cut} | dict.fromkeys(ties, cut))
+    return kept[0], kept[1]
 
 
 def observe(hyp: HypothesisMap, z: Observation) -> HypothesisMap:

@@ -11,15 +11,17 @@ from __future__ import annotations
 
 import bisect
 import csv
+import functools
 import io
+import itertools
 import json
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .beliefs import RewardConfig, _policy_values, _sleep_count
+from .beliefs import RewardConfig, _discount_terms, _policy_values, _sleep_count
 from .gilbert_elliott import GEParams, is_valid_chain, stationary
 from .value_iteration import VISettings, harvest_crossover, solve
 
@@ -113,7 +115,7 @@ _TIE_BAND = 1e-13
 
 def policy_value_linear_system(n: int, params: GEParams, cfg: RewardConfig) -> PolicyValue:
     """Values of the sleep-n policy: the closed-form solution of the 3x3 system."""
-    return PolicyValue(*map(float, _policy_values(n, params, cfg)))
+    return PolicyValue(*map(float, _policy_values(_discount_terms(n, cfg.gamma), params, cfg)))
 
 
 def default_n_max(params: GEParams) -> int:
@@ -128,25 +130,114 @@ def default_n_max(params: GEParams) -> int:
     return min(100_000, max(1, n_conv + 8))
 
 
+# The discount terms of the first 4096 counts are cached for one gamma
+# (4 x 4096 floats, 128 KB). A longer scan takes its first block of
+# counts from the cache and computes the others in blocks of 16384:
+# smaller blocks cost more in numpy calls and joins than they save on
+# scans of ~1e5 counts, and larger ones keep arrays alive whose pages
+# every call faults in afresh.
+_CACHED_COUNTS = 4096
+_BLOCK_COUNTS = 16384
+
+
+@functools.lru_cache(maxsize=1)
+def _cached_discount_terms(gamma: float) -> tuple[np.ndarray, ...]:
+    """``_discount_terms`` of the counts 0..4095, read-only, since every
+    scan under this gamma shares them."""
+    terms = _discount_terms(np.arange(_CACHED_COUNTS), gamma)
+    for t in terms:
+        t.setflags(write=False)
+    return terms
+
+
+def _count_blocks(size: int, cached, gamma: float) -> list:
+    """Discount terms of the counts 0..size-1: the first block from the
+    cache, the others ``_BLOCK_COUNTS`` at a time."""
+    blocks = [[t[:size] for t in cached]]
+    for lo in range(_CACHED_COUNTS, size, _BLOCK_COUNTS):
+        blocks.append(_discount_terms(np.arange(lo, min(lo + _BLOCK_COUNTS, size)), gamma))
+    return blocks
+
+
+def _best_count(v_good: np.ndarray, v_wake: np.ndarray) -> int | None:
+    """The sleep count one chain's scanned values pick by the rule
+    ``optimal_sleep_time`` states, None for never; a NaN best picks 0,
+    as argmax does on an all-False mask."""
+    if float(v_wake.max()) < 0.0:
+        return None
+    top = v_good.max()
+    return int((v_good >= top - _TIE_BAND * abs(top)).argmax())
+
+
+class _Chains(NamedTuple):
+    """Several chains as ``_policy_values`` reads them: one element per
+    scanned count, each holding its chain's p, q and log persistence."""
+
+    p: np.ndarray
+    q: np.ndarray
+    log_persistence: np.ndarray
+
+
+def _scan(chains: Sequence[GEParams], cfg: RewardConfig) -> list[tuple[ThresholdPolicy, PolicyValue]]:
+    """``optimal_sleep_time`` of each chain, from one pass of the closed
+    form over the counts 0..``default_n_max`` of every chain, laid end to
+    end.
+
+    Every operation is elementwise or works within one chain's segment
+    of the counts, so each chain gets the bits a scan of it alone gives.
+    """
+    if not chains:
+        return []
+    sizes = [default_n_max(c) + 1 for c in chains]
+    cached = _cached_discount_terms(cfg.gamma)
+    if len(chains) == 1:
+        # scalars broadcast over the counts at less cost than arrays, and
+        # a block at a time keeps a long scan's working arrays small
+        pieces = [_policy_values(terms, chains[0], cfg) for terms in _count_blocks(sizes[0], cached, cfg.gamma)]
+        values = pieces[0] if len(pieces) == 1 else [np.concatenate(v) for v in zip(*pieces)]
+    elif max(sizes) > _CACHED_COUNTS:
+        # a chain past the cache is scanned alone, so that a batch holds
+        # at most 4096 counts per chain
+        alone = {i: _scan([c], cfg)[0] for i, (c, size) in enumerate(zip(chains, sizes)) if size > _CACHED_COUNTS}
+        batch = iter(_scan([c for i, c in enumerate(chains) if i not in alone], cfg))
+        return [alone[i] if i in alone else next(batch) for i in range(len(chains))]
+    else:
+        terms = [np.concatenate([t[:size] for size in sizes]) for t in cached]
+        fields = ([getattr(c, name) for c in chains] for name in _Chains._fields)
+        params = _Chains(*(np.repeat(field, sizes) for field in fields))
+        values = _policy_values(terms, params, cfg)
+    results = []
+    for start, end in itertools.pairwise(itertools.accumulate(sizes, initial=0)):
+        segment = [v[start:end] for v in values]
+        best = _best_count(segment[0], segment[2])
+        if best is None:
+            # never harvesting earns exactly zero from every belief
+            results.append((ThresholdPolicy.never(), PolicyValue(v_good=0.0, v_fail=0.0, v_wake=0.0)))
+        else:
+            results.append((ThresholdPolicy.sleep(best), PolicyValue(*(float(v[best]) for v in segment))))
+    return results
+
+
 def optimal_sleep_time(params: GEParams, cfg: RewardConfig) -> tuple[ThresholdPolicy, PolicyValue]:
     """Best sleep-after-failure count by exhaustive scan.
 
-    The scan maximizes the post-success value over n, breaking ties
-    (values within ``_TIE_BAND`` of the best, relatively) toward the
-    smaller count. Never harvesting is optimal exactly when no candidate
-    achieves a positive value at its wake-up belief: the wake-up belief
-    is the only one the policy reaches from below the threshold, so a
-    nonpositive value there means sleeping forever (worth 0) is at
-    least as good everywhere the policy could start.
+    The scan maximizes the post-success value over n = 0..n_max
+    (``default_n_max``), breaking ties (values within ``_TIE_BAND`` of
+    the best, relatively) toward the smaller count. Never harvesting is
+    optimal exactly when no candidate achieves a positive value at its
+    wake-up belief: the wake-up belief is the only one the policy
+    reaches from below the threshold, so a nonpositive value there
+    means sleeping forever (worth 0) is at least as good everywhere the
+    policy could start.
+
+    This is the scan ``build_lookup_table`` runs over a batch of chains,
+    here over one. The terms that depend only on n and gamma (n + 1,
+    1 - G, G = gamma^(n+1) and gamma^n) come from a cache of the first
+    4096 counts for the last gamma scanned; a scan with n_max of 4096 or
+    more computes those of its further counts, a block of 16384 at a
+    time.
     """
-    values = _policy_values(np.arange(default_n_max(params) + 1), params, cfg)
-    v_good, _, v_wake = values
-    if float(np.max(v_wake)) < 0.0:
-        # never harvesting earns exactly zero from every belief
-        return ThresholdPolicy.never(), PolicyValue(v_good=0.0, v_fail=0.0, v_wake=0.0)
-    top = np.max(v_good)
-    best = int(np.argmax(v_good >= top - _TIE_BAND * abs(top)))
-    return ThresholdPolicy.sleep(best), PolicyValue(*(float(v[best]) for v in values))
+    return _scan([params], cfg)[0]
 
 
 def vi_threshold_policy(
@@ -361,7 +452,12 @@ def build_lookup_table(
     """Optimal policy per (pi_g, t_b) cell; infeasible cells flagged.
 
     Both axes must be strictly ascending, the order ``LookupTable``
-    documents and ``LookupTable.from_json_dict`` checks.
+    documents and ``LookupTable.from_json_dict`` checks. The valid
+    cells of each pi_g row are scanned in one batch, the scan of
+    ``optimal_sleep_time`` over all their chains at once, with the
+    discount terms it caches; each cell gets the bits a scan of its
+    chain alone gives. A batch holds one row, never the whole grid, so
+    the working arrays stay small.
     """
     _check_axis("pi_g_axis", pi_g_axis)
     _check_axis("t_b_axis", t_b_axis)
@@ -373,27 +469,16 @@ def build_lookup_table(
             raise ValueError(f"t_b axis values must exceed 1, got {t_b}")
     cells = []
     for pi_g in pi_g_axis:
-        for t_b in t_b_axis:
-            q = 1.0 / t_b
-            p = q * (1.0 - pi_g) / pi_g
-            if not is_valid_chain(p, q):
-                cells.append(
-                    LookupCell(pi_g=pi_g, t_b=t_b, p=p, q=q, valid=False, policy=None, v_good=None)
-                )
-                continue
-            params = GEParams(p=p, q=q)
-            policy, value = optimal_sleep_time(params, cfg)
-            cells.append(
-                LookupCell(
-                    pi_g=pi_g,
-                    t_b=t_b,
-                    p=p,
-                    q=q,
-                    valid=True,
-                    policy=policy,
-                    v_good=value.v_good,
-                )
-            )
+        row = [(t_b, 1.0 / t_b) for t_b in t_b_axis]
+        row = [(t_b, q * (1.0 - pi_g) / pi_g, q) for t_b, q in row]
+        best = iter(_scan([GEParams(p=p, q=q) for _, p, q in row if is_valid_chain(p, q)], cfg))
+        for t_b, p, q in row:
+            if is_valid_chain(p, q):
+                policy, value = next(best)
+                cell = LookupCell(pi_g=pi_g, t_b=t_b, p=p, q=q, valid=True, policy=policy, v_good=value.v_good)
+            else:
+                cell = LookupCell(pi_g=pi_g, t_b=t_b, p=p, q=q, valid=False, policy=None, v_good=None)
+            cells.append(cell)
     return LookupTable(
         pi_g_axis=tuple(float(x) for x in pi_g_axis),
         t_b_axis=tuple(float(x) for x in t_b_axis),

@@ -41,7 +41,7 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .beliefs import RewardConfig, _policy_values, _sleep_count
+from .beliefs import RewardConfig, _discount_terms, _policy_values, _sleep_count
 from .gilbert_elliott import GEParams
 
 __all__ = [
@@ -285,7 +285,7 @@ def _policy_value(
     if n is None:
         x, y = 0.0, (cfg.r1 * (1.0 - p) - cfg.r0 * p) / ((1.0 - g) + g * p)
     else:
-        v_good, v_fail, _ = _policy_values(n, params, cfg)
+        v_good, v_fail, _ = _policy_values(_discount_terms(n, g), params, cfg)
         x, y = float(v_fail), float(v_good)
     lines = [_harvest_line(x, y, cfg)]
     for _ in range(n or 0):

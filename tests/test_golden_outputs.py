@@ -19,7 +19,9 @@ steps began to take the policy's values from the closed form in
 the iterations and sleep counts stayed, and the values and crossover
 moved in their last digits. The battery
 digests were recorded on the level recursion for absorption; the
-banded elimination sweep before it printed different last digits. Rerunning one
+banded elimination sweep before it printed different last digits. The
+table digests were recorded from the sleep-count scan that ran once
+per cell, before it scanned a grid row in one batch. Rerunning one
 version twice (acceptance criterion 8) cannot catch a change to the
 random draws or to the floating-point operations; these can. A change
 that alters them on purpose must say so and record new digests.
@@ -65,6 +67,17 @@ BATTERY_DIGESTS = {
     (2000, 100): "f6b9eb7667c52fcd99ca55b72a3ba60a5389d28c7314a12f611a1cd08d8f95e4",
 }
 
+# (r1, r0, format) -> sha256 of `rfharvest table ... --gamma 0.99` on the
+# standard grid; the JSON cells pin every v_good to its last bit
+TABLE_DIGESTS = {
+    (10, 1, "csv"): "a04594fec63e63a5ed639332ee4345238d5401d130d073a3d1f51c3e0771db54",
+    (10, 1, "json"): "f265b522fa4ce95d2bd5f2f239c0c1e6905f17ee9dccb86d1112277e0325d1b7",
+    (10, 10, "csv"): "e671b07ee35594709279009403fa4e6e4a5327bbae9e8e02642b432d0e1b9aa0",
+    (10, 10, "json"): "e3442d83e114b25c1b501875c4c331f923b06c9ea40a9ed7b3d8915c787964ed",
+    (1, 10, "csv"): "caa2c036b321e9eac6c1617d73eb146837ad2039731cedc72eb9109ab7b7319f",
+    (1, 10, "json"): "087819cbcb26bc05435268e1aa36573adc9a4200ecffcdd6dd94bbde54fec2b9",
+}
+
 # the four desk policies on the reference chain, 2 paths x 2 runs, base seed 3
 EVALUATE_DIGEST = "b3ce94ee0d923ee90cd8d386e9d4a0e531b8a6463a4f1595a4e3a59cf65228fd"
 
@@ -104,6 +117,19 @@ def test_battery_csv_digest(tmp_path, capacity, step):
     )
     assert code == 0
     assert hashlib.sha256(out.read_bytes()).hexdigest() == BATTERY_DIGESTS[(capacity, step)]
+
+
+@pytest.mark.parametrize("r1,r0,fmt", sorted(TABLE_DIGESTS))
+def test_table_digest(tmp_path, r1, r0, fmt):
+    out = tmp_path / f"table.{fmt}"
+    code = cli.main(
+        [
+            "table", "--r1", str(r1), "--r0", str(r0), "--gamma", "0.99",
+            "--format", fmt, "--output", str(out),
+        ]
+    )
+    assert code == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == TABLE_DIGESTS[(r1, r0, fmt)]
 
 
 def test_evaluate_json_digest():

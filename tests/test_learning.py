@@ -21,6 +21,7 @@ from rfharvest.gilbert_elliott import GEParams, from_burst_parameterization
 from rfharvest.learning import (
     BAD,
     GOOD,
+    _truncate,
     EmptyPosterior,
     HypothesisMap,
     PosteriorCount,
@@ -383,6 +384,42 @@ def assert_matches_reference_filter(k, zs):
         ref_weights = np.array([float(w) for _, _, w in ref_entries])
         assert np.array_equal(probs, ref_weights / ref_weights.sum())
         assert estimates == [(c.mean_p, c.mean_q) for _, c, _ in ref_entries]
+
+
+def ranked_truncate(good, bad, keep):
+    """The oracle for ``_truncate``: ranks every hypothesis by (-weight,
+    state, key), the order the filter keeps, and cuts the list."""
+    ranked = [(-w, GOOD, key) for key, w in good.items()]
+    ranked += [(-w, BAD, key) for key, w in bad.items()]
+    ranked.sort()
+    del ranked[keep:]
+    return (
+        {key: -w for w, state, key in ranked if state == GOOD},
+        {key: -w for w, state, key in ranked if state == BAD},
+    )
+
+
+# few distinct weights, so most cuts fall inside a run of ties
+TIED_WEIGHTS = st.dictionaries(
+    st.integers(0, 2**70), st.sampled_from([1, 2, 3, 2**90, 2**90 + 1]), max_size=30
+)
+
+
+class TestTruncate:
+    @given(TIED_WEIGHTS, TIED_WEIGHTS, st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_matches_ranked_oracle(self, good, bad, data):
+        total = len(good) + len(bad)
+        if total < 2:
+            return
+        # observe truncates only maps larger than the number kept
+        keep = data.draw(st.integers(1, total - 1))
+        assert _truncate(good, bad, keep) == ranked_truncate(good, bad, keep)
+
+    def test_ties_at_the_cut_go_good_first_then_ascending_keys(self):
+        good, bad = {7: 2, 5: 1, 9: 1}, {1: 1, 3: 2}
+        assert _truncate(good, bad, 3) == ({7: 2, 5: 1}, {3: 2})
+        assert _truncate(good, bad, 4) == ({7: 2, 5: 1, 9: 1}, {3: 2})
 
 
 COUNT = st.one_of(st.integers(0, 2**32), st.integers(2**32 + 1, 2**63))

@@ -18,7 +18,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from rfharvest import cli
-from rfharvest.beliefs import RewardConfig, _policy_values, belief_after_failure_and_sleep
+from rfharvest.beliefs import RewardConfig, _discount_terms, _policy_values, belief_after_failure_and_sleep
 from rfharvest.gilbert_elliott import GEParams, from_burst_parameterization, is_valid_chain, stationary
 from rfharvest.harness import mc_policy_value
 from rfharvest.threshold import (
@@ -31,7 +31,10 @@ from rfharvest.threshold import (
     policy_value_linear_system,
     sleep_time_from_threshold,
     vi_threshold_policy,
+    _CACHED_COUNTS,
+    _TIE_BAND,
     _nearest_index,
+    _scan,
 )
 from rfharvest.value_iteration import VISettings
 
@@ -40,6 +43,29 @@ from test_gilbert_elliott import valid_params
 PARAMS = GEParams(p=0.2, q=0.3)
 CFG = RewardConfig(r1=10.0, r0=10.0, gamma=0.99)
 REWARDS = ((10.0, 1.0), (10.0, 10.0), (1.0, 10.0))
+
+
+def scan_values(params: GEParams, cfg: RewardConfig):
+    """(v_good, v_fail, v_wake) over every count the scan looks at, with
+    discount terms computed afresh."""
+    n = np.arange(default_n_max(params) + 1)
+    return _policy_values(_discount_terms(n, cfg.gamma), params, cfg)
+
+
+def reference_sleep_time(params: GEParams, cfg: RewardConfig) -> tuple[ThresholdPolicy, PolicyValue]:
+    """The scan of one chain over uncached terms, with np.max and argmax:
+    the oracle for ``optimal_sleep_time`` and the table's batches."""
+    values = scan_values(params, cfg)
+    v_good, _, v_wake = values
+    if float(np.max(v_wake)) < 0.0:
+        return ThresholdPolicy.never(), PolicyValue(v_good=0.0, v_fail=0.0, v_wake=0.0)
+    top = np.max(v_good)
+    best = int(np.argmax(v_good >= top - _TIE_BAND * abs(top)))
+    return ThresholdPolicy.sleep(best), PolicyValue(*(float(v[best]) for v in values))
+
+
+def bits(value: PolicyValue) -> tuple[str, ...]:
+    return tuple(float(v).hex() for v in (value.v_good, value.v_fail, value.v_wake))
 
 
 def linear_system_values(n: int, params: GEParams, cfg: RewardConfig) -> PolicyValue:
@@ -190,7 +216,7 @@ class TestPolicyValueLinearSystem:
         # the closed form, at one n and inside the scan, must agree with
         # a direct float solve of the 3x3 system
         sol = linear_system_values(n, params, CFG)
-        scan = _policy_values(np.arange(n + 1), params, CFG)
+        scan = _policy_values(_discount_terms(np.arange(n + 1), CFG.gamma), params, CFG)
         for value in (policy_value_linear_system(n, params, CFG), PolicyValue(*(float(v[n]) for v in scan))):
             assert value.v_good == pytest.approx(sol.v_good, rel=1e-10, abs=1e-10)
             assert value.v_fail == pytest.approx(sol.v_fail, rel=1e-10, abs=1e-10)
@@ -253,7 +279,7 @@ class TestOptimalSleepTime:
         policy, _ = optimal_sleep_time(params, cfg)
         assert policy.never_harvest
         # the naive sign-of-best-value test would say otherwise
-        v_good, _, _ = _policy_values(np.arange(default_n_max(params) + 1), params, cfg)
+        v_good, _, _ = scan_values(params, cfg)
         assert float(np.max(v_good)) > 0.0
 
     @given(edge_problems())
@@ -264,7 +290,7 @@ class TestOptimalSleepTime:
         params, cfg = problem
         policy, value = optimal_sleep_time(params, cfg)
         if policy.never_harvest:
-            _, _, v_wake = _policy_values(np.arange(default_n_max(params) + 1), params, cfg)
+            _, _, v_wake = scan_values(params, cfg)
             peak = int(np.argmax(v_wake))
             for n in range(max(0, peak - 6), peak + 7):
                 (_, _, wake), (_, _, scale) = decimal_policy_values(n, params, cfg)
@@ -341,6 +367,70 @@ class TestAgainstValueIteration:
             direct, _ = optimal_sleep_time(params, cfg)
             _, bbar = vi_threshold_policy(params, cfg, VISettings(epsilon=1e-6))
             assert direct.never_harvest == (bbar >= stationary(params).good), (pi_g, t_b)
+
+
+# gamma from 0 to 1 - 1e-9, both ends on purpose
+GAMMAS = st.sampled_from([0.0, 1.0 - 1e-9]) | st.floats(0.0, 1.0 - 1e-9)
+
+
+@st.composite
+def grids(draw):
+    """Ascending (pi_g, t_b) axes and a reward. Bursts of 150 slots or
+    more give scans past the cache bound, and r0 above r1 gives cells
+    that never harvest."""
+    pi_g_axis = sorted(draw(st.lists(st.floats(0.02, 0.98), min_size=1, max_size=3, unique=True)))
+    t_b = st.floats(1.01, 20.0) | st.floats(150.0, 3000.0)
+    t_b_axis = sorted(draw(st.lists(t_b, min_size=1, max_size=4, unique=True)))
+    r1, r0 = draw(st.sampled_from(REWARDS))
+    return pi_g_axis, t_b_axis, RewardConfig(r1=r1, r0=r0, gamma=draw(GAMMAS))
+
+
+def assert_table_matches_scans(table, cfg):
+    for cell in table.cells:
+        if cell.valid:
+            policy, value = optimal_sleep_time(GEParams(p=cell.p, q=cell.q), cfg)
+            assert cell.policy == policy, (cell.pi_g, cell.t_b)
+            assert cell.v_good.hex() == value.v_good.hex(), (cell.pi_g, cell.t_b)
+
+
+class TestBatchedScan:
+    """``build_lookup_table`` scans a row of chains in one batch, with
+    discount terms from a cache; each cell must get the bits of a scan
+    of its chain alone, and that scan those of the uncached oracle."""
+
+    @given(grids())
+    @settings(max_examples=60, deadline=None)
+    def test_table_equals_scan_per_cell(self, grid):
+        pi_g_axis, t_b_axis, cfg = grid
+        assert_table_matches_scans(build_lookup_table(pi_g_axis, t_b_axis, cfg), cfg)
+
+    def test_table_with_never_harvest_and_uncached_cells(self):
+        cfg = RewardConfig(r1=1.0, r0=10.0, gamma=0.999)
+        table = build_lookup_table([0.1, 0.5, 0.9], [2.0, 20.0, 500.0, 3000.0], cfg)
+        valid = [c for c in table.cells if c.valid]
+        assert any(c.policy.never_harvest for c in valid)
+        assert any(not c.policy.never_harvest for c in valid)
+        assert any(default_n_max(GEParams(p=c.p, q=c.q)) >= _CACHED_COUNTS for c in valid)
+        assert_table_matches_scans(table, cfg)
+
+    @given(st.lists(valid_params() | edge_problems().map(lambda pc: pc[0]), min_size=1, max_size=4), GAMMAS, GAMMAS)
+    @settings(max_examples=60, deadline=None)
+    def test_cached_scan_equals_uncached_as_gamma_switches(self, chains, g1, g2):
+        for gamma in (g1, g2, g1):
+            cfg = RewardConfig(r1=10.0, r0=1.0, gamma=gamma)
+            batch = _scan(chains, cfg)
+            for params, (policy, value) in zip(chains, batch):
+                ref_policy, ref_value = reference_sleep_time(params, cfg)
+                assert policy == ref_policy
+                assert bits(value) == bits(ref_value)
+                alone_policy, alone_value = optimal_sleep_time(params, cfg)
+                assert alone_policy == policy and bits(alone_value) == bits(value)
+
+    def test_grid_without_valid_cells_builds(self):
+        # p + q = q / pi_g >= 1 on every cell: nothing to scan
+        assert _scan([], CFG) == []
+        table = build_lookup_table([0.1, 0.2], [1.5, 3.0], CFG)
+        assert [c.valid for c in table.cells] == [False] * 4
 
 
 @pytest.fixture(scope="module")
