@@ -27,7 +27,11 @@ and other updates merge the two shifted dicts with int additions.
 When a harvest fails, one hypothesis is drawn with probability
 proportional to its weight, its Beta-mean parameter estimates are
 mapped to the precomputed optimal sleep count, and the node sleeps
-that long before probing again.
+that long before probing again. The draw converts the weights to
+floats and inverts their cumulative distribution at one uniform,
+exactly as ``Generator.choice(n, p=weights / weights.sum())`` would;
+once the weights pass about 2^1024 their float sum overflows and the
+draw raises ValueError.
 
 Like every policy in ``harness``, the learner is a sleep-after-failure
 rule: it only says how many slots to sleep after each harvest, and
@@ -37,7 +41,10 @@ rule: it only says how many slots to sleep after each harvest, and
 from __future__ import annotations
 
 import json
+import math
+from bisect import bisect_right
 from dataclasses import dataclass
+from itertools import accumulate
 from typing import NamedTuple
 
 import numpy as np
@@ -198,23 +205,28 @@ def _merge(a: dict[int, int], a_offset: int, b: dict[int, int], b_offset: int) -
 
 
 def _truncate(good: dict[int, int], bad: dict[int, int], keep: int) -> tuple[dict[int, int], dict[int, int]]:
-    """The ``keep`` heaviest hypotheses; ties go good before bad, then to
-    ascending counts.
+    """The ``keep`` heaviest of more than ``keep`` hypotheses; ties go good
+    before bad, then to ascending counts.
 
-    Only the weights are sorted: every hypothesis heavier than the
-    ``keep``-th weight stays, and those equal to it fill the places left
-    in that tie order. Keys of one state share an offset, so their
-    stored order is their absolute order and the offsets need not be
-    added.
+    Only the weights are sorted. When the ``keep``-th weight is heavier
+    than the next, every hypothesis at least that heavy stays; otherwise
+    those tied with it fill the places left in that tie order, and only
+    the ties of the state where the places run out are sorted. Keys of
+    one state share an offset, so their stored order is their absolute
+    order and the offsets need not be added.
     """
     weights = sorted([*good.values(), *bad.values()], reverse=True)
     cut = weights[keep - 1]
+    if weights[keep] != cut:
+        return {key: w for key, w in good.items() if w >= cut}, {key: w for key, w in bad.items() if w >= cut}
     room = keep - weights.index(cut)
     kept = []
     for entries in (good, bad):
-        ties = sorted(key for key, w in entries.items() if w == cut)[:room]
-        room -= len(ties)
+        ties = [key for key, w in entries.items() if w == cut]
+        if len(ties) > room:
+            ties = sorted(ties)[:room]
         kept.append({key: w for key, w in entries.items() if w > cut} | dict.fromkeys(ties, cut))
+        room -= len(ties)
     return kept[0], kept[1]
 
 
@@ -300,13 +312,38 @@ class SleepTimePlanner:
         return optimal_sleep_time(GEParams(p=p, q=q), self.cfg)[0]
 
 
+def _draw(weights: list[int], rng: np.random.Generator) -> int:
+    """Index i drawn with probability ``weights[i] / sum(weights)``.
+
+    Inverts the cumulative distribution of the float weights at one
+    uniform: the index, and the generator state after it, are those of
+    ``rng.choice(len(weights), p=w / w.sum())`` on ``w =
+    np.array([float(x) for x in weights])``. When that float sum
+    overflows, raises the ValueError choice would, saying why.
+    """
+    floats = list(map(float, weights))
+    total = float(np.array(floats).sum())
+    if not math.isfinite(total):
+        raise ValueError(
+            f"Probabilities do not sum to 1: the float sum of {len(weights)} hypothesis weights overflows "
+            f"(the largest weight has {max(weights).bit_length()} bits; floats end at 2**1024). "
+            "Exact weights this large are a known limit, see ROADMAP.md item 2"
+        )
+    cdf = list(accumulate([w / total for w in floats]))
+    last = cdf[-1]
+    return bisect_right(cdf, rng.random(), key=lambda c: c / last)
+
+
 def sample_and_plan(
     hyp: HypothesisMap, rng: np.random.Generator, planner: SleepTimePlanner
 ) -> tuple[int, tuple[float, float]]:
     """Draw one hypothesis by weight and plan a sleep for its estimates.
 
-    Hypotheses are drawn from in sorted key order: good before bad,
-    then ascending counts.
+    Hypotheses are drawn from in sorted key order, good before bad and
+    then ascending counts, by ``_draw``: one uniform from ``rng``, the
+    same index and generator state as ``rng.choice`` with the float
+    weights normalized by their sum. Weights past about 2^1024
+    overflow that sum and raise ValueError.
 
     Estimates that violate the model constraint, or whose optimum is to
     never harvest, fall back to a single sleeping slot: a learner must
@@ -316,8 +353,7 @@ def sample_and_plan(
     good, bad = sorted(hyp._good), sorted(hyp._bad)
     if not good and not bad:
         raise EmptyPosterior("cannot sample from an empty hypothesis set")
-    weights = np.array([float(hyp._good[key]) for key in good] + [float(hyp._bad[key]) for key in bad])
-    idx = int(rng.choice(len(weights), p=weights / weights.sum()))
+    idx = _draw([hyp._good[key] for key in good] + [hyp._bad[key] for key in bad], rng)
     if idx < len(good):
         packed = good[idx] + hyp._good_offset
     else:
@@ -382,9 +418,9 @@ def _run_episode(
     discount = 1.0
     r1, r0, gamma = cfg.r1, cfg.r0, cfg.gamma
     timer = policy.reset(rng)
-    for t in range(states.shape[0]):
+    for t, state in enumerate(states.tolist()):
         if timer == 0:
-            good = bool(states[t])
+            good = bool(state)
             reward = r1 if good else -r0
             total += discount * reward
             timer = policy.after_harvest(good)
