@@ -163,5 +163,6 @@ def _policy_values(terms: tuple, params: GEParams, cfg: RewardConfig):
     num = cfg.r1 * (1.0 - p) * rest + big_g * cfg.r1 * b - p * cfg.r0
     den = rest * (d + g * p) + big_g * b * d
     v_good = num / den
+    del num, den  # a long scan's peak then holds two arrays fewer
     v_wake = (b * (cfg.r0 + cfg.r1) - cfg.r0 + g * b * v_good) / (rest + big_g * b)
     return v_good, gamma_n * v_wake, v_wake

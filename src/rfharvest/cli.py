@@ -287,13 +287,15 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _apply_config_defaults(parser: argparse.ArgumentParser, argv: list[str]) -> list[str]:
-    """Prepend flag defaults from --config as if typed before the flags."""
-    if "--config" not in argv:
+    """Prepend flag defaults from --config FILE or --config=FILE as if
+    typed before the flags."""
+    i = next((i for i, arg in enumerate(argv) if arg.partition("=")[0] == "--config"), None)
+    if i is None:
         return argv
-    i = argv.index("--config")
-    try:
-        path = argv[i + 1]
-    except IndexError:
+    _, inline, path = argv[i].partition("=")
+    if not inline:
+        path = argv[i + 1] if i + 1 < len(argv) else ""
+    if not path:
         parser.error("--config needs a file path")
     with open(path) as fh:
         try:
@@ -302,7 +304,7 @@ def _apply_config_defaults(parser: argparse.ArgumentParser, argv: list[str]) -> 
             parser.error(f"config file is not valid JSON: {exc}")
     if not isinstance(data, dict):
         parser.error("config file must hold a JSON object of flag values")
-    rest = argv[:i] + argv[i + 2 :]
+    rest = argv[:i] + argv[i + (1 if inline else 2) :]
     if not rest:
         parser.error("config file cannot supply the subcommand")
     injected: list[str] = []

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import bisect
 import csv
-import functools
 import io
 import itertools
 import json
@@ -130,33 +129,25 @@ def default_n_max(params: GEParams) -> int:
     return min(100_000, max(1, n_conv + 8))
 
 
-# The discount terms of the first 4096 counts are cached for one gamma
-# (4 x 4096 floats, 128 KB). A longer scan takes its first block of
-# counts from the cache and computes the others in blocks of 16384:
-# smaller blocks cost more in numpy calls and joins than they save on
-# scans of ~1e5 counts, and larger ones keep arrays alive whose pages
-# every call faults in afresh.
+# One prefix of the discount terms, those of the counts 0..len-1 for the
+# last gamma scanned, read-only since every scan under that gamma slices
+# it. It holds 4096 counts at first (4 x 4096 floats, 128 KB) and is
+# rebuilt, the old one dropped first, only when a scan needs more counts;
+# ``default_n_max`` caps it at 100,001 counts (3.2 MB). _CACHED_COUNTS is
+# also the most counts per chain that a batch of chains holds.
 _CACHED_COUNTS = 4096
-_BLOCK_COUNTS = 16384
+_prefix: dict[float, tuple[np.ndarray, ...]] = {}
 
 
-@functools.lru_cache(maxsize=1)
-def _cached_discount_terms(gamma: float) -> tuple[np.ndarray, ...]:
-    """``_discount_terms`` of the counts 0..4095, read-only, since every
-    scan under this gamma shares them."""
-    terms = _discount_terms(np.arange(_CACHED_COUNTS), gamma)
-    for t in terms:
-        t.setflags(write=False)
-    return terms
-
-
-def _count_blocks(size: int, cached, gamma: float) -> list:
-    """Discount terms of the counts 0..size-1: the first block from the
-    cache, the others ``_BLOCK_COUNTS`` at a time."""
-    blocks = [[t[:size] for t in cached]]
-    for lo in range(_CACHED_COUNTS, size, _BLOCK_COUNTS):
-        blocks.append(_discount_terms(np.arange(lo, min(lo + _BLOCK_COUNTS, size)), gamma))
-    return blocks
+def _discount_prefix(size: int, gamma: float) -> tuple[np.ndarray, ...]:
+    """``_discount_terms`` of the counts 0..size-1 or more under gamma."""
+    if gamma not in _prefix or len(_prefix[gamma][0]) < size:
+        _prefix.clear()
+        terms = _discount_terms(np.arange(max(size, _CACHED_COUNTS)), gamma)
+        for t in terms:
+            t.setflags(write=False)
+        _prefix[gamma] = terms
+    return _prefix[gamma]
 
 
 def _best_count(v_good: np.ndarray, v_wake: np.ndarray) -> int | None:
@@ -189,20 +180,18 @@ def _scan(chains: Sequence[GEParams], cfg: RewardConfig) -> list[tuple[Threshold
     if not chains:
         return []
     sizes = [default_n_max(c) + 1 for c in chains]
-    cached = _cached_discount_terms(cfg.gamma)
-    if len(chains) == 1:
-        # scalars broadcast over the counts at less cost than arrays, and
-        # a block at a time keeps a long scan's working arrays small
-        pieces = [_policy_values(terms, chains[0], cfg) for terms in _count_blocks(sizes[0], cached, cfg.gamma)]
-        values = pieces[0] if len(pieces) == 1 else [np.concatenate(v) for v in zip(*pieces)]
-    elif max(sizes) > _CACHED_COUNTS:
-        # a chain past the cache is scanned alone, so that a batch holds
-        # at most 4096 counts per chain
+    if len(chains) > 1 and max(sizes) > _CACHED_COUNTS:
+        # a chain past 4096 counts is scanned alone, so that a batch
+        # holds at most 4096 counts per chain
         alone = {i: _scan([c], cfg)[0] for i, (c, size) in enumerate(zip(chains, sizes)) if size > _CACHED_COUNTS}
         batch = iter(_scan([c for i, c in enumerate(chains) if i not in alone], cfg))
         return [alone[i] if i in alone else next(batch) for i in range(len(chains))]
+    prefix = _discount_prefix(max(sizes), cfg.gamma)
+    if len(chains) == 1:
+        # scalars broadcast over the counts at less cost than arrays
+        values = _policy_values([t[: sizes[0]] for t in prefix], chains[0], cfg)
     else:
-        terms = [np.concatenate([t[:size] for size in sizes]) for t in cached]
+        terms = [np.concatenate([t[:size] for size in sizes]) for t in prefix]
         fields = ([getattr(c, name) for c in chains] for name in _Chains._fields)
         params = _Chains(*(np.repeat(field, sizes) for field in fields))
         values = _policy_values(terms, params, cfg)
@@ -232,10 +221,9 @@ def optimal_sleep_time(params: GEParams, cfg: RewardConfig) -> tuple[ThresholdPo
 
     This is the scan ``build_lookup_table`` runs over a batch of chains,
     here over one. The terms that depend only on n and gamma (n + 1,
-    1 - G, G = gamma^(n+1) and gamma^n) come from a cache of the first
-    4096 counts for the last gamma scanned; a scan with n_max of 4096 or
-    more computes those of its further counts, a block of 16384 at a
-    time.
+    1 - G, G = gamma^(n+1) and gamma^n) are sliced from one prefix of
+    them kept for the last gamma scanned, which a scan past its length
+    rebuilds to its n_max.
     """
     return _scan([params], cfg)[0]
 
@@ -375,7 +363,8 @@ class LookupTable:
         The document's shape is checked first, and a malformed one
         raises ValueError naming the fault: the axes must be nonempty
         and strictly ascending, and the cells must follow them in
-        row-major order, each valid cell with its policy.
+        row-major order, each valid cell with its policy: never_harvest
+        true or false and, unless true, sleep_slots a nonnegative integer.
         """
         if not isinstance(data, dict) or data.get("schema") != "sleep-lookup-table/1":
             raise ValueError("not a sleep lookup table document")
@@ -400,11 +389,12 @@ class LookupTable:
             if c["valid"]:
                 pol = c["policy"]
                 _require_keys(pol, ("never_harvest", "sleep_slots"), f"policy of valid {where}")
-                policy = (
-                    ThresholdPolicy.never()
-                    if pol["never_harvest"]
-                    else ThresholdPolicy.sleep(pol["sleep_slots"])
-                )
+                never, slots = pol["never_harvest"], pol["sleep_slots"]
+                if not isinstance(never, bool):
+                    raise ValueError(f"{where} has never_harvest {never!r}, not true or false")
+                if not never and (type(slots) is not int or slots < 0):
+                    raise ValueError(f"{where} has sleep_slots {slots!r}, not a nonnegative integer")
+                policy = ThresholdPolicy.never() if never else ThresholdPolicy(slots)
             cells.append(
                 LookupCell(
                     pi_g=c["pi_g"],
@@ -455,7 +445,7 @@ def build_lookup_table(
     documents and ``LookupTable.from_json_dict`` checks. The valid
     cells of each pi_g row are scanned in one batch, the scan of
     ``optimal_sleep_time`` over all their chains at once, with the
-    discount terms it caches; each cell gets the bits a scan of its
+    discount-term prefix it keeps; each cell gets the bits a scan of its
     chain alone gives. A batch holds one row, never the whole grid, so
     the working arrays stay small.
     """

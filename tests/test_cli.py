@@ -215,6 +215,19 @@ MALFORMED_TABLE_ERRORS = {
     "null_policy": "policy of valid cell",
     "top_level_list": "not a sleep lookup table document",
     "reversed_pi_g_axis": "pi_g_axis must be nonempty and strictly ascending",
+    "fractional_sleep_slots": "has sleep_slots 2.7, not a nonnegative integer",
+    "bool_sleep_slots": "has sleep_slots True, not a nonnegative integer",
+    "string_sleep_slots": "has sleep_slots '3', not a nonnegative integer",
+    "negative_sleep_slots": "has sleep_slots -1, not a nonnegative integer",
+    "int_never_harvest": "has never_harvest 1, not true or false",
+}
+# fault -> (policy field, value) set on the first valid cell that harvests
+POLICY_FIELD_FAULTS = {
+    "fractional_sleep_slots": ("sleep_slots", 2.7),
+    "bool_sleep_slots": ("sleep_slots", True),
+    "string_sleep_slots": ("sleep_slots", "3"),
+    "negative_sleep_slots": ("sleep_slots", -1),
+    "int_never_harvest": ("never_harvest", 1),
 }
 
 
@@ -249,6 +262,9 @@ class TestLearnCommand:
             next(c for c in doc["cells"] if c["valid"])["policy"] = None
         elif fault == "top_level_list":
             doc = [doc]
+        elif fault in POLICY_FIELD_FAULTS:
+            key, value = POLICY_FIELD_FAULTS[fault]
+            next(c for c in doc["cells"] if c["valid"] and not c["policy"]["never_harvest"])["policy"][key] = value
         else:
             doc["pi_g_axis"].reverse()
         table_path = tmp_path / "table.json"
@@ -319,15 +335,17 @@ class TestCompareCommand:
 
 
 class TestConfigFile:
-    def test_config_supplies_defaults_flags_override(self, tmp_path, capsys):
+    @pytest.mark.parametrize("spell", [lambda path: ["--config", path], lambda path: [f"--config={path}"]],
+                             ids=["separate", "equals"])
+    def test_config_supplies_defaults_flags_override(self, tmp_path, capsys, spell):
         config = tmp_path / "cfg.json"
         config.write_text(json.dumps({"pi_g": 0.6, "t_b": 2.5, "r0": 10, "r1": 10, "gamma": 0.99}))
-        code, out, _ = run_cli(["policy", "--config", str(config)], capsys)
+        code, out, _ = run_cli(["policy", *spell(str(config))], capsys)
         assert code == 0
         assert dict(l.split(" ", 1) for l in out.strip().splitlines())["sleep_slots"] == "1"
         # flag wins over the config value
         code, out2, _ = run_cli(
-            ["policy", "--config", str(config), "--t-b", "8"], capsys
+            ["policy", *spell(str(config)), "--t-b", "8"], capsys
         )
         assert code == 0
         assert float(dict(l.split(" ", 1) for l in out2.strip().splitlines())["q"]) == pytest.approx(1 / 8)

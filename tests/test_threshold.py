@@ -34,6 +34,7 @@ from rfharvest.threshold import (
     _CACHED_COUNTS,
     _TIE_BAND,
     _nearest_index,
+    _prefix,
     _scan,
 )
 from rfharvest.value_iteration import VISettings
@@ -395,8 +396,9 @@ def assert_table_matches_scans(table, cfg):
 
 class TestBatchedScan:
     """``build_lookup_table`` scans a row of chains in one batch, with
-    discount terms from a cache; each cell must get the bits of a scan
-    of its chain alone, and that scan those of the uncached oracle."""
+    discount terms sliced from a prefix kept for one gamma; each cell
+    must get the bits of a scan of its chain alone, and that scan those
+    of the uncached oracle."""
 
     @given(grids())
     @settings(max_examples=60, deadline=None)
@@ -425,6 +427,27 @@ class TestBatchedScan:
                 assert bits(value) == bits(ref_value)
                 alone_policy, alone_value = optimal_sleep_time(params, cfg)
                 assert alone_policy == policy and bits(alone_value) == bits(value)
+
+    def test_prefix_grows_is_reused_and_resets_with_gamma(self):
+        short = GEParams(p=0.01, q=0.3)  # harvests under both gammas
+        long = from_burst_parameterization(0.1, 1e5)  # 100,001 counts
+        cfg = RewardConfig(r1=1.0, r0=30.0, gamma=0.999)
+        other = RewardConfig(r1=1.0, r0=30.0, gamma=0.99)
+        _prefix.clear()
+        seen = []
+        for params, c in ((short, cfg), (long, cfg), (short, cfg), (short, other), (long, other)):
+            policy, value = optimal_sleep_time(params, c)
+            ref_policy, ref_value = reference_sleep_time(params, c)
+            assert policy == ref_policy and bits(value) == bits(ref_value)
+            ((gamma, terms),) = _prefix.items()
+            assert gamma == c.gamma
+            assert not any(t.flags.writeable for t in terms)
+            assert default_n_max(params) < len(terms[0]) <= 100_001
+            seen.append(terms)
+        # the long chain's best count lies past the first 4096
+        assert optimal_sleep_time(long, cfg)[0].sleep_slots > _CACHED_COUNTS
+        assert [len(terms[0]) for terms in seen] == [_CACHED_COUNTS, 100_001, 100_001, _CACHED_COUNTS, 100_001]
+        assert seen[2] is seen[1]
 
     def test_grid_without_valid_cells_builds(self):
         # p + q = q / pi_g >= 1 on every cell: nothing to scan
