@@ -28,8 +28,9 @@ level's post-success unknown:
 and back-substitution runs down from the full-charge boundary. The
 coefficients m and a depend only on the chain, so the full-charge,
 depletion and slot-count systems share them; e and c carry each
-system's right-hand side. The complement 1 - a is carried as its own
-product, never as a subtraction, so every step of the recursion adds
+system's right-hand side, and three sweeps over the levels solve all
+three (see ``absorption_analysis``). The complement 1 - a is carried
+as its own product, never as a subtraction, so every step adds
 terms of one sign (the property Grassmann, Taksar & Heyman 1985 get
 for Gaussian elimination by building pivots from row sums).
 Probabilities far below machine epsilon therefore keep their relative
@@ -45,7 +46,6 @@ import csv
 import io
 from array import array
 from dataclasses import dataclass
-from itertools import repeat
 
 import numpy as np
 
@@ -186,52 +186,64 @@ def absorption_analysis(chain: BatteryChain) -> AbsorptionResult:
 
     before X0(L) = m_L X0(L+1) + e_L and X1(L) = a_L X0(L+1) + c_L are
     substituted back from X0(capacity), the full-charge value. Every
-    term is nonnegative, so no step cancels.
+    term is nonnegative, so no step cancels, and a cost term that is 0
+    can be dropped without changing a bit.
+
+    Three sweeps over the levels do it. The first builds g, m, a with
+    the depletion system's e, c (no costs, c_0 = 1). The full-charge
+    system has e = c = 0, so X0 is a running product of m from the top
+    and X1(L) = a_L X0(L+1): no sweep. The second builds the slot
+    system's e, c from h0 and (N+1) h1, and the third substitutes both
+    remaining systems back. Each system's forward e, c are parked in
+    the output rows that the back-substitution overwrites.
     """
     cap = chain.battery.capacity
     s0, s1 = chain.success_after_success, chain.success_after_failure
     f0, f1 = 1.0 - s0, 1.0 - s1
-    g, m, a = array("d"), array("d"), array("d", [0.0])  # g, m from level 1; a from 0
-    abar = 1.0
-    for _ in range(cap - 1):
-        g_l = s0 + f0 * abar
-        m_l = s0 / g_l
-        g.append(g_l)
-        m.append(m_l)
-        a.append(s1 + f1 * a[-1] * m_l)
+    levels = range(1, cap)
+    full, dep, y = (np.empty((2, cap + 1)) for _ in range(3))
+    dep_e, dep_c, y_e, y_c = (memoryview(row) for row in (*dep, *y))
+    g, m, a = (array("d", [0.0]) * cap for _ in range(3))  # indexed by level; a_0 = 0
+    abar, a_l, c_l = 1.0, 0.0, 1.0
+    for level in levels:
+        g[level] = g_l = s0 + f0 * abar
+        m[level] = m_l = s0 / g_l
+        dep_e[level] = e_l = f0 * c_l / g_l
+        dep_c[level] = c_l = f1 * (a_l * e_l + c_l)
+        a[level] = a_l = s1 + f1 * a_l * m_l
         abar = f1 * abar / g_l
 
-    def solve(cost0, cost1, at_zero: float, at_cap: float) -> np.ndarray:
-        """(phase, level) table of one system; cost0/1 iterate levels 1..cap-1."""
-        e, c = array("d"), array("d", [at_zero])
-        c_l = at_zero
-        for g_l, a_prev, k0, k1 in zip(g, a, cost0, cost1):
-            e_l = (k0 + f0 * c_l) / g_l
-            c_l = k1 + f1 * (a_prev * e_l + c_l)
-            e.append(e_l)
-            c.append(c_l)
-        x0, x1 = array("d", [at_cap]), array("d", [at_cap])  # levels cap down to 1
-        up = at_cap
-        for m_l, e_l, a_l, c_l in zip(reversed(m), reversed(e), reversed(a), reversed(c)):
-            x1.append(a_l * up + c_l)
-            up = m_l * up + e_l
-            x0.append(up)
-        x = np.empty((2, cap + 1))
-        x[:, 0] = at_zero
-        x[0, :0:-1] = x0
-        x[1, :0:-1] = x1
-        return x
+    full[:, 0], full[:, cap] = 0.0, 1.0
+    np.multiply.accumulate(np.frombuffer(m)[:0:-1], out=full[0, cap - 1 : 0 : -1])
+    np.multiply(np.frombuffer(a)[1:], full[0, 2:], out=full[1, 1:cap])
 
-    zeros = repeat(0.0)
-    full_prob = solve(zeros, zeros, 0.0, 1.0)
-    w1 = chain.sleep_slots + 1.0
-    y = solve(memoryview(full_prob[0, 1:]), memoryview(w1 * full_prob[1, 1:]), 0.0, 0.0)
+    # the slot costs (N+1) h1 are parked in y's phase-1 row; each zip
+    # below reads a level's parked values before the body overwrites them
+    np.multiply(full[1, 1:cap], chain.sleep_slots + 1.0, out=y[1, 1:cap])
+    c_l = 0.0
+    for level, g_l, a_prev, h0, k1 in zip(levels, memoryview(g)[1:], a, full[0, 1:cap].data, y_c[1:cap]):
+        y_e[level] = e_l = (h0 + f0 * c_l) / g_l
+        y_c[level] = c_l = k1 + f1 * (a_prev * e_l + c_l)
+
+    dep_up = y_up = 0.0
+    for level, m_l, a_l, de, dc, ye, yc in zip(
+        reversed(levels), reversed(m), reversed(a),
+        *(reversed(row[1:cap]) for row in (dep_e, dep_c, y_e, y_c)),
+    ):
+        dep_c[level] = a_l * dep_up + dc
+        dep_e[level] = dep_up = m_l * dep_up + de
+        y_c[level] = a_l * y_up + yc
+        y_e[level] = y_up = m_l * y_up + ye
+    dep[:, 0], dep[:, cap] = 1.0, 0.0
+    y[:, 0], y[:, cap] = 0.0, 0.0
+
     with np.errstate(invalid="ignore", divide="ignore"):
-        slots = np.where(full_prob > 0.0, y / full_prob, np.nan)
+        slots = np.divide(y, full, out=y)
+    slots[full == 0.0] = np.nan
     return AbsorptionResult(
         capacity=cap,
-        full_charge_prob=full_prob,
-        depletion_prob=solve(zeros, zeros, 1.0, 0.0),
+        full_charge_prob=full,
+        depletion_prob=dep,
         expected_slots_conditional=slots,
     )
 

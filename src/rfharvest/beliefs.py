@@ -149,6 +149,15 @@ def _discount_terms(n, gamma: float) -> tuple:
     return steps, rest, big_g, gamma**n
 
 
+def _never_wake_value(params: GEParams, cfg: RewardConfig) -> float:
+    """y = V(1-p) of "harvest while succeeding, never after a failure":
+    a run of harvests that each earn r1 (1-p) - r0 p, ended by the
+    first failure, (r1 (1-p) - r0 p) / (1 - gamma + gamma p). It is
+    positive whenever (1-p) r1 > p r0, even where no sleep count pays."""
+    g, p = cfg.gamma, params.p
+    return (cfg.r1 * (1.0 - p) - cfg.r0 * p) / ((1.0 - g) + g * p)
+
+
 def _policy_values(terms: tuple, params: GEParams, cfg: RewardConfig):
     """(v_good, v_fail, v_wake) of the sleep-n policy, the field order of
     ``threshold.PolicyValue``, from the closed form above; ``terms`` are

@@ -224,6 +224,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="rfharvest",
         description="Harvest/sleep policies for bursty ambient energy arrivals",
+        allow_abbrev=False,  # _apply_config_defaults reads only the full --config
     )
     parser.add_argument("--config", help="JSON file with flag defaults (flags win)")
     sub = parser.add_subparsers(dest="command", required=True)

@@ -20,7 +20,7 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .beliefs import RewardConfig, _discount_terms, _policy_values, _sleep_count
+from .beliefs import RewardConfig, _discount_terms, _never_wake_value, _policy_values, _sleep_count
 from .gilbert_elliott import GEParams, is_valid_chain, stationary
 from .value_iteration import VISettings, harvest_crossover, solve
 
@@ -61,6 +61,10 @@ class ThresholdPolicy:
 
     @classmethod
     def never(cls) -> "ThresholdPolicy":
+        """Never wake after a failure. ``reset`` returns None, so an
+        episode run from its start never harvests at all and earns 0,
+        even where the scan's v_good (harvesting on from the post-success
+        belief until the first failure) is positive."""
         return cls(sleep_slots=None)
 
     @classmethod
@@ -196,12 +200,15 @@ def _scan(chains: Sequence[GEParams], cfg: RewardConfig) -> list[tuple[Threshold
         params = _Chains(*(np.repeat(field, sizes) for field in fields))
         values = _policy_values(terms, params, cfg)
     results = []
-    for start, end in itertools.pairwise(itertools.accumulate(sizes, initial=0)):
+    bounds = itertools.pairwise(itertools.accumulate(sizes, initial=0))
+    for chain, (start, end) in zip(chains, bounds):
         segment = [v[start:end] for v in values]
         best = _best_count(segment[0], segment[2])
         if best is None:
-            # never harvesting earns exactly zero from every belief
-            results.append((ThresholdPolicy.never(), PolicyValue(v_good=0.0, v_fail=0.0, v_wake=0.0)))
+            # after a failure sleeping forever earns 0; after a success
+            # harvesting on until the first failure may still pay
+            v_good = max(0.0, _never_wake_value(chain, cfg))
+            results.append((ThresholdPolicy.never(), PolicyValue(v_good=v_good, v_fail=0.0, v_wake=0.0)))
         else:
             results.append((ThresholdPolicy.sleep(best), PolicyValue(*(float(v[best]) for v in segment))))
     return results
@@ -212,12 +219,15 @@ def optimal_sleep_time(params: GEParams, cfg: RewardConfig) -> tuple[ThresholdPo
 
     The scan maximizes the post-success value over n = 0..n_max
     (``default_n_max``), breaking ties (values within ``_TIE_BAND`` of
-    the best, relatively) toward the smaller count. Never harvesting is
-    optimal exactly when no candidate achieves a positive value at its
-    wake-up belief: the wake-up belief is the only one the policy
-    reaches from below the threshold, so a nonpositive value there
-    means sleeping forever (worth 0) is at least as good everywhere the
-    policy could start.
+    the best, relatively) toward the smaller count. Never waking after
+    a failure is optimal exactly when no candidate achieves a positive
+    value at its wake-up belief: the wake-up belief is the only one the
+    policy reaches from below the threshold, so a nonpositive value
+    there means sleeping forever (worth 0) is at least as good from the
+    post-failure belief q. It need not be at the post-success belief
+    1 - p: harvesting there until the first failure is worth
+    y = (r1 (1-p) - r0 p) / (1 - gamma + gamma p), so a "never" result
+    carries v_good = max(0, y) and v_fail = v_wake = 0.
 
     This is the scan ``build_lookup_table`` runs over a batch of chains,
     here over one. The terms that depend only on n and gamma (n + 1,

@@ -41,7 +41,7 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .beliefs import RewardConfig, _discount_terms, _policy_values, _sleep_count
+from .beliefs import RewardConfig, _discount_terms, _never_wake_value, _policy_values, _sleep_count
 from .gilbert_elliott import GEParams
 
 __all__ = [
@@ -275,15 +275,15 @@ def _policy_value(
 
     The policy's values (x, y) = (V(q), V(1-p)) are the closed-form
     (v_fail, v_good) of ``beliefs._policy_values``; with n None, x = 0
-    and y is the value of a run of harvests, (r1 (1-p) - r0 p) /
-    (1 - gamma + gamma p). With h the harvesting line through (x, y) and
+    and y is the value of a run of harvests, ``beliefs._never_wake_value``.
+    With h the harvesting line through (x, y) and
     S the sleep transform, the result is the envelope of S^k h,
     k = 0..n, and the zero line.
     """
-    g, p = cfg.gamma, params.p
+    g = cfg.gamma
     lo, hi = _domain(params)
     if n is None:
-        x, y = 0.0, (cfg.r1 * (1.0 - p) - cfg.r0 * p) / ((1.0 - g) + g * p)
+        x, y = 0.0, _never_wake_value(params, cfg)
     else:
         v_good, v_fail, _ = _policy_values(_discount_terms(n, g), params, cfg)
         x, y = float(v_fail), float(v_good)

@@ -2,6 +2,7 @@
 
 import io
 import tracemalloc
+from array import array
 from decimal import Decimal, localcontext
 from fractions import Fraction
 
@@ -120,6 +121,52 @@ def decimal_absorption(chain) -> tuple[list, list, list]:
         h, dep = decimal_solve(a, [[Decimal(v) for v in r[:, 1]], [Decimal(v) for v in r[:, 0]]])
         (y,) = decimal_solve(a, [[Decimal(w) * v for w, v in zip(slot_weights(chain), h)]])
     return h, dep, y
+
+
+def seven_pass_absorption(chain) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Oracle: the level recursion as one coefficient pass plus a forward
+    and a backward pass per system, each system solved with its zero
+    costs written out. ``absorption_analysis`` must match it bit for bit.
+    Returns the full-charge, depletion and conditional slot tables."""
+    cap = chain.battery.capacity
+    s0, s1 = chain.success_after_success, chain.success_after_failure
+    f0, f1 = 1.0 - s0, 1.0 - s1
+    g, m, a = array("d"), array("d"), array("d", [0.0])
+    abar = 1.0
+    for _ in range(cap - 1):
+        g_l = s0 + f0 * abar
+        m_l = s0 / g_l
+        g.append(g_l)
+        m.append(m_l)
+        a.append(s1 + f1 * a[-1] * m_l)
+        abar = f1 * abar / g_l
+
+    def solve(cost0, cost1, at_zero, at_cap):
+        e, c = array("d"), array("d", [at_zero])
+        c_l = at_zero
+        for g_l, a_prev, k0, k1 in zip(g, a, cost0, cost1):
+            e_l = (k0 + f0 * c_l) / g_l
+            c_l = k1 + f1 * (a_prev * e_l + c_l)
+            e.append(e_l)
+            c.append(c_l)
+        x0, x1 = array("d", [at_cap]), array("d", [at_cap])
+        up = at_cap
+        for m_l, e_l, a_l, c_l in zip(reversed(m), reversed(e), reversed(a), reversed(c)):
+            x1.append(a_l * up + c_l)
+            up = m_l * up + e_l
+            x0.append(up)
+        x = np.empty((2, cap + 1))
+        x[:, 0] = at_zero
+        x[0, :0:-1] = x0
+        x[1, :0:-1] = x1
+        return x
+
+    zeros = [0.0] * (cap - 1)
+    full = solve(zeros, zeros, 0.0, 1.0)
+    y = solve(memoryview(full[0, 1:]), memoryview((chain.sleep_slots + 1.0) * full[1, 1:]), 0.0, 0.0)
+    with np.errstate(invalid="ignore", divide="ignore"):
+        slots = np.where(full > 0.0, y / full, np.nan)
+    return full, solve(zeros, zeros, 1.0, 0.0), slots
 
 
 def simulate_chain(
@@ -300,6 +347,23 @@ class TestAbsorptionAnalysis:
             np.testing.assert_array_equal(got[exact == 0.0], 0.0)
         slots = np.array([float(yi / hi) for yi, hi in zip(y, h)])
         np.testing.assert_allclose(transient(res.expected_slots_conditional), slots, rtol=1e-12, atol=0)
+
+    @given(
+        capacity=st.integers(2, 3000),
+        s0=st.floats(0.0, 1.0, exclude_min=True),
+        s1=st.floats(1e-6, 1.0),
+        sleep=st.integers(0, 30),
+    )
+    @example(capacity=2, s0=1.0, s1=1e-6, sleep=0)
+    @example(capacity=3000, s0=1.0, s1=1.0, sleep=30)
+    @example(capacity=3000, s0=1e-6, s1=1e-6, sleep=7)  # full charge underflows
+    @settings(max_examples=100, deadline=None)
+    def test_bit_equal_to_seven_pass_recursion(self, capacity, s0, s1, sleep):
+        chain = build_chain_from_success_probs(s0, s1, sleep, BatteryConfig(capacity))
+        res = absorption_analysis(chain)
+        got = (res.full_charge_prob, res.depletion_prob, res.expected_slots_conditional)
+        for table, expected in zip(got, seven_pass_absorption(chain)):
+            assert table.tobytes() == expected.tobytes()
 
     def test_tiny_probabilities_keep_relative_accuracy(self):
         # against the ruin closed form down to 2e-60: full charge under

@@ -350,6 +350,26 @@ class TestConfigFile:
         assert code == 0
         assert float(dict(l.split(" ", 1) for l in out2.strip().splitlines())["q"]) == pytest.approx(1 / 8)
 
+    @pytest.mark.parametrize("spell", [lambda path: ["--config", path], lambda path: [f"--config={path}"]],
+                             ids=["separate", "equals"])
+    def test_config_before_the_subcommand(self, tmp_path, capsys, spell):
+        config = tmp_path / "cfg.json"
+        config.write_text(json.dumps({"pi_g": 0.6, "t_b": 2.5, "r0": 10, "r1": 10, "gamma": 0.99}))
+        code, out, _ = run_cli([*spell(str(config)), "policy"], capsys)
+        assert code == 0
+        assert dict(l.split(" ", 1) for l in out.strip().splitlines())["sleep_slots"] == "1"
+
+    @pytest.mark.parametrize("spell", [lambda path: ["--conf", path], lambda path: [f"--conf={path}"]],
+                             ids=["separate", "equals"])
+    def test_abbreviated_config_is_a_usage_error(self, tmp_path, capsys, spell):
+        # a prefix of --config would parse but never be read
+        config = tmp_path / "cfg.json"
+        config.write_text(json.dumps({"pi_g": 0.6, "t_b": 2.5}))
+        code, out, err = run_cli([*spell(str(config)), "policy"], capsys)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("usage: rfharvest") and "chain parameters required" not in err
+
 
 def test_console_entry_point_runs():
     proc = subprocess.run(

@@ -21,7 +21,11 @@ moved in their last digits. The battery
 digests were recorded on the level recursion for absorption; the
 banded elimination sweep before it printed different last digits. The
 table digests were recorded from the sleep-count scan that ran once
-per cell, before it scanned a grid row in one batch. Rerunning one
+per cell, before it scanned a grid row in one batch. The (10, 10) and
+(1, 10) table digests were recorded again when a "never" cell began to
+report v_good = max(0, y), the value of harvesting on from the
+post-success belief until the first failure, instead of 0; only those
+cells' v_good moved. Rerunning one
 version twice (acceptance criterion 8) cannot catch a change to the
 random draws or to the floating-point operations; these can. A change
 that alters them on purpose must say so and record new digests.
@@ -72,10 +76,10 @@ BATTERY_DIGESTS = {
 TABLE_DIGESTS = {
     (10, 1, "csv"): "a04594fec63e63a5ed639332ee4345238d5401d130d073a3d1f51c3e0771db54",
     (10, 1, "json"): "f265b522fa4ce95d2bd5f2f239c0c1e6905f17ee9dccb86d1112277e0325d1b7",
-    (10, 10, "csv"): "e671b07ee35594709279009403fa4e6e4a5327bbae9e8e02642b432d0e1b9aa0",
-    (10, 10, "json"): "e3442d83e114b25c1b501875c4c331f923b06c9ea40a9ed7b3d8915c787964ed",
-    (1, 10, "csv"): "caa2c036b321e9eac6c1617d73eb146837ad2039731cedc72eb9109ab7b7319f",
-    (1, 10, "json"): "087819cbcb26bc05435268e1aa36573adc9a4200ecffcdd6dd94bbde54fec2b9",
+    (10, 10, "csv"): "530fb7abadd5fffe051504fb38c9f93c52bf353b1f7ae7439bea5f8baa9dd8b8",
+    (10, 10, "json"): "b325296613aba54e6d6686f0a952995d8dfe96c681f71103e1727048fcf7f938",
+    (1, 10, "csv"): "1dd0df56786f92715a24ee31f03dd870757ed3c73fb699eb2f81e3cd7da95b8c",
+    (1, 10, "json"): "0efdb504ca6365a1e96ccfe5680da99e25cf3e645d6980ccfc21fa73416e121d",
 }
 
 # the four desk policies on the reference chain, 2 paths x 2 runs, base seed 3

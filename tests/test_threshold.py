@@ -14,7 +14,7 @@ from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from rfharvest import cli
@@ -37,7 +37,7 @@ from rfharvest.threshold import (
     _prefix,
     _scan,
 )
-from rfharvest.value_iteration import VISettings
+from rfharvest.value_iteration import VISettings, solve
 
 from test_gilbert_elliott import valid_params
 
@@ -55,11 +55,15 @@ def scan_values(params: GEParams, cfg: RewardConfig):
 
 def reference_sleep_time(params: GEParams, cfg: RewardConfig) -> tuple[ThresholdPolicy, PolicyValue]:
     """The scan of one chain over uncached terms, with np.max and argmax:
-    the oracle for ``optimal_sleep_time`` and the table's batches."""
+    the oracle for ``optimal_sleep_time`` and the table's batches. A
+    never cell is worth max(0, y) after a success, y the value of
+    harvesting until the first failure, and 0 elsewhere."""
     values = scan_values(params, cfg)
     v_good, _, v_wake = values
     if float(np.max(v_wake)) < 0.0:
-        return ThresholdPolicy.never(), PolicyValue(v_good=0.0, v_fail=0.0, v_wake=0.0)
+        g, p = cfg.gamma, params.p
+        y = (cfg.r1 * (1.0 - p) - cfg.r0 * p) / ((1.0 - g) + g * p)
+        return ThresholdPolicy.never(), PolicyValue(v_good=max(0.0, y), v_fail=0.0, v_wake=0.0)
     top = np.max(v_good)
     best = int(np.argmax(v_good >= top - _TIE_BAND * abs(top)))
     return ThresholdPolicy.sleep(best), PolicyValue(*(float(v[best]) for v in values))
@@ -282,6 +286,38 @@ class TestOptimalSleepTime:
         # the naive sign-of-best-value test would say otherwise
         v_good, _, _ = scan_values(params, cfg)
         assert float(np.max(v_good)) > 0.0
+
+    @given(
+        pi_g=st.floats(0.02, 0.6),
+        t_b=st.floats(1.1, 40.0),
+        rewards=st.sampled_from(REWARDS),
+        gamma=st.floats(0.5, 0.995),
+    )
+    @example(pi_g=0.097, t_b=20.0, rewards=(10.0, 10.0), gamma=0.99)  # v_good 1.467, not 0
+    @settings(max_examples=60, deadline=None)
+    def test_never_cell_values_match_value_iteration(self, pi_g, t_b, rewards, gamma):
+        # a never cell stops harvesting at its first failure, but from the
+        # post-success belief harvesting on may still pay
+        q = 1.0 / t_b
+        p = q * (1.0 - pi_g) / pi_g
+        assume(is_valid_chain(p, q))
+        params = GEParams(p=p, q=q)
+        cfg = RewardConfig(r1=rewards[0], r0=rewards[1], gamma=gamma)
+        policy, value = optimal_sleep_time(params, cfg)
+        assume(policy.never_harvest)
+        vi = solve(params, cfg, VISettings(epsilon=1e-9)).value
+        assert value.v_fail == value.v_wake == 0.0
+        assert abs(vi.value(params.q)) <= 1e-9
+        assert value.v_good >= 0.0
+        assert abs(value.v_good - vi.value(1.0 - params.p)) <= 1e-9 + 1e-12 * value.v_good
+
+    def test_never_cell_far_from_mixing(self):
+        # p = q = 1e-12: the chain almost never leaves the good state
+        params = GEParams(p=1e-12, q=1e-12)
+        cfg = RewardConfig(r1=10.0, r0=1.0, gamma=0.99)
+        policy, value = optimal_sleep_time(params, cfg)
+        assert policy.never_harvest
+        assert value.v_good == pytest.approx(1000.0, rel=1e-9)
 
     @given(edge_problems())
     @settings(max_examples=60, deadline=None)
