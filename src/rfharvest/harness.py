@@ -19,7 +19,7 @@ import numpy as np
 from .beliefs import RewardConfig
 from .gilbert_elliott import GEParams, from_burst_parameterization, simulate
 from .learning import PosteriorCount, PosteriorSamplingLearner, SleepTimePlanner, _run_episode
-from .threshold import STANDARD_PI_G, STANDARD_T_B, LookupTable, ThresholdPolicy, build_lookup_table, grid_axis
+from .threshold import STANDARD_PI_G, STANDARD_T_B, ThresholdPolicy, build_lookup_table, grid_axis
 
 __all__ = [
     "PolicyDef",
@@ -110,8 +110,9 @@ class ExperimentSpec:
 # after_sleep() is called on every slept slot; ``deterministic`` marks
 # policies whose episodes do not depend on the rng.
 # learning._run_episode steps a policy through a path and counts the
-# sleeps down; threshold.ThresholdPolicy is the known-parameter rule and
-# learning.PosteriorSamplingLearner the Bayes learner.
+# sleeps down; threshold.ThresholdPolicy is the known-parameter rule. The
+# Bayes learner and the two baselines below take N from a shared
+# learning.SleepTimePlanner: a count, or None, which each reads its own way.
 
 
 class ImpoverishedPosteriorPolicy:
@@ -120,17 +121,17 @@ class ImpoverishedPosteriorPolicy:
     Transition counts are updated solely when two consecutive slots
     were both harvested; sleeping slots teach it nothing. Planning is
     certainty-equivalent on the single count vector it maintains, and
-    it trusts that estimate completely: when the estimate leaves the
-    positively correlated region, or the plan for it is to never
-    harvest, the policy stops harvesting for good. (The sampling
-    learner never falls into this trap, which is the point of the
-    comparison; it keeps a protective one-slot fallback instead.)
+    it trusts that estimate completely: where the planner has no count
+    for it (outside the positively correlated region, or never harvest)
+    the policy stops harvesting for good. (The sampling learner never
+    falls into this trap, which is the point of the comparison; it
+    keeps a protective one-slot fallback instead.)
     """
 
     deterministic = True
 
-    def __init__(self, cfg: RewardConfig, table: LookupTable | None = None):
-        self.planner = SleepTimePlanner(cfg, table)
+    def __init__(self, planner: SleepTimePlanner):
+        self.planner = planner
         self.counts = [1, 1, 1, 1]  # g2b, g2g, b2g, b2b
         self._prev_good: bool | None = None
 
@@ -153,8 +154,7 @@ class ImpoverishedPosteriorPolicy:
         if good:
             return 0
         estimate = PosteriorCount(*self.counts)
-        policy = self.planner.plan(estimate.mean_p, estimate.mean_q)
-        return None if policy is None else policy.sleep_slots
+        return self.planner.plan(estimate.mean_p, estimate.mean_q)
 
     def after_sleep(self) -> None:
         self._prev_good = None
@@ -164,14 +164,15 @@ class RandomSamplingPolicy:
     """Baseline that replans from uniformly random parameter guesses.
 
     Follows the learner's outer loop but replaces the posterior draw
-    with an independent uniform draw of (p, q) at every failure. The
-    posterior itself is irrelevant to its decisions and is not kept.
+    with an independent uniform draw of (p, q) at every failure, and
+    shares the learner's one-slot fallback where the planner has no
+    count. The posterior itself is irrelevant to its decisions and is not kept.
     """
 
     deterministic = False
 
-    def __init__(self, cfg: RewardConfig, table: LookupTable | None = None):
-        self.planner = SleepTimePlanner(cfg, table)
+    def __init__(self, planner: SleepTimePlanner):
+        self.planner = planner
         self._rng = None
 
     def reset(self, rng) -> int:
@@ -183,8 +184,8 @@ class RandomSamplingPolicy:
             return 0
         p = float(self._rng.random())
         q = float(self._rng.random())
-        policy = self.planner.plan(p, q)
-        return 1 if policy is None or policy.never_harvest else policy.sleep_slots
+        n = self.planner.plan(p, q)
+        return 1 if n is None else n
 
     def after_sleep(self) -> None:
         pass
@@ -202,9 +203,9 @@ def _make_policy(defn: PolicyDef, cfg: RewardConfig):
     if defn.name == "bayes_learner":
         return PosteriorSamplingLearner(planner=SleepTimePlanner(cfg, table), **opts)
     if defn.name == "impoverished_posterior":
-        return ImpoverishedPosteriorPolicy(cfg=cfg, table=table, **opts)
+        return ImpoverishedPosteriorPolicy(planner=SleepTimePlanner(cfg, table), **opts)
     if defn.name == "random_sampling":
-        return RandomSamplingPolicy(cfg=cfg, table=table, **opts)
+        return RandomSamplingPolicy(planner=SleepTimePlanner(cfg, table), **opts)
     raise ValueError(f"unknown policy {defn.name!r}")
 
 

@@ -51,7 +51,7 @@ import numpy as np
 
 from .beliefs import Observation, RewardConfig
 from .gilbert_elliott import GEParams, is_valid_chain, simulate
-from .threshold import LookupTable, ThresholdPolicy, optimal_sleep_time
+from .threshold import LookupTable, optimal_sleep_time
 
 __all__ = [
     "PosteriorCount",
@@ -285,8 +285,10 @@ def observe(hyp: HypothesisMap, z: Observation) -> HypothesisMap:
 
 
 class SleepTimePlanner:
-    """Maps sampled parameter estimates to an optimal sleep count.
+    """Maps a (p, q) estimate to the optimal slots to sleep after a failure.
 
+    ``plan`` returns None when the estimate breaks ``1 - p > q`` or its
+    optimum never harvests; each caller decides what None means.
     Consults a lookup table when one is supplied (nearest cell); on a
     miss, or without a table, computes the exact optimum. (Sampled
     estimates almost never repeat exactly, so there is nothing to cache.)
@@ -301,15 +303,14 @@ class SleepTimePlanner:
         self.cfg = cfg
         self.table = table
 
-    def plan(self, p: float, q: float) -> ThresholdPolicy | None:
-        """Policy for the estimates, or None when they violate the model."""
+    def plan(self, p: float, q: float) -> int | None:
+        """Sleep count for the estimates; None outside the model or for never."""
         if not is_valid_chain(p, q):
             return None
-        if self.table is not None:
-            policy = self.table.lookup(p, q)
-            if policy is not None:
-                return policy
-        return optimal_sleep_time(GEParams(p=p, q=q), self.cfg)[0]
+        policy = None if self.table is None else self.table.lookup(p, q)
+        if policy is None:
+            policy = optimal_sleep_time(GEParams(p=p, q=q), self.cfg)[0]
+        return policy.sleep_slots
 
 
 def _draw(weights: list[int], rng: np.random.Generator) -> int:
@@ -345,10 +346,10 @@ def sample_and_plan(
     weights normalized by their sum. Weights past about 2^1024
     overflow that sum and raise ValueError.
 
-    Estimates that violate the model constraint, or whose optimum is to
-    never harvest, fall back to a single sleeping slot: a learner must
-    not stop observing forever on the strength of a possibly wrong
-    estimate.
+    Where the planner has no count (estimates that violate the model
+    constraint, or whose optimum is to never harvest) the learner sleeps
+    a single slot: it must not stop observing forever on the strength
+    of a possibly wrong estimate.
     """
     good, bad = sorted(hyp._good), sorted(hyp._bad)
     if not good and not bad:
@@ -360,10 +361,8 @@ def sample_and_plan(
         packed = bad[idx - len(good)] + hyp._bad_offset
     count = PosteriorCount(*_unpack(packed))
     p_hat, q_hat = count.mean_p, count.mean_q
-    policy = planner.plan(p_hat, q_hat)
-    if policy is None or policy.never_harvest:
-        return 1, (p_hat, q_hat)
-    return policy.sleep_slots, (p_hat, q_hat)
+    n = planner.plan(p_hat, q_hat)
+    return 1 if n is None else n, (p_hat, q_hat)
 
 
 class PosteriorSamplingLearner:
@@ -435,27 +434,13 @@ def _run_episode(
     return total
 
 
-@dataclass(frozen=True)
-class SlotRecord:
+class SlotRecord(NamedTuple):
     t: int
     action: str
     observation: str | None
     timer: int
     reward: float
     hypothesis_count: int
-
-    def to_json(self) -> str:
-        return json.dumps(
-            {
-                "t": self.t,
-                "action": self.action,
-                "observation": self.observation,
-                "timer": self.timer,
-                "reward": self.reward,
-                "hypothesis_count": self.hypothesis_count,
-            },
-            sort_keys=True,
-        )
 
 
 @dataclass(frozen=True)
@@ -465,7 +450,7 @@ class EpisodeTrace:
 
     def write_jsonl(self, stream) -> None:
         for record in self.records:
-            stream.write(record.to_json())
+            stream.write(json.dumps(record._asdict(), sort_keys=True))
             stream.write("\n")
 
 

@@ -255,9 +255,13 @@ class LookupCell:
     t_b: float
     p: float
     q: float
-    valid: bool
     policy: ThresholdPolicy | None
     v_good: float | None
+
+    @property
+    def valid(self) -> bool:
+        """Whether the cell's chain satisfies ``1 - p > q``: only those have a policy."""
+        return self.policy is not None
 
 
 def _nearest_index(axis: tuple[float, ...], x: float) -> int:
@@ -323,7 +327,7 @@ class LookupTable:
         pi_g = q / (p + q)
         t_b = 1.0 / q
         cell = self.cell(_nearest_index(self.pi_g_axis, pi_g), _nearest_index(self.t_b_axis, t_b))
-        return cell.policy if cell.valid else None
+        return cell.policy
 
     def write_csv(self, stream: io.TextIOBase) -> None:
         writer = csv.writer(stream, lineterminator="\n")
@@ -373,8 +377,9 @@ class LookupTable:
         The document's shape is checked first, and a malformed one
         raises ValueError naming the fault: the axes must be nonempty
         and strictly ascending, and the cells must follow them in
-        row-major order, each valid cell with its policy: never_harvest
-        true or false and, unless true, sleep_slots a nonnegative integer.
+        row-major order with valid true or false, each valid cell with its
+        policy: never_harvest true or false and, unless true, sleep_slots
+        a nonnegative integer.
         """
         if not isinstance(data, dict) or data.get("schema") != "sleep-lookup-table/1":
             raise ValueError("not a sleep lookup table document")
@@ -395,6 +400,8 @@ class LookupTable:
             pair = (pi_g_axis[index // len(t_b_axis)], t_b_axis[index % len(t_b_axis)])
             if (c["pi_g"], c["t_b"]) != pair:
                 raise ValueError(f"{where} has (pi_g, t_b) = ({c['pi_g']}, {c['t_b']}), not its axis pair {pair}")
+            if not isinstance(c["valid"], bool):
+                raise ValueError(f"{where} has valid {c['valid']!r}, not true or false")
             policy = None
             if c["valid"]:
                 pol = c["policy"]
@@ -411,7 +418,6 @@ class LookupTable:
                     t_b=c["t_b"],
                     p=c["p"],
                     q=c["q"],
-                    valid=c["valid"],
                     policy=policy,
                     v_good=c["v_good"],
                 )
@@ -475,9 +481,9 @@ def build_lookup_table(
         for t_b, p, q in row:
             if is_valid_chain(p, q):
                 policy, value = next(best)
-                cell = LookupCell(pi_g=pi_g, t_b=t_b, p=p, q=q, valid=True, policy=policy, v_good=value.v_good)
+                cell = LookupCell(pi_g=pi_g, t_b=t_b, p=p, q=q, policy=policy, v_good=value.v_good)
             else:
-                cell = LookupCell(pi_g=pi_g, t_b=t_b, p=p, q=q, valid=False, policy=None, v_good=None)
+                cell = LookupCell(pi_g=pi_g, t_b=t_b, p=p, q=q, policy=None, v_good=None)
             cells.append(cell)
     return LookupTable(
         pi_g_axis=tuple(float(x) for x in pi_g_axis),

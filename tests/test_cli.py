@@ -220,6 +220,9 @@ MALFORMED_TABLE_ERRORS = {
     "string_sleep_slots": "has sleep_slots '3', not a nonnegative integer",
     "negative_sleep_slots": "has sleep_slots -1, not a nonnegative integer",
     "int_never_harvest": "has never_harvest 1, not true or false",
+    "string_valid": "cell 0 has valid 'no', not true or false",
+    "zero_valid": "cell 3 has valid 0, not true or false",
+    "one_valid": "cell 3 has valid 1, not true or false",
 }
 # fault -> (policy field, value) set on the first valid cell that harvests
 POLICY_FIELD_FAULTS = {
@@ -228,6 +231,13 @@ POLICY_FIELD_FAULTS = {
     "string_sleep_slots": ("sleep_slots", "3"),
     "negative_sleep_slots": ("sleep_slots", -1),
     "int_never_harvest": ("never_harvest", 1),
+}
+# fault -> (cell index, value) set as that cell's ``valid``; cell 0 is
+# invalid and cell 3 valid
+VALID_FLAG_FAULTS = {
+    "string_valid": (0, "no"),
+    "zero_valid": (3, 0),
+    "one_valid": (3, 1),
 }
 
 
@@ -262,6 +272,9 @@ class TestLearnCommand:
             next(c for c in doc["cells"] if c["valid"])["policy"] = None
         elif fault == "top_level_list":
             doc = [doc]
+        elif fault in VALID_FLAG_FAULTS:
+            index, value = VALID_FLAG_FAULTS[fault]
+            doc["cells"][index]["valid"] = value
         elif fault in POLICY_FIELD_FAULTS:
             key, value = POLICY_FIELD_FAULTS[fault]
             next(c for c in doc["cells"] if c["valid"] and not c["policy"]["never_harvest"])["policy"][key] = value

@@ -65,3 +65,27 @@ def test_script_help_runs(script):
     proc = subprocess.run([sys.executable, str(script), "--help"], capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert "usage:" in proc.stdout
+
+
+def test_traced_layer_metrics_are_never_null(monkeypatch):
+    # the benchmark's tracer reads null for any traced function, method
+    # or probed result attribute that has gone; one small call of each
+    # probed layer runs every probe
+    monkeypatch.syspath_prepend(str(ROOT / "perfbench"))
+    tracer = importlib.import_module("tracer")
+    from rfharvest import battery, harness, threshold, value_iteration
+    from rfharvest.beliefs import RewardConfig
+    from rfharvest.gilbert_elliott import from_burst_parameterization
+
+    params = from_burst_parameterization(0.7, 5.0)
+    cfg = RewardConfig(r1=10.0, r0=10.0, gamma=0.99)
+    policy, _ = threshold.optimal_sleep_time(params, cfg)
+    spans = tracer.Tracer()
+    with spans.patch():
+        spans.enabled = True
+        value_iteration.solve(params, cfg)
+        battery.sweep_initial_levels(params, policy, battery.BatteryConfig(capacity=20), [0, 10, 20])
+        harness.mc_policy_value(params, cfg, policy.sleep_slots, episodes=10, horizon=50, seed=0)
+    assert spans.names, "no traced call was recorded"
+    metrics = tracer.layer_metrics(spans, {}, 0.0)
+    assert [name for name, value in metrics.items() if value is None] == []

@@ -704,7 +704,21 @@ class TestSampleAndPlan:
         table = build_lookup_table([0.4, 0.6, 0.8], [2.0, 4.0, 8.0], CFG)
         planner = SleepTimePlanner(CFG, table=table)
         cell = table.cell(1, 1)
-        assert planner.plan(cell.p, cell.q) == cell.policy
+        assert planner.plan(cell.p, cell.q) == cell.policy.sleep_slots
+
+    @pytest.mark.parametrize("with_table", [False, True])
+    def test_plan_has_no_count_outside_the_model_or_for_never(self, with_table):
+        cfg = RewardConfig(r1=1.0, r0=10.0, gamma=0.99)
+        # (0.4, 0.1) is the cell (pi_g 0.2, t_b 10), whose optimum never harvests
+        never = PosteriorCount(4, 6, 2, 18)
+        table = build_lookup_table([0.2, 0.6], [2.0, 10.0], cfg) if with_table else None
+        if with_table:
+            assert table.lookup(never.mean_p, never.mean_q).never_harvest
+        else:
+            assert optimal_sleep_time(GEParams(never.mean_p, never.mean_q), cfg)[0].never_harvest
+        planner = SleepTimePlanner(cfg, table)
+        assert planner.plan(0.5, 0.5) is None
+        assert planner.plan(never.mean_p, never.mean_q) is None
 
     def test_planner_refuses_table_for_another_reward(self):
         other = RewardConfig(r1=10.0, r0=1.0, gamma=0.99)

@@ -8,6 +8,7 @@ argmax near gamma = 1 and persistence = 1.
 """
 
 import io
+import json
 import math
 import sys
 from decimal import Decimal, localcontext
@@ -22,11 +23,14 @@ from rfharvest.beliefs import RewardConfig, _discount_terms, _policy_values, bel
 from rfharvest.gilbert_elliott import GEParams, from_burst_parameterization, is_valid_chain, stationary
 from rfharvest.harness import mc_policy_value
 from rfharvest.threshold import (
+    STANDARD_PI_G,
+    STANDARD_T_B,
     LookupTable,
     PolicyValue,
     ThresholdPolicy,
     build_lookup_table,
     default_n_max,
+    grid_axis,
     optimal_sleep_time,
     policy_value_linear_system,
     sleep_time_from_threshold,
@@ -549,6 +553,16 @@ class TestLookupTable:
         table.dump_json(out)
         loaded = LookupTable.load_json(io.StringIO(out.getvalue()))
         assert loaded == table
+
+    def test_valid_is_having_a_policy_on_default_grid_and_round_trip(self):
+        table = build_lookup_table(grid_axis(*STANDARD_PI_G), grid_axis(*STANDARD_T_B), CFG)
+        doc = table.to_json_dict()
+        loaded = LookupTable.from_json_dict(json.loads(json.dumps(doc)))
+        assert loaded == table
+        for cells in (table.cells, loaded.cells):
+            assert [c.valid for c in cells] == [c.policy is not None for c in cells]
+            assert [c.valid for c in cells] == [d["valid"] for d in doc["cells"]]
+        assert any(c.valid for c in table.cells) and not all(c.valid for c in table.cells)
 
     def test_lookup_hits_and_misses(self, table):
         cell = table.cell(2, 1)  # pi_g=0.6, t_b=3.0
