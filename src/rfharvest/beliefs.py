@@ -106,8 +106,8 @@ def _wake_belief(steps, params):
     """q (1 - c^steps) / (p + q): the belief ``steps`` slots after a
     failed one. Each field of ``params`` may also be an array as long as
     ``steps``, one chain per element."""
-    rise = -np.expm1(steps * params.log_persistence)
-    return params.q * rise / (params.p + params.q)
+    # x (-q) is -(q x) exactly, so the sign rides on the multiply
+    return np.expm1(steps * params.log_persistence) * -params.q / (params.p + params.q)
 
 
 def _sleep_count(bbar: float, params: GEParams) -> int | None:
@@ -159,19 +159,29 @@ def _never_wake_value(params: GEParams, cfg: RewardConfig) -> float:
 
 
 def _policy_values(terms: tuple, params: GEParams, cfg: RewardConfig):
-    """(v_good, v_fail, v_wake) of the sleep-n policy, the field order of
-    ``threshold.PolicyValue``, from the closed form above; ``terms`` are
-    the ``_discount_terms`` of n under ``cfg.gamma``. With n an integer
-    array the values come elementwise, and the fields of ``params`` may
-    be arrays of the same length, as in ``_wake_belief``."""
-    steps, rest, big_g, gamma_n = terms
-    g = cfg.gamma
-    d = 1.0 - g
+    """(v_good, v_wake) of the sleep-n policy from the closed form above,
+    in place and in the formulas' operation order; v_fail = gamma^n v_wake
+    is left to the callers that read it. ``terms`` are the
+    ``_discount_terms`` of n under ``cfg.gamma``. With n an integer array
+    the values come elementwise, and the fields of ``params`` may be
+    arrays of the same length, as in ``_wake_belief``."""
+    steps, rest, big_g = terms[:3]
+    g, r1, r0 = cfg.gamma, cfg.r1, cfg.r0
     p = params.p
     b = _wake_belief(steps, params)
-    num = cfg.r1 * (1.0 - p) * rest + big_g * cfg.r1 * b - p * cfg.r0
-    den = rest * (d + g * p) + big_g * b * d
-    v_good = num / den
-    del num, den  # a long scan's peak then holds two arrays fewer
-    v_wake = (b * (cfg.r0 + cfg.r1) - cfg.r0 + g * b * v_good) / (rest + big_g * b)
-    return v_good, gamma_n * v_wake, v_wake
+    big_g_b = big_g * b
+    v_good = r1 * (1.0 - p) * rest
+    v_good += big_g * r1 * b
+    v_good -= p * r0
+    den = rest * ((1.0 - g) + g * p)
+    den += big_g_b * (1.0 - g)
+    v_good /= den
+    del den  # a long scan's peak then holds one array fewer
+    v_wake = b * (r0 + r1)
+    v_wake -= r0
+    b *= g
+    b *= v_good
+    v_wake += b
+    big_g_b += rest
+    v_wake /= big_g_b
+    return v_good, v_wake

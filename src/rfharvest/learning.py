@@ -45,6 +45,7 @@ import math
 from bisect import bisect_right
 from dataclasses import dataclass
 from itertools import accumulate
+from json.encoder import encode_basestring_ascii
 from typing import NamedTuple
 
 import numpy as np
@@ -443,15 +444,37 @@ class SlotRecord(NamedTuple):
     hypothesis_count: int
 
 
+# json.dumps of a scalar by its exact type; other types, and floats that
+# are not finite, go through json.dumps itself
+_JSON_TEXT = {
+    type(None): lambda x: "null",
+    int: int.__repr__,
+    float: lambda x: float.__repr__(x) if math.isfinite(x) else json.dumps(x),
+    str: encode_basestring_ascii,
+}
+
+
+def _json_scalar(x, get=_JSON_TEXT.get, dumps=json.dumps) -> str:
+    return get(type(x), dumps)(x)
+
+
 @dataclass(frozen=True)
 class EpisodeTrace:
     records: tuple[SlotRecord, ...]
     total_discounted_reward: float
 
     def write_jsonl(self, stream) -> None:
-        for record in self.records:
-            stream.write(json.dumps(record._asdict(), sort_keys=True))
-            stream.write("\n")
+        """One line per record, ``json.dumps(record._asdict(),
+        sort_keys=True)``, formatted directly and written 1024 records at
+        a time."""
+        j = _json_scalar
+        for start in range(0, len(self.records), 1024):
+            lines = [
+                f'{{"action": {j(a)}, "hypothesis_count": {j(h)}, "observation": {j(o)}, '
+                f'"reward": {j(r)}, "t": {j(t)}, "timer": {j(timer)}}}\n'
+                for t, a, o, timer, r, h in self.records[start : start + 1024]
+            ]
+            stream.write("".join(lines))
 
 
 def run_learner(

@@ -274,7 +274,7 @@ def _policy_value(
     belief may also sleep fewer slots, or forever, before joining it.
 
     The policy's values (x, y) = (V(q), V(1-p)) are the closed-form
-    (v_fail, v_good) of ``beliefs._policy_values``; with n None, x = 0
+    (gamma^n v_wake, v_good) of ``beliefs._policy_values``; with n None, x = 0
     and y is the value of a run of harvests, ``beliefs._never_wake_value``.
     With h the harvesting line through (x, y) and
     S the sleep transform, the result is the envelope of S^k h,
@@ -285,8 +285,9 @@ def _policy_value(
     if n is None:
         x, y = 0.0, _never_wake_value(params, cfg)
     else:
-        v_good, v_fail, _ = _policy_values(_discount_terms(n, g), params, cfg)
-        x, y = float(v_fail), float(v_good)
+        terms = _discount_terms(n, g)
+        v_good, v_wake = _policy_values(terms, params, cfg)
+        x, y = float(terms[3] * v_wake), float(v_good)
     lines = [_harvest_line(x, y, cfg)]
     for _ in range(n or 0):
         lines.extend(_sleep_lines(lines[-1:], params, g))

@@ -2,6 +2,7 @@
 
 import io
 import json
+import math
 import subprocess
 import sys
 from pathlib import Path
@@ -223,6 +224,14 @@ MALFORMED_TABLE_ERRORS = {
     "string_valid": "cell 0 has valid 'no', not true or false",
     "zero_valid": "cell 3 has valid 0, not true or false",
     "one_valid": "cell 3 has valid 1, not true or false",
+    "infeasible_valid": "cell 0 has valid true, but (p, q) = (0.7499999999999999, 0.5) is not a valid chain",
+    "feasible_invalid": "cell 3 has valid false, but (p, q) = (0.33333333333333337, 0.5) is a valid chain",
+    "string_p": "cell 3 has p 'x', not a finite number",
+    "bool_q": "cell 3 has q True, not a finite number",
+    "infinite_q": "cell 3 has q inf, not a finite number",
+    "list_v_good": "cell 3 has v_good [1], not a number",
+    "null_v_good": "cell 3 has v_good None, not a number",
+    "v_good_on_invalid": "cell 0 has v_good 1.0, not null",
 }
 # fault -> (policy field, value) set on the first valid cell that harvests
 POLICY_FIELD_FAULTS = {
@@ -232,12 +241,20 @@ POLICY_FIELD_FAULTS = {
     "negative_sleep_slots": ("sleep_slots", -1),
     "int_never_harvest": ("never_harvest", 1),
 }
-# fault -> (cell index, value) set as that cell's ``valid``; cell 0 is
-# invalid and cell 3 valid
-VALID_FLAG_FAULTS = {
-    "string_valid": (0, "no"),
-    "zero_valid": (3, 0),
-    "one_valid": (3, 1),
+# fault -> (cell index, fields set on that cell); cell 0, the infeasible
+# (pi_g 0.4, t_b 2.0), is invalid and cell 3 valid
+CELL_FIELD_FAULTS = {
+    "string_valid": (0, {"valid": "no"}),
+    "zero_valid": (3, {"valid": 0}),
+    "one_valid": (3, {"valid": 1}),
+    "infeasible_valid": (0, {"valid": True, "policy": {"never_harvest": False, "sleep_slots": 1}, "v_good": 1.0}),
+    "feasible_invalid": (3, {"valid": False, "policy": None, "v_good": None}),
+    "string_p": (3, {"p": "x"}),
+    "bool_q": (3, {"q": True}),
+    "infinite_q": (3, {"q": math.inf}),
+    "list_v_good": (3, {"v_good": [1]}),
+    "null_v_good": (3, {"v_good": None}),
+    "v_good_on_invalid": (0, {"v_good": 1.0}),
 }
 
 
@@ -272,9 +289,9 @@ class TestLearnCommand:
             next(c for c in doc["cells"] if c["valid"])["policy"] = None
         elif fault == "top_level_list":
             doc = [doc]
-        elif fault in VALID_FLAG_FAULTS:
-            index, value = VALID_FLAG_FAULTS[fault]
-            doc["cells"][index]["valid"] = value
+        elif fault in CELL_FIELD_FAULTS:
+            index, fields = CELL_FIELD_FAULTS[fault]
+            doc["cells"][index].update(fields)
         elif fault in POLICY_FIELD_FAULTS:
             key, value = POLICY_FIELD_FAULTS[fault]
             next(c for c in doc["cells"] if c["valid"] and not c["policy"]["never_harvest"])["policy"][key] = value

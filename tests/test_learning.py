@@ -28,9 +28,11 @@ from rfharvest.learning import (
     _draw,
     _truncate,
     EmptyPosterior,
+    EpisodeTrace,
     HypothesisMap,
     PosteriorCount,
     SleepTimePlanner,
+    SlotRecord,
     UNIFORM_PRIOR,
     initial_particles,
     observe,
@@ -747,6 +749,40 @@ class TestRunLearner:
         rec = json.loads(lines[0])
         assert set(rec) == {"t", "action", "observation", "timer", "reward", "hypothesis_count"}
         assert rec["t"] == 0 and rec["action"] == "harvest"
+
+    def test_jsonl_infinite_reward_writes_infinity(self):
+        # RewardConfig takes r1 = inf; the scan's tie band is then NaN
+        cfg = RewardConfig(r1=math.inf, r0=10.0, gamma=0.99)
+        trace = run_learner(from_burst_parameterization(0.6, 2.5), cfg, k=3, horizon=5, seed=1)
+        out = io.StringIO()
+        trace.write_jsonl(out)
+        assert '"reward": Infinity' in out.getvalue()
+        assert out.getvalue() == "".join(json.dumps(r._asdict(), sort_keys=True) + "\n" for r in trace.records)
+
+    @given(
+        st.lists(
+            st.builds(
+                SlotRecord,
+                t=st.integers(0, 10**6),
+                action=st.sampled_from(["harvest", "sleep"]) | st.text(max_size=4),
+                observation=st.sampled_from([None, "G", "B"]),
+                timer=st.none() | st.integers(0, 10**9),
+                reward=st.sampled_from([0.0, -0.0, 5e-324, 1e300, math.inf, -math.inf, 10.0, -10.0]) | st.floats(),
+                hypothesis_count=st.integers(0, 10**5),
+            ),
+            max_size=20,
+        ),
+        st.sampled_from([1, 60]),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_jsonl_lines_are_json_dumps_of_records(self, records, copies):
+        # the writer works in 1024-record chunks; 60 copies of up to 20
+        # records straddle a chunk's end
+        records = records * copies
+        trace = EpisodeTrace(records=tuple(records), total_discounted_reward=0.0)
+        out = io.StringIO()
+        trace.write_jsonl(out)
+        assert out.getvalue() == "".join(json.dumps(r._asdict(), sort_keys=True) + "\n" for r in records)
 
     def test_hypothesis_count_bounded(self):
         params = from_burst_parameterization(0.6, 2.5)

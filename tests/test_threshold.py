@@ -8,6 +8,7 @@ argmax near gamma = 1 and persistence = 1.
 """
 
 import io
+import itertools
 import json
 import math
 import sys
@@ -40,6 +41,7 @@ from rfharvest.threshold import (
     _nearest_index,
     _prefix,
     _scan,
+    _segment_picks,
 )
 from rfharvest.value_iteration import VISettings, solve
 
@@ -52,9 +54,10 @@ REWARDS = ((10.0, 1.0), (10.0, 10.0), (1.0, 10.0))
 
 def scan_values(params: GEParams, cfg: RewardConfig):
     """(v_good, v_fail, v_wake) over every count the scan looks at, with
-    discount terms computed afresh."""
-    n = np.arange(default_n_max(params) + 1)
-    return _policy_values(_discount_terms(n, cfg.gamma), params, cfg)
+    discount terms computed afresh; v_fail is gamma^n v_wake."""
+    terms = _discount_terms(np.arange(default_n_max(params) + 1), cfg.gamma)
+    v_good, v_wake = _policy_values(terms, params, cfg)
+    return v_good, terms[3] * v_wake, v_wake
 
 
 def reference_sleep_time(params: GEParams, cfg: RewardConfig) -> tuple[ThresholdPolicy, PolicyValue]:
@@ -225,8 +228,10 @@ class TestPolicyValueLinearSystem:
         # the closed form, at one n and inside the scan, must agree with
         # a direct float solve of the 3x3 system
         sol = linear_system_values(n, params, CFG)
-        scan = _policy_values(_discount_terms(np.arange(n + 1), CFG.gamma), params, CFG)
-        for value in (policy_value_linear_system(n, params, CFG), PolicyValue(*(float(v[n]) for v in scan))):
+        terms = _discount_terms(np.arange(n + 1), CFG.gamma)
+        v_good, v_wake = _policy_values(terms, params, CFG)
+        scan = PolicyValue(float(v_good[n]), float(terms[3][n] * v_wake[n]), float(v_wake[n]))
+        for value in (policy_value_linear_system(n, params, CFG), scan):
             assert value.v_good == pytest.approx(sol.v_good, rel=1e-10, abs=1e-10)
             assert value.v_fail == pytest.approx(sol.v_fail, rel=1e-10, abs=1e-10)
             assert value.v_wake == pytest.approx(sol.v_wake, rel=1e-10, abs=1e-10)
@@ -494,6 +499,110 @@ class TestBatchedScan:
         assert _scan([], CFG) == []
         table = build_lookup_table([0.1, 0.2], [1.5, 3.0], CFG)
         assert [c.valid for c in table.cells] == [False] * 4
+
+
+def best_count(v_good: np.ndarray, v_wake: np.ndarray) -> int | None:
+    """The pick rule on one chain's scanned values, stated per chain: the
+    oracle of ``_segment_picks``. The sleep count, None for never; a NaN
+    best picks 0, as argmax does on an all-False mask."""
+    if float(v_wake.max()) < 0.0:
+        return None
+    top = v_good.max()
+    return int((v_good >= top - _TIE_BAND * abs(top)).argmax())
+
+
+def picks_per_segment(segments) -> tuple[list, list]:
+    """The sleep counts ``_segment_picks`` gives segments laid end to end,
+    and those ``best_count`` gives each segment alone; each segment is a
+    (v_good, v_wake) pair of equal-length lists."""
+    sizes = [len(v_good) for v_good, _ in segments]
+    starts = np.fromiter(itertools.accumulate(sizes[:-1], initial=0), np.intp, len(sizes))
+    v_good = np.array([v for seg, _ in segments for v in seg], dtype=float)
+    v_wake = np.array([v for _, seg in segments for v in seg], dtype=float)
+    never, pick = _segment_picks(v_good, v_wake, starts, sizes)
+    got = [None if n else p - s for n, p, s in zip(never.tolist(), pick.tolist(), starts.tolist())]
+    alone = [best_count(np.array(g, dtype=float), np.array(w, dtype=float)) for g, w in segments]
+    return got, alone
+
+
+NAN, INF = math.nan, math.inf
+EDGE = 1.0 - _TIE_BAND  # the band's edge under a top of 1.0
+NEG_EDGE = -2.0 - _TIE_BAND * 2.0  # and under a top of -2.0
+ONE = [1.0, 1.0]
+
+
+# pick-rule inputs: ordinary values, signed zeros, infinities, NaN and
+# values at and next to the band edge under a top of 1.0
+VALUES = st.sampled_from([0.0, -0.0, 1.0, -1.0, INF, -INF, NAN, EDGE, np.nextafter(EDGE, -INF)]) | st.floats(-3.0, 3.0)
+
+
+def from_burst_parts(pi_g: float, t_b: float) -> tuple[float, float]:
+    """(p, q) of ``from_burst_parameterization``, without the validity check."""
+    q = 1.0 / t_b
+    return q * (1.0 - pi_g) / pi_g, q
+
+
+class TestSegmentPicks:
+    """``_segment_picks`` states the pick rule once for one chain or many;
+    on any values it must pick what ``best_count`` picks per segment."""
+
+    @pytest.mark.parametrize(
+        "segments,expected",
+        [
+            ([([1.0, NAN, 2.0], [1.0, 1.0, 1.0])], [0]),  # NaN in v_good: count 0
+            ([([1.0, 3.0], [NAN, -1.0])], [1]),  # NaN in v_wake: not never
+            ([([5.0, 6.0], [-1.0, -2.0])], [None]),  # all-negative v_wake
+            ([([-1.0, -0.0, 0.0], [-0.0, -0.0, -1.0])], [1]),  # -0.0 wake top, +-0.0 tops
+            ([([0.0, -0.0], ONE), ([-0.0, 0.0], ONE)], [0, 0]),
+            ([([EDGE, 1.0], ONE)], [0]),  # exactly at the band edge
+            ([([np.nextafter(EDGE, -INF), 1.0], ONE)], [1]),  # just below it
+            ([([NEG_EDGE, -2.0], ONE), ([np.nextafter(NEG_EDGE, -INF), -2.0], ONE)], [0, 1]),
+            ([([0.5, 3.0], ONE), ([3.0, 0.5, 3.0], [1.0] * 3)], [1, 0]),  # equal values straddle
+            ([([1.0, 2.0], ONE), ([5.0, 5.0], ONE), ([4.0, 5.0], ONE)], [1, 0, 1]),
+            ([([INF, 1.0], ONE), ([1.0, INF], ONE), ([-INF, -INF], ONE)], [0, 0, 0]),  # NaN and -inf bands
+            ([([2.0, 1.0], [-1.0, -1.0]), ([1.0, 2.0], ONE), ([NAN, 1.0], [-1.0, NAN])], [None, 1, 0]),
+        ],
+    )
+    def test_cases(self, segments, expected):
+        with np.errstate(invalid="ignore"):
+            got, alone = picks_per_segment(segments)
+        assert got == alone == expected
+
+    @given(
+        st.lists(
+            st.integers(1, 5).flatmap(
+                lambda size: st.tuples(*[st.lists(VALUES, min_size=size, max_size=size) for _ in range(2)])
+            ),
+            min_size=1,
+            max_size=6,
+        )
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_equals_per_segment_oracle(self, segments):
+        with np.errstate(invalid="ignore"):
+            got, alone = picks_per_segment(segments)
+        assert got == alone
+
+    @given(
+        st.lists(st.tuples(st.floats(0.05, 0.95), st.floats(1.1, 20.0)), max_size=5),
+        st.sampled_from([(0.5, 5000.0), (0.95, 5000.0)]),
+        st.data(),
+    )
+    @settings(max_examples=30, deadline=None)
+    def test_mixed_batch_equals_scans_alone(self, cells, long_cell, data):
+        # under r0 = 10 r1 (0.2, 10) never harvests, (0.9, 2) sleeps 3
+        # slots and the long chain scans past the cached 4096 counts
+        cfg = RewardConfig(r1=1.0, r0=10.0, gamma=0.99)
+        cells = [(0.2, 10.0), (0.9, 2.0), long_cell, *cells]
+        chains = [from_burst_parameterization(*c) for c in cells if is_valid_chain(*from_burst_parts(*c))]
+        chains = data.draw(st.permutations(chains))
+        assert default_n_max(from_burst_parameterization(*long_cell)) >= _CACHED_COUNTS
+        batch = _scan(chains, cfg)
+        assert any(policy.never_harvest for policy, _ in batch)
+        assert any(not policy.never_harvest for policy, _ in batch)
+        for params, (policy, value) in zip(chains, batch):
+            ref_policy, ref_value = reference_sleep_time(params, cfg)
+            assert policy == ref_policy and bits(value) == bits(ref_value)
 
 
 @pytest.fixture(scope="module")
