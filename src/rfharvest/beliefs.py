@@ -67,17 +67,17 @@ class Observation(Enum):
 
 @dataclass(frozen=True)
 class RewardConfig:
-    """Per-slot energy bookkeeping: gain r1, failure cost r0, discount gamma."""
+    """Per-slot energy bookkeeping: gain r1, failure cost r0, discount
+    gamma. The one check of their domain, the CLI's and tables' too."""
 
     r1: float
     r0: float
     gamma: float
 
     def __post_init__(self) -> None:
-        if not self.r1 > 0.0:
-            raise ValueError(f"r1 must be positive, got {self.r1}")
-        if not self.r0 > 0.0:
-            raise ValueError(f"r0 must be positive, got {self.r0}")
+        for name, r in (("r1", self.r1), ("r0", self.r0)):
+            if not 0.0 < r < math.inf:  # NaN fails too
+                raise ValueError(f"{name} must be positive and finite, got {r}")
         if not 0.0 <= self.gamma < 1.0:
             raise ValueError(f"gamma must lie in [0, 1), got {self.gamma}")
 

@@ -19,7 +19,7 @@ import sys
 from . import battery as battery_mod
 from . import harness as harness_mod
 from .beliefs import RewardConfig
-from .gilbert_elliott import GEParams, from_burst_parameterization, stationary
+from .gilbert_elliott import GEParams, from_burst_parameterization
 from .learning import SleepTimePlanner, run_learner
 from .threshold import (
     STANDARD_PI_G,
@@ -39,35 +39,16 @@ class UsageError(Exception):
 
 
 def _from_flags(build, *args, **kwargs):
-    """Build an object from flag values; its ValueError is a usage error."""
+    """Build an object from flag values; its ValueError is a usage error.
+    Flags parse as plain numbers, and the object states their domain."""
     try:
         return build(*args, **kwargs)
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
 
 
-def _probability(text: str) -> float:
-    x = float(text)
-    if not 0.0 < x < 1.0:
-        raise argparse.ArgumentTypeError(f"must lie strictly inside (0, 1), got {x}")
-    return x
-
-
-def _positive(text: str) -> float:
-    x = float(text)
-    if not x > 0.0:
-        raise argparse.ArgumentTypeError(f"must be positive, got {x}")
-    return x
-
-
-def _gamma(text: str) -> float:
-    x = float(text)
-    if not 0.0 <= x < 1.0:
-        raise argparse.ArgumentTypeError(f"gamma must lie in [0, 1), got {x}")
-    return x
-
-
 def _positive_int(text: str) -> int:
+    # for the counts that no object checks before work starts
     x = int(text)
     if x < 1:
         raise argparse.ArgumentTypeError(f"must be a positive integer, got {x}")
@@ -75,16 +56,16 @@ def _positive_int(text: str) -> int:
 
 
 def _add_chain_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--p", type=_probability, help="good-to-bad transition probability")
-    parser.add_argument("--q", type=_probability, help="bad-to-good transition probability")
-    parser.add_argument("--pi-g", type=_probability, help="stationary good-state probability")
-    parser.add_argument("--t-b", type=_positive, help="mean bad-burst length (slots)")
+    parser.add_argument("--p", type=float, help="good-to-bad transition probability")
+    parser.add_argument("--q", type=float, help="bad-to-good transition probability")
+    parser.add_argument("--pi-g", type=float, help="long-run good-state probability")
+    parser.add_argument("--t-b", type=float, help="mean bad-burst length (slots)")
 
 
 def _add_reward_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--r1", type=_positive, default=10.0, help="reward per successful harvest")
-    parser.add_argument("--r0", type=_positive, default=1.0, help="cost per failed harvest")
-    parser.add_argument("--gamma", type=_gamma, default=0.99, help="discount factor in [0, 1)")
+    parser.add_argument("--r1", type=float, default=10.0, help="reward per successful harvest")
+    parser.add_argument("--r0", type=float, default=1.0, help="cost per failed harvest")
+    parser.add_argument("--gamma", type=float, default=0.99, help="discount factor in [0, 1)")
 
 
 def _chain_from_args(args) -> GEParams:
@@ -104,7 +85,7 @@ def _chain_from_args(args) -> GEParams:
 
 
 def _reward_from_args(args) -> RewardConfig:
-    return RewardConfig(r1=args.r1, r0=args.r0, gamma=args.gamma)
+    return _from_flags(RewardConfig, r1=args.r1, r0=args.r0, gamma=args.gamma)
 
 
 def _fmt(x: float) -> str:
@@ -114,7 +95,7 @@ def _fmt(x: float) -> str:
 def cmd_solve(args) -> int:
     params = _chain_from_args(args)
     cfg = _reward_from_args(args)
-    settings = VISettings(epsilon=args.epsilon, max_iterations=args.max_iterations)
+    settings = _from_flags(VISettings, epsilon=args.epsilon, max_iterations=args.max_iterations)
     result = solve(params, cfg, settings=settings)
     bbar = harvest_crossover(result.value, params, cfg)
     policy = sleep_time_from_threshold(bbar, params)
@@ -160,6 +141,7 @@ def cmd_table(args) -> int:
 def cmd_battery(args) -> int:
     params = _chain_from_args(args)
     cfg = _reward_from_args(args)
+    config = _from_flags(battery_mod.BatteryConfig, capacity=args.capacity)
     if args.sleep_slots is not None:
         policy = _from_flags(ThresholdPolicy.sleep, args.sleep_slots)
     else:
@@ -167,7 +149,6 @@ def cmd_battery(args) -> int:
         if policy.never_harvest:
             print("error: optimal policy never harvests, give --sleep-slots explicitly", file=sys.stderr)
             return 1
-    config = _from_flags(battery_mod.BatteryConfig, capacity=args.capacity)
     if args.levels:
         levels = _from_flags(lambda: sorted({int(x) for x in args.levels.split(",")}))
     else:
@@ -187,7 +168,7 @@ def cmd_learn(args) -> int:
     if args.table:
         with open(args.table) as fh:
             table = _from_flags(LookupTable.load_json, fh)
-        _from_flags(SleepTimePlanner, cfg, table)  # refuses a table built for another reward
+    planner = _from_flags(SleepTimePlanner, cfg, table)  # refuses a table built for another reward
     with open(args.output, "w") as fh:
         for episode in range(args.episodes):
             trace = run_learner(
@@ -196,7 +177,7 @@ def cmd_learn(args) -> int:
                 k=args.k,
                 horizon=args.horizon,
                 seed=args.seed + episode,
-                table=table,
+                planner=planner,
             )
             trace.write_jsonl(fh)
             print(f"episode {episode} total_discounted_reward {_fmt(trace.total_discounted_reward)}")
@@ -232,8 +213,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_solve = sub.add_parser("solve", help="value iteration at one parameter point")
     _add_chain_flags(p_solve)
     _add_reward_flags(p_solve)
-    p_solve.add_argument("--epsilon", type=_positive, default=None, help="stopping-rule error bound")
-    p_solve.add_argument("--max-iterations", type=_positive_int, default=1_000_000)
+    p_solve.add_argument("--epsilon", type=float, default=None, help="stopping-rule error bound")
+    p_solve.add_argument("--max-iterations", type=int, default=1_000_000)
     p_solve.set_defaults(func=cmd_solve)
 
     p_policy = sub.add_parser("policy", help="closed-form optimal sleep count")
@@ -245,12 +226,12 @@ def build_parser() -> argparse.ArgumentParser:
     _add_reward_flags(p_table)
     pi_g_min, pi_g_max, pi_g_steps = STANDARD_PI_G
     t_b_min, t_b_max, t_b_steps = STANDARD_T_B
-    p_table.add_argument("--pi-g-min", type=_probability, default=pi_g_min)
-    p_table.add_argument("--pi-g-max", type=_probability, default=pi_g_max)
-    p_table.add_argument("--pi-g-steps", type=_positive_int, default=pi_g_steps)
-    p_table.add_argument("--t-b-min", type=_positive, default=t_b_min)
-    p_table.add_argument("--t-b-max", type=_positive, default=t_b_max)
-    p_table.add_argument("--t-b-steps", type=_positive_int, default=t_b_steps)
+    p_table.add_argument("--pi-g-min", type=float, default=pi_g_min)
+    p_table.add_argument("--pi-g-max", type=float, default=pi_g_max)
+    p_table.add_argument("--pi-g-steps", type=int, default=pi_g_steps)
+    p_table.add_argument("--t-b-min", type=float, default=t_b_min)
+    p_table.add_argument("--t-b-max", type=float, default=t_b_max)
+    p_table.add_argument("--t-b-steps", type=int, default=t_b_steps)
     p_table.add_argument("--output", required=True)
     p_table.add_argument("--format", choices=("csv", "json"), default="csv")
     p_table.set_defaults(func=cmd_table)
@@ -258,7 +239,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_batt = sub.add_parser("battery", help="full-charge absorption table")
     _add_chain_flags(p_batt)
     _add_reward_flags(p_batt)
-    p_batt.add_argument("--capacity", type=_positive_int, default=100)
+    p_batt.add_argument("--capacity", type=int, default=100)
     p_batt.add_argument("--sleep-slots", type=int, default=None, help="override the optimal sleep count")
     p_batt.add_argument("--levels", default=None, help="comma-separated initial levels")
     p_batt.add_argument("--level-step", type=_positive_int, default=10)

@@ -97,8 +97,8 @@ def from_burst_parameterization(pi_g: float, t_b: float) -> GEParams:
     """
     if not 0.0 < pi_g < 1.0:
         raise ValueError(f"pi_g must lie strictly inside (0, 1), got {pi_g}")
-    if not t_b > 1.0:
-        raise ValueError(f"t_b must exceed 1, got {t_b}")
+    if not 1.0 < t_b < math.inf:
+        raise ValueError(f"t_b must be a finite number above 1, got {t_b}")
     q = 1.0 / t_b
     p = q * (1.0 - pi_g) / pi_g
     return GEParams(p=p, q=q)

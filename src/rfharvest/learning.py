@@ -43,7 +43,7 @@ from __future__ import annotations
 import json
 import math
 from bisect import bisect_right
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass
 from itertools import accumulate
 from json.encoder import encode_basestring_ascii
 from typing import NamedTuple
@@ -297,10 +297,9 @@ class SleepTimePlanner:
     """
 
     def __init__(self, cfg: RewardConfig, table: LookupTable | None = None):
-        if table is not None:
-            built, run = (table.r1, table.r0, table.gamma), (cfg.r1, cfg.r0, cfg.gamma)
-            if built != run:
-                raise ValueError(f"table was built for (r1, r0, gamma) = {built}, but this run uses {run}")
+        if table is not None and table.cfg != cfg:
+            built, run = astuple(table.cfg), astuple(cfg)
+            raise ValueError(f"table was built for (r1, r0, gamma) = {built}, but this run uses {run}")
         self.cfg = cfg
         self.table = table
 
@@ -483,17 +482,19 @@ def run_learner(
     k: int,
     horizon: int,
     seed: int,
-    table: LookupTable | None = None,
+    planner: SleepTimePlanner | None = None,
 ) -> EpisodeTrace:
     """Run one learning episode against a hidden simulated chain.
 
     The hidden path and the learner's sampling draws both derive from
-    ``seed``, so traces are fully reproducible. Returns the per-slot
-    trace and the discounted reward total.
+    ``seed``, so traces are fully reproducible. The learner plans with
+    ``planner``, by default ``SleepTimePlanner(cfg)``; one planner may
+    serve many episodes. Returns the per-slot trace and the discounted
+    reward total.
     """
     states = simulate(params, horizon, seed=seed)
     rng = np.random.Generator(np.random.Philox(np.random.SeedSequence([seed, 1])))
-    learner = PosteriorSamplingLearner(k=k, planner=SleepTimePlanner(cfg, table))
+    learner = PosteriorSamplingLearner(k=k, planner=SleepTimePlanner(cfg) if planner is None else planner)
     records = []
 
     def record(t: int, good: bool | None, reward: float, timer: int) -> None:

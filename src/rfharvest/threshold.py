@@ -306,15 +306,14 @@ class LookupTable:
     Cells whose implied (p, q) violate the positive-correlation
     constraint are retained but flagged invalid so emitted tables show
     the infeasible region explicitly. Rows are in row-major order,
-    pi_g outer and t_b inner, both ascending.
+    pi_g outer and t_b inner, both ascending. ``cfg`` is the reward the
+    table was built for.
     """
 
     pi_g_axis: tuple[float, ...]
     t_b_axis: tuple[float, ...]
     cells: tuple[LookupCell, ...]
-    r1: float
-    r0: float
-    gamma: float
+    cfg: RewardConfig
 
     CSV_HEADER = ("pi_g", "t_b", "p", "q", "n_or_never", "v_good")
 
@@ -353,7 +352,7 @@ class LookupTable:
     def to_json_dict(self) -> dict:
         return {
             "schema": "sleep-lookup-table/1",
-            "reward": {"r1": self.r1, "r0": self.r0, "gamma": self.gamma},
+            "reward": {"r1": self.cfg.r1, "r0": self.cfg.r0, "gamma": self.cfg.gamma},
             "pi_g_axis": list(self.pi_g_axis),
             "t_b_axis": list(self.t_b_axis),
             "cells": [
@@ -381,7 +380,8 @@ class LookupTable:
         """Table from its JSON document.
 
         The document's shape is checked first, and a malformed one
-        raises ValueError naming the fault: the axes must be nonempty
+        raises ValueError naming the fault: the reward values must be
+        numbers that ``RewardConfig`` takes, the axes must be nonempty
         and strictly ascending, and the cells must follow them in
         row-major order with p and q finite numbers, valid true exactly
         when (p, q) is a valid chain (``is_valid_chain``), v_good a number
@@ -392,7 +392,12 @@ class LookupTable:
         if not isinstance(data, dict) or data.get("schema") != "sleep-lookup-table/1":
             raise ValueError("not a sleep lookup table document")
         _require_keys(data, ("reward", "pi_g_axis", "t_b_axis", "cells"), "table document")
-        _require_keys(data["reward"], ("r1", "r0", "gamma"), "reward")
+        reward = data["reward"]
+        _require_keys(reward, ("r1", "r0", "gamma"), "reward")
+        for key in ("r1", "r0", "gamma"):
+            if type(reward[key]) not in (int, float):
+                raise ValueError(f"reward has {key} {reward[key]!r}, not a number")
+        cfg = RewardConfig(r1=reward["r1"], r0=reward["r0"], gamma=reward["gamma"])
         pi_g_axis, t_b_axis = data["pi_g_axis"], data["t_b_axis"]
         for name, axis in (("pi_g_axis", pi_g_axis), ("t_b_axis", t_b_axis)):
             if not isinstance(axis, list):
@@ -438,15 +443,7 @@ class LookupTable:
                     v_good=c["v_good"],
                 )
             )
-        reward = data["reward"]
-        return cls(
-            pi_g_axis=tuple(pi_g_axis),
-            t_b_axis=tuple(t_b_axis),
-            cells=tuple(cells),
-            r1=reward["r1"],
-            r0=reward["r0"],
-            gamma=reward["gamma"],
-        )
+        return cls(pi_g_axis=tuple(pi_g_axis), t_b_axis=tuple(t_b_axis), cells=tuple(cells), cfg=cfg)
 
     @classmethod
     def load_json(cls, stream: io.TextIOBase) -> "LookupTable":
@@ -484,14 +481,14 @@ def build_lookup_table(
     while one batch over all 55,000 counts of that grid ran about 25%
     slower on a 2-vCPU Xeon VM with 2 MB of L2 per core.
     """
-    _check_axis("pi_g_axis", pi_g_axis)
-    _check_axis("t_b_axis", t_b_axis)
     for pi_g in pi_g_axis:
         if not 0.0 < pi_g < 1.0:
             raise ValueError(f"pi_g axis values must lie in (0, 1), got {pi_g}")
     for t_b in t_b_axis:
         if not t_b > 1.0:
             raise ValueError(f"t_b axis values must exceed 1, got {t_b}")
+    _check_axis("pi_g_axis", pi_g_axis)
+    _check_axis("t_b_axis", t_b_axis)
     cells = []
     for pi_g in pi_g_axis:
         row = [(t_b, 1.0 / t_b) for t_b in t_b_axis]
@@ -508,7 +505,5 @@ def build_lookup_table(
         pi_g_axis=tuple(float(x) for x in pi_g_axis),
         t_b_axis=tuple(float(x) for x in t_b_axis),
         cells=tuple(cells),
-        r1=cfg.r1,
-        r0=cfg.r0,
-        gamma=cfg.gamma,
+        cfg=cfg,
     )

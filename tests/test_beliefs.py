@@ -6,6 +6,7 @@ evaluates each of them only in closed form, and those closed forms are
 checked against these step-by-step statements.
 """
 
+import math
 from enum import Enum
 from fractions import Fraction
 
@@ -74,6 +75,13 @@ class TestRewardConfig:
 
     def test_gamma_zero_allowed(self):
         assert RewardConfig(r1=1.0, r0=1.0, gamma=0.0).gamma == 0.0
+
+    @pytest.mark.parametrize("field", ["r1", "r0"])
+    @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
+    def test_non_finite_reward_rejected(self, field, value):
+        rewards = {"r1": 1.0, "r0": 1.0, field: value}
+        with pytest.raises(ValueError, match=f"{field} must be positive and finite, got {value}"):
+            RewardConfig(**rewards, gamma=0.9)
 
 
 class TestReward:

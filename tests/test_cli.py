@@ -30,6 +30,27 @@ class TestValidation:
         assert code == 2
         assert "gamma" in err and "[0, 1)" in err
 
+    @pytest.mark.parametrize(
+        "argv, field",
+        [
+            (["policy", "--pi-g", "0.6", "--t-b", "2.5", "--r1", "inf"], "r1"),
+            (["policy", "--pi-g", "0.6", "--t-b", "2.5", "--r0", "nan"], "r0"),
+            (["policy", "--pi-g", "0.6", "--t-b", "2.5", "--gamma", "nan"], "gamma"),
+            (["policy", "--pi-g", "0.6", "--t-b", "inf"], "t_b"),
+            (["solve", "--pi-g", "0.6", "--t-b", "2.5", "--epsilon", "0"], "epsilon"),
+            (["solve", "--pi-g", "0.6", "--t-b", "2.5", "--max-iterations", "0"], "max_iterations"),
+            (["battery", "--pi-g", "0.7", "--t-b", "5", "--capacity", "1", "--output", "OUT"], "capacity"),
+            (["table", "--pi-g-min", "0", "--output", "OUT"], "pi_g"),
+        ],
+    )
+    def test_flag_outside_its_domain_exits_2(self, tmp_path, capsys, argv, field):
+        # the object a flag builds states its domain; its message names the field
+        argv = [str(tmp_path / "out") if arg == "OUT" else arg for arg in argv]
+        code, out, err = run_cli(argv, capsys)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ") and field in err
+
     def test_conflicting_parameterizations_rejected(self, capsys):
         code, _, err = run_cli(
             ["policy", "--p", "0.2", "--q", "0.3", "--pi-g", "0.6", "--t-b", "2.5"], capsys
@@ -232,6 +253,15 @@ MALFORMED_TABLE_ERRORS = {
     "list_v_good": "cell 3 has v_good [1], not a number",
     "null_v_good": "cell 3 has v_good None, not a number",
     "v_good_on_invalid": "cell 0 has v_good 1.0, not null",
+    "gamma_above_one": "gamma must lie in [0, 1), got 1.5",
+    "string_r1": "reward has r1 'x', not a number",
+    "infinite_r0": "r0 must be positive and finite, got inf",
+}
+# fault -> (reward field, value)
+REWARD_FIELD_FAULTS = {
+    "gamma_above_one": ("gamma", 1.5),
+    "string_r1": ("r1", "x"),
+    "infinite_r0": ("r0", math.inf),
 }
 # fault -> (policy field, value) set on the first valid cell that harvests
 POLICY_FIELD_FAULTS = {
@@ -292,6 +322,9 @@ class TestLearnCommand:
         elif fault in CELL_FIELD_FAULTS:
             index, fields = CELL_FIELD_FAULTS[fault]
             doc["cells"][index].update(fields)
+        elif fault in REWARD_FIELD_FAULTS:
+            key, value = REWARD_FIELD_FAULTS[fault]
+            doc["reward"][key] = value
         elif fault in POLICY_FIELD_FAULTS:
             key, value = POLICY_FIELD_FAULTS[fault]
             next(c for c in doc["cells"] if c["valid"] and not c["policy"]["never_harvest"])["policy"][key] = value

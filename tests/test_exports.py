@@ -8,6 +8,7 @@ passes: this is a backstop against API that only tests reach, not a
 proof that every name is used.
 """
 
+import ast
 import importlib
 import re
 import subprocess
@@ -57,6 +58,24 @@ def test_all_names_have_a_caller_outside_tests(name):
     module = importlib.import_module(name)
     unused = [attr for attr in module.__all__ if not has_caller(attr)]
     assert not unused, f"{name}.__all__ names that only tests reach: {unused}"
+
+
+def test_no_unused_imports_in_src():
+    # every top-level import of a module must be read in it; __init__.py
+    # only re-exports, so its imports are the package's public names
+    unused = []
+    for path in sorted((ROOT / "src" / "rfharvest").glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text())
+        read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        for node in tree.body:
+            if isinstance(node, (ast.Import, ast.ImportFrom)) and getattr(node, "module", None) != "__future__":
+                for alias in node.names:
+                    bound = alias.asname or alias.name.partition(".")[0]
+                    if bound not in read:
+                        unused.append(f"{path.stem}.{bound}")
+    assert not unused, f"imports that nothing in their module reads: {unused}"
 
 
 @pytest.mark.parametrize("script", SCRIPTS, ids=lambda path: path.name)

@@ -728,7 +728,8 @@ class TestSampleAndPlan:
         with pytest.raises(ValueError, match=r"built for \(r1, r0, gamma\) = \(10.0, 1.0, 0.99\)"):
             SleepTimePlanner(CFG, table=table)
         with pytest.raises(ValueError, match="table was built for"):
-            run_learner(from_burst_parameterization(0.6, 2.5), CFG, k=5, horizon=60, seed=1, table=table)
+            planner = SleepTimePlanner(CFG, table)
+            run_learner(from_burst_parameterization(0.6, 2.5), CFG, k=5, horizon=60, seed=1, planner=planner)
 
 
 class TestRunLearner:
@@ -749,15 +750,6 @@ class TestRunLearner:
         rec = json.loads(lines[0])
         assert set(rec) == {"t", "action", "observation", "timer", "reward", "hypothesis_count"}
         assert rec["t"] == 0 and rec["action"] == "harvest"
-
-    def test_jsonl_infinite_reward_writes_infinity(self):
-        # RewardConfig takes r1 = inf; the scan's tie band is then NaN
-        cfg = RewardConfig(r1=math.inf, r0=10.0, gamma=0.99)
-        trace = run_learner(from_burst_parameterization(0.6, 2.5), cfg, k=3, horizon=5, seed=1)
-        out = io.StringIO()
-        trace.write_jsonl(out)
-        assert '"reward": Infinity' in out.getvalue()
-        assert out.getvalue() == "".join(json.dumps(r._asdict(), sort_keys=True) + "\n" for r in trace.records)
 
     @given(
         st.lists(

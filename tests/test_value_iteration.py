@@ -16,7 +16,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from rfharvest import value_iteration
@@ -515,6 +515,8 @@ class TestPolicySteps:
         REWARDS,
         st.sampled_from([1e-2, 1e-4, 1e-6]),
     )
+    # epsilon 1e-2 lets the two greedy counts, 16 and 17, part by 5.9e-6 in v_good
+    @example(seed=3242, gamma=0.9, rewards=(1.0, 10.0), eps=1e-2)
     @settings(max_examples=100, deadline=None)
     def test_matches_plain_loop(self, seed, gamma, rewards, eps):
         params = random_chain(np.random.default_rng(seed))
@@ -530,10 +532,13 @@ class TestPolicySteps:
             _sleep_count(harvest_crossover(r.value, params, cfg), params) for r in (res, ref)
         )
         if n_res != n_ref:
-            # criterion 1's rule: one slot apart, at a closed-form value tie
+            # criterion 1's rule: one slot apart, at a closed-form value tie.
+            # Greedy on an epsilon/2-accurate value, each count is within
+            # gamma epsilon / (1 - gamma) of the optimum (Singh & Yee 1994),
+            # which is the tie tolerance where it exceeds 1e-6
             assert n_res is not None and n_ref is not None and abs(n_res - n_ref) == 1
             v_res, v_ref = (policy_value_linear_system(n, params, cfg).v_good for n in (n_res, n_ref))
-            assert abs(v_res - v_ref) < 1e-6
+            assert abs(v_res - v_ref) < max(1e-6, gamma * eps / (1.0 - gamma))
 
     @given(valid_params(), st.sampled_from([0.5, 0.9, 0.99]), REWARDS)
     @settings(max_examples=100, deadline=None)
