@@ -16,6 +16,8 @@ import argparse
 import json
 import sys
 
+import numpy as np
+
 from . import battery as battery_mod
 from . import harness as harness_mod
 from .beliefs import RewardConfig
@@ -108,10 +110,18 @@ def cmd_solve(args) -> int:
     return 0
 
 
+def _scanned(scan, *args, **kwargs):
+    """Run a threshold scan; values past the float range raise its
+    OverflowError (exit 1), which numpy's float warnings would only
+    repeat."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        return scan(*args, **kwargs)
+
+
 def cmd_policy(args) -> int:
     params = _chain_from_args(args)
     cfg = _reward_from_args(args)
-    policy, value = optimal_sleep_time(params, cfg)
+    policy, value = _scanned(optimal_sleep_time, params, cfg)
     print(f"p {_fmt(params.p)}")
     print(f"q {_fmt(params.q)}")
     print(f"sleep_slots {policy.label()}")
@@ -124,6 +134,7 @@ def cmd_policy(args) -> int:
 def cmd_table(args) -> int:
     cfg = _reward_from_args(args)
     table = _from_flags(
+        _scanned,
         build_lookup_table,
         pi_g_axis=grid_axis(args.pi_g_min, args.pi_g_max, args.pi_g_steps),
         t_b_axis=grid_axis(args.t_b_min, args.t_b_max, args.t_b_steps),

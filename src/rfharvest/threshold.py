@@ -12,9 +12,9 @@ from __future__ import annotations
 import bisect
 import csv
 import io
-import itertools
 import json
 import math
+import sys
 from dataclasses import dataclass
 from types import SimpleNamespace
 from typing import Sequence
@@ -125,12 +125,14 @@ def policy_value_linear_system(n: int, params: GEParams, cfg: RewardConfig) -> P
 
 
 def default_n_max(params: GEParams) -> int:
-    """Largest sleep count worth scanning.
+    """Largest sleep count a scan prices: its hard cap.
 
     Beyond the point where the wake-up belief is within 1e-12 of its
     stationary limit q / (p + q) the policy values are constant to
-    machine precision, so the scan stops there (plus a small margin),
-    and never past 100,000. Plain float arithmetic: it runs per chain.
+    machine precision, so the cap sits there (plus a small margin), and
+    never past 100,000. It ignores gamma; where the discount settles the
+    race sooner, the scan's stop bound (``_later_bound``) ends it
+    earlier. Plain float arithmetic: it runs per chain.
     """
     n = math.ceil(math.log(1e-12 / (params.q / (params.p + params.q))) / params.log_persistence) + 8
     return 1 if n < 1 else 100_000 if n > 100_000 else n
@@ -139,88 +141,226 @@ def default_n_max(params: GEParams) -> int:
 # One prefix of the discount terms, those of the counts 0..len-1 for the
 # last gamma scanned, read-only since every scan under that gamma slices
 # it. It holds 4096 counts at first (4 x 4096 floats, 128 KB) and is
-# rebuilt, the old one dropped first, only when a scan needs more counts;
-# ``default_n_max`` caps it at 100,001 counts (3.2 MB). _CACHED_COUNTS is
-# also the most counts per chain that a batch of chains holds.
+# rebuilt, the old one dropped first, only when a scan reaches past it,
+# to the cap of the longest chain still scanning; ``default_n_max`` caps
+# it at 100,001 counts (3.2 MB).
 _CACHED_COUNTS = 4096
 _prefix: dict[float, tuple[np.ndarray, ...]] = {}
 
 
-def _discount_prefix(size: int, gamma: float) -> tuple[np.ndarray, ...]:
-    """``_discount_terms`` of the counts 0..size-1 or more under gamma."""
+def _discount_prefix(size: int, gamma: float, grow_to: int = 0) -> tuple[np.ndarray, ...]:
+    """``_discount_terms`` of the counts 0..size-1 or more under gamma; a
+    prefix too short for them is rebuilt to ``grow_to`` counts, if more."""
     if gamma not in _prefix or len(_prefix[gamma][0]) < size:
         _prefix.clear()
-        terms = _discount_terms(np.arange(max(size, _CACHED_COUNTS)), gamma)
+        terms = _discount_terms(np.arange(max(size, grow_to, _CACHED_COUNTS)), gamma)
         for t in terms:
             t.setflags(write=False)
         _prefix[gamma] = terms
     return _prefix[gamma]
 
 
-def _segment_picks(v_good: np.ndarray, v_wake: np.ndarray, starts: np.ndarray, sizes: list[int]):
-    """The pick rule of ``optimal_sleep_time`` over scans laid end to end,
-    each segment at ``starts`` and ``sizes`` long: whether it never
-    harvests (the top of its v_wake is negative), and the index of the
-    first count whose v_good lies within ``_TIE_BAND`` of its top. A NaN
-    band (a NaN or infinite top) has no count below it, so the segment's
-    first count is picked, as argmax picks on an all-False mask."""
-    never = np.maximum.reduceat(v_wake, starts) < 0.0
-    # a few Python floats cost less than three ufunc calls on them
-    band = [top - _TIE_BAND * abs(top) for top in np.maximum.reduceat(v_good, starts).tolist()]
-    below = v_good < (band[0] if len(sizes) == 1 else np.repeat(band, sizes))
-    pick = np.minimum.reduceat(np.where(below, len(v_good), np.arange(len(v_good))), starts)
-    return never, pick
+def _band(top):
+    """The lowest v_good that ties ``top``: within ``_TIE_BAND`` of it."""
+    return top - _TIE_BAND * np.abs(top)
+
+
+def _ties(v_good: np.ndarray, top):
+    """The pick rule of ``optimal_sleep_time`` along the last axis: the
+    counts whose v_good ties the row's ``top`` (``_band``), of which the
+    first is picked. A NaN band (a NaN or infinite top) has no count
+    below it, so then the first count is picked."""
+    return ~(v_good < _band(top)[..., None])
+
+
+# The scan's rounds: the first prices the counts 0..31 of every chain,
+# and each later one, for the chains not yet retired, twice as many
+# counts as the round before, at most _CACHED_COUNTS per chain and about
+# _ROUND_COUNTS in all; a batch takes at most _ROUND_COUNTS // _FIRST_ROUND
+# chains, so its first round holds no more. Rows kept for the final pick
+# are thinned once they pass _KEPT_COUNTS counts (1 MB per value array).
+_FIRST_ROUND = 32
+_ROUND_COUNTS = 1 << 16
+_KEPT_COUNTS = 1 << 17
+
+# A chain retires once its bound on every later count lies below its top
+# by this share of the values' term scale: the rounding errors of a value
+# and of the bound stay under 1e-14 of that scale (the 60-digit oracle's
+# tests), and a later count must not even tie the top.
+_STOP_MARGIN = 1e-12
+
+
+def _chain_fields(chains: Sequence[GEParams], cfg: RewardConfig) -> np.ndarray:
+    """Rows p, q, log(1 - p - q), pi = q / (p + q), y and y's term scale
+    (r1 (1-p) + r0 p) / (1 - gamma + gamma p), a column per chain."""
+    g, r1, r0 = cfg.gamma, cfg.r1, cfg.r0
+    p = np.array([c.p for c in chains])
+    q = np.array([c.q for c in chains])
+    y_den = (1.0 - g) + g * p
+    log_c = [c.log_persistence for c in chains]
+    return np.array([p, q, log_c, q / (p + q), (r1 * (1.0 - p) - r0 * p) / y_den, (r1 * (1.0 - p) + r0 * p) / y_den])
+
+
+def _later_bound(v_m, big_g: float, rest: float, fields: np.ndarray, cfg: RewardConfig):
+    """(upper, margin, never) from count m on, per chain: ``v_m`` is
+    v_good at m, ``big_g`` and ``rest`` are G_m and 1 - G_m, and
+    ``fields`` the chains' ``_chain_fields``.
+
+    For n >= m, G = gamma^(n+1) lies in (0, G_m] and the wake-up belief b
+    in [b_m, pi), pi = q / (p + q). v_good is a ratio of affine functions
+    of G for fixed b and of b for fixed G, with a positive denominator,
+    so it is monotone in each on that box (Charnes & Cooper 1962) and
+    its largest value sits at a corner: y (both corners at G = 0),
+    v_good(m) at (G_m, b_m), or v(G_m, pi). ``upper`` is the largest of
+    the three. ``margin`` is ``_STOP_MARGIN`` of the largest term scale
+    (the value with every numerator term taken positive) over the wider
+    box b in [q, pi], found at its corners the same way. ``never`` says
+    whether every later v_wake is negative: its numerator
+    b (r0 + r1) - r0 + gamma b v_good is at most
+    pi (r0 + r1) - r0 + gamma pi max(upper + margin, 0), and that bound
+    must lie below the rounding of the numerator's terms.
+    """
+    g, r1, r0 = cfg.gamma, cfg.r1, cfg.r0
+    d = 1.0 - g
+    p, q, _, pi, y, y_scale = fields
+    gain = r1 * (1.0 - p) * rest
+    cost = p * r0
+    den = rest * (d + g * p)
+    den_pi = den + big_g * pi * d
+    v_pi = (gain + big_g * r1 * pi - cost) / den_pi
+    upper = np.maximum(np.maximum(y, v_m), v_pi)
+    scale_pi = (gain + big_g * r1 * pi + cost) / den_pi
+    scale_q = (gain + big_g * r1 * q + cost) / (den + big_g * q * d)
+    scale = np.maximum(np.maximum(y_scale, scale_q), scale_pi)
+    margin = _STOP_MARGIN * scale
+    wake = pi * (r0 + r1) - r0 + g * pi * np.maximum(upper + margin, 0.0)
+    never = wake < -_STOP_MARGIN * (pi * (r0 + r1) + r0 + g * pi * scale)
+    return upper, margin, never
+
+
+def _settled(top, wake_top, upper, margin, never):
+    """Whether no later count can change a chain's result, from its
+    running tops of v_good and v_wake and its ``_later_bound``.
+
+    Either no scanned v_wake is nonnegative (or NaN) and the bound proves
+    no later one is, so the chain never harvests and its pick does not
+    matter; or one is, and the bound lies more than its margin below a
+    finite top, so no later count can even tie the top and the pick, the
+    first count that does, is among those scanned. A NaN or infinite top
+    settles nothing.
+    """
+    harvests = ~(wake_top < 0.0)
+    return (never & ~harvests) | (harvests & np.isfinite(top) & (upper < top - margin))
+
+
+def _rounds(chains: Sequence[GEParams], sizes: list[int], cfg: RewardConfig):
+    """The scan of ``_scan`` in rounds, each chain stopped once its
+    result is certain.
+
+    Each round prices the same counts of every chain still scanning, as a
+    (chains x counts) block whose terms are one slice of the prefix
+    broadcast against a column of each chain's fields; counts past a
+    chain's ``default_n_max`` are masked out. A chain retires when its
+    counts run out or its running tops of v_good and v_wake and its
+    ``_later_bound`` from the round's last count have ``_settled`` it.
+    The pick, the first count that ties the final top, lies in a row that
+    raised its chain's running top and still reaches its band, so only
+    those rows (and the first round's) are kept for the final pick.
+
+    Returns, per chain, whether it never harvests, the picked count and
+    (v_good, v_fail, v_wake) there.
+    """
+    g = cfg.gamma
+    fields = _chain_fields(chains, cfg)
+    size = np.array(sizes)
+    top = np.full(len(chains), -np.inf)
+    wake_top = top.copy()
+    kept = []
+    active = np.arange(len(chains))
+    lo, length = 0, _FIRST_ROUND
+    while active.size:
+        longest = int(size[active].max())
+        length = min(length, longest - lo)
+        prefix = _discount_prefix(lo + length, g, grow_to=longest)
+        terms = [t[lo : lo + length] for t in prefix[:3]]
+        chains_left = fields[:, active]
+        p, q, log_c = chains_left[:3, :, None]
+        column = SimpleNamespace(p=p, q=q, log_persistence=log_c)
+        v_good, v_wake = _policy_values(terms, column, cfg)
+        last = size[active] <= lo + length
+        if last.any():
+            beyond = np.arange(lo, lo + length) >= size[active][:, None]
+            v_good[beyond] = -np.inf
+            v_wake[beyond] = -np.inf
+        row_top = v_good.max(axis=1)
+        before = top[active]
+        top[active] = np.maximum(before, row_top)
+        wake_top[active] = np.maximum(wake_top[active], v_wake.max(axis=1))
+        raised = slice(None) if lo == 0 else row_top > before
+        kept.append((lo, active[raised], v_good[raised], v_wake[raised], row_top[raised]))
+        m = lo + length - 1
+        upper, margin, never = _later_bound(v_good[:, -1], prefix[2][m], prefix[1][m], chains_left, cfg)
+        done = last | _settled(top[active], wake_top[active], upper, margin, never)
+        active = active[~done]
+        lo += length
+        length = min(2 * length, _CACHED_COUNTS, max(_FIRST_ROUND, _ROUND_COUNTS // max(active.size, 1)))
+        if sum(row[2].size for row in kept[1:]) > _KEPT_COUNTS:
+            for i, (at, ids, good, wake, row_max) in enumerate(kept[1:], 1):
+                hold = ~(row_max < _band(top[ids]))  # a row below its chain's band stays below it
+                kept[i] = (at, ids[hold], good[hold], wake[hold], row_max[hold])
+    pick = np.full(len(chains), -1)
+    good, wake = np.empty(len(chains)), np.empty(len(chains))
+    for at, ids, v_good, v_wake, _ in kept:
+        ties = _ties(v_good, top[ids])
+        rows = np.flatnonzero(ties.any(axis=1) & (pick[ids] < 0))
+        col = ties.argmax(axis=1)[rows]
+        pick[ids[rows]] = at + col
+        good[ids[rows]] = v_good[rows, col]
+        wake[ids[rows]] = v_wake[rows, col]
+    fail = prefix[3][pick] * wake
+    return list(zip((wake_top < 0.0).tolist(), pick.tolist(), zip(good.tolist(), fail.tolist(), wake.tolist())))
 
 
 def _scan(chains: Sequence[GEParams], cfg: RewardConfig) -> list[tuple[ThresholdPolicy, PolicyValue]]:
-    """``optimal_sleep_time`` of each chain, from one pass of the closed
-    form over the counts 0..``default_n_max`` of every chain, laid end to
-    end, and one ``_segment_picks`` over them all.
+    """``optimal_sleep_time`` of each chain.
 
-    Every operation is elementwise or works within one chain's segment
-    of the counts, so each chain gets the bits a scan of it alone gives.
-    A batch gathers its discount terms by one count-index array; one
-    chain slices them and broadcasts its scalars, at less cost. Only the
-    picked counts' values become floats, v_fail = gamma^n v_wake there.
+    A lone chain whose counts 0..``default_n_max`` fit the first
+    ``_CACHED_COUNTS`` is priced in one pass over all of them, with no
+    stop bound; any other scan runs in ``_rounds`` and stops each chain
+    once no later count can win. Every operation on the values is
+    elementwise, and the pick rule runs over every count scanned, so
+    each chain gets the bits of the one-pass scan of its full range.
+    Only the picked counts' values become floats, v_fail = gamma^n
+    v_wake there. Values past the float range raise OverflowError.
     """
     if not chains:
         return []
     sizes = [default_n_max(c) + 1 for c in chains]
-    if len(chains) > 1 and max(sizes) > _CACHED_COUNTS:
-        # a chain past 4096 counts is scanned alone, so that a batch
-        # holds at most 4096 counts per chain
-        alone = {i: _scan([c], cfg)[0] for i, (c, size) in enumerate(zip(chains, sizes)) if size > _CACHED_COUNTS}
-        batch = iter(_scan([c for i, c in enumerate(chains) if i not in alone], cfg))
-        return [alone[i] if i in alone else next(batch) for i in range(len(chains))]
-    prefix = _discount_prefix(max(sizes), cfg.gamma)
-    starts = np.fromiter(itertools.accumulate(sizes[:-1], initial=0), np.intp, len(chains))
-    total = sum(sizes)
-    if len(chains) == 1:
-        terms = [t[:total] for t in prefix[:3]]
-        params = chains[0]
+    if len(chains) == 1 and sizes[0] <= _CACHED_COUNTS:
+        prefix = _discount_prefix(sizes[0], cfg.gamma)
+        v_good, v_wake = _policy_values([t[: sizes[0]] for t in prefix[:3]], chains[0], cfg)
+        i = int(_ties(v_good, v_good.max()).argmax())
+        outcomes = [(bool(v_wake.max() < 0.0), i, (float(v_good[i]), float(prefix[3][i] * v_wake[i]), float(v_wake[i])))]
     else:
-        count = np.arange(total) - np.repeat(starts, sizes)
-        terms = [t[count] for t in prefix[:3]]
-        fields = [[c.p for c in chains], [c.q for c in chains], [c.log_persistence for c in chains]]
-        p, q, log_c = np.repeat(fields, sizes, axis=1)  # each chain's over its counts
-        params = SimpleNamespace(p=p, q=q, log_persistence=log_c)
-    v_good, v_wake = _policy_values(terms, params, cfg)
-    never, pick = _segment_picks(v_good, v_wake, starts, sizes)
+        step = _ROUND_COUNTS // _FIRST_ROUND
+        outcomes = [o for i in range(0, len(chains), step) for o in _rounds(chains[i : i + step], sizes[i : i + step], cfg)]
     results = []
-    for chain, never_wakes, i, start in zip(chains, never.tolist(), pick.tolist(), starts.tolist()):
+    for chain, (never_wakes, n, value) in zip(chains, outcomes):
         if never_wakes:
             # after a failure sleeping forever earns 0; after a success
             # harvesting on until the first failure may still pay
-            y = max(0.0, _never_wake_value(chain, cfg))
-            results.append((ThresholdPolicy.never(), PolicyValue(v_good=y, v_fail=0.0, v_wake=0.0)))
-        else:
-            value = PolicyValue(float(v_good[i]), float(prefix[3][i - start] * v_wake[i]), float(v_wake[i]))
-            results.append((ThresholdPolicy.sleep(i - start), value))
+            value = (max(0.0, _never_wake_value(chain, cfg)), 0.0, 0.0)
+        if not (math.isfinite(value[0]) and math.isfinite(value[2])):
+            raise OverflowError(
+                f"policy values of (p, q) = ({chain.p}, {chain.q}) under (r1, r0) = ({cfg.r1}, {cfg.r0}) "
+                f"leave the float range (magnitudes up to {sys.float_info.max:.4g}); scale the rewards down"
+            )
+        results.append((ThresholdPolicy.never() if never_wakes else ThresholdPolicy.sleep(n), PolicyValue(*value)))
     return results
 
 
 def optimal_sleep_time(params: GEParams, cfg: RewardConfig) -> tuple[ThresholdPolicy, PolicyValue]:
-    """Best sleep-after-failure count by exhaustive scan.
+    """Best sleep-after-failure count over every count up to a cap.
 
     The scan maximizes the post-success value over n = 0..n_max
     (``default_n_max``), breaking ties (values within ``_TIE_BAND`` of
@@ -235,11 +375,14 @@ def optimal_sleep_time(params: GEParams, cfg: RewardConfig) -> tuple[ThresholdPo
     carries v_good = max(0, y) and v_fail = v_wake = 0.
 
     This is the scan ``build_lookup_table`` runs over a batch of chains,
-    here over one, with the same pick rule (``_segment_picks``) for
-    both. The terms that depend only on n and gamma (n + 1, 1 - G,
+    here over one (``_scan``), with the same pick rule (``_ties``). A
+    chain whose counts fit the first ``_CACHED_COUNTS`` is priced in one
+    pass; a longer one in rounds that stop once a bound proves no later
+    count can win, with the count and its values those of pricing every
+    count. The terms that depend only on n and gamma (n + 1, 1 - G,
     G = gamma^(n+1) and gamma^n) are sliced from one prefix of them kept
-    for the last gamma scanned, which a scan past its length rebuilds to
-    its n_max.
+    for the last gamma scanned. Values past the float range raise
+    OverflowError.
     """
     return _scan([params], cfg)[0]
 
@@ -384,8 +527,8 @@ class LookupTable:
         numbers that ``RewardConfig`` takes, the axes must be nonempty
         and strictly ascending, and the cells must follow them in
         row-major order with p and q finite numbers, valid true exactly
-        when (p, q) is a valid chain (``is_valid_chain``), v_good a number
-        on valid cells and null on invalid ones, and each valid cell with
+        when (p, q) is a valid chain (``is_valid_chain``), v_good a finite
+        number on valid cells and null on invalid ones, and each valid cell with
         its policy: never_harvest true or false and, unless true,
         sleep_slots a nonnegative integer.
         """
@@ -421,8 +564,9 @@ class LookupTable:
             if c["valid"] != is_valid_chain(c["p"], c["q"]):
                 flag, verdict = ("true", "is not") if c["valid"] else ("false", "is")
                 raise ValueError(f"{where} has valid {flag}, but (p, q) = ({c['p']}, {c['q']}) {verdict} a valid chain")
-            if not (type(c["v_good"]) in (int, float) if c["valid"] else c["v_good"] is None):
-                raise ValueError(f"{where} has v_good {c['v_good']!r}, not {'a number' if c['valid'] else 'null'}")
+            v_good = c["v_good"]
+            if not (type(v_good) in (int, float) and math.isfinite(v_good) if c["valid"] else v_good is None):
+                raise ValueError(f"{where} has v_good {v_good!r}, not {'a finite number' if c['valid'] else 'null'}")
             policy = None
             if c["valid"]:
                 pol = c["policy"]
@@ -472,14 +616,13 @@ def build_lookup_table(
 
     Both axes must be strictly ascending, the order ``LookupTable``
     documents and ``LookupTable.from_json_dict`` checks. The valid
-    cells of each pi_g row are scanned in one batch, the scan of
-    ``optimal_sleep_time`` over all their chains at once, with the
-    discount-term prefix and the pick rule it uses; each cell gets the
-    bits a scan of its chain alone gives. A batch holds one row, never
-    the whole grid: a row of the standard grid spans about 2,700 counts,
-    so its working arrays (tens of KB each) stay in a core's cache,
-    while one batch over all 55,000 counts of that grid ran about 25%
-    slower on a 2-vCPU Xeon VM with 2 MB of L2 per core.
+    cells of the whole grid are scanned in one batch, the scan of
+    ``optimal_sleep_time`` over all their chains at once (``_scan``),
+    with the discount-term prefix and the pick rule it uses; each cell
+    gets the bits a scan of its chain alone gives. The batch's rounds
+    stop each chain once no later count can win: on the standard grid
+    most chains stop after their first 32 counts, and the whole grid
+    takes one or two rounds.
     """
     for pi_g in pi_g_axis:
         if not 0.0 < pi_g < 1.0:
@@ -489,18 +632,15 @@ def build_lookup_table(
             raise ValueError(f"t_b axis values must exceed 1, got {t_b}")
     _check_axis("pi_g_axis", pi_g_axis)
     _check_axis("t_b_axis", t_b_axis)
+    grid = [(pi_g, t_b, q * (1.0 - pi_g) / pi_g, q) for pi_g in pi_g_axis for t_b, q in ((t, 1.0 / t) for t in t_b_axis)]
+    best = iter(_scan([GEParams(p=p, q=q) for _, _, p, q in grid if is_valid_chain(p, q)], cfg))
     cells = []
-    for pi_g in pi_g_axis:
-        row = [(t_b, 1.0 / t_b) for t_b in t_b_axis]
-        row = [(t_b, q * (1.0 - pi_g) / pi_g, q) for t_b, q in row]
-        best = iter(_scan([GEParams(p=p, q=q) for _, p, q in row if is_valid_chain(p, q)], cfg))
-        for t_b, p, q in row:
-            if is_valid_chain(p, q):
-                policy, value = next(best)
-                cell = LookupCell(pi_g=pi_g, t_b=t_b, p=p, q=q, policy=policy, v_good=value.v_good)
-            else:
-                cell = LookupCell(pi_g=pi_g, t_b=t_b, p=p, q=q, policy=None, v_good=None)
-            cells.append(cell)
+    for pi_g, t_b, p, q in grid:
+        if is_valid_chain(p, q):
+            policy, value = next(best)
+            cells.append(LookupCell(pi_g=pi_g, t_b=t_b, p=p, q=q, policy=policy, v_good=value.v_good))
+        else:
+            cells.append(LookupCell(pi_g=pi_g, t_b=t_b, p=p, q=q, policy=None, v_good=None))
     return LookupTable(
         pi_g_axis=tuple(float(x) for x in pi_g_axis),
         t_b_axis=tuple(float(x) for x in t_b_axis),

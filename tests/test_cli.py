@@ -130,6 +130,20 @@ class TestPolicyCommand:
         assert lines["sleep_slots"] == policy.label()
         assert lines["value_after_success"] == repr(value.v_good)
 
+    def test_values_past_the_float_range_exit_1(self, capsys):
+        # the values are about 25 r here, past the largest double
+        code, out, err = run_cli(["policy", "--pi-g", "0.6", "--t-b", "2.5", "--r1", "1e308", "--r0", "1e308"], capsys)
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: policy values of (p, q)") and "float range" in err
+        assert err.count("\n") == 1  # no numpy warnings
+
+    def test_values_near_the_float_range_print(self, capsys):
+        code, out, _ = run_cli(["policy", "--pi-g", "0.6", "--t-b", "2.5", "--r1", "1e306", "--r0", "1e306"], capsys)
+        assert code == 0
+        lines = dict(line.split(" ", 1) for line in out.strip().splitlines())
+        assert all(math.isfinite(float(lines[key])) for key in ("value_after_success", "value_at_wakeup"))
+
 
 class TestSolveCommand:
     def test_reports_crossover_and_sleep(self, capsys):
@@ -168,6 +182,15 @@ class TestTableCommand:
             loaded = LookupTable.load_json(fh)
         direct = build_lookup_table([0.3, 0.7], [2.0, 4.0], RewardConfig(r1=10, r0=1, gamma=0.99))
         assert loaded == direct
+
+    def test_values_past_the_float_range_exit_1_without_output(self, tmp_path, capsys):
+        out = tmp_path / "t.json"
+        argv = ["table", "--r1", "1e308", "--r0", "1e308", "--format", "json", "--output", str(out)]
+        code, stdout, err = run_cli(argv, capsys)
+        assert code == 1
+        assert stdout == ""
+        assert "float range" in err and err.count("\n") == 1
+        assert not out.exists()
 
     def test_default_grid_is_the_comparison_table(self, tmp_path, capsys, monkeypatch):
         # the table the learning comparison plans from, read off its spec
@@ -250,8 +273,10 @@ MALFORMED_TABLE_ERRORS = {
     "string_p": "cell 3 has p 'x', not a finite number",
     "bool_q": "cell 3 has q True, not a finite number",
     "infinite_q": "cell 3 has q inf, not a finite number",
-    "list_v_good": "cell 3 has v_good [1], not a number",
-    "null_v_good": "cell 3 has v_good None, not a number",
+    "list_v_good": "cell 3 has v_good [1], not a finite number",
+    "null_v_good": "cell 3 has v_good None, not a finite number",
+    "infinite_v_good": "cell 3 has v_good inf, not a finite number",
+    "nan_v_good": "cell 3 has v_good nan, not a finite number",
     "v_good_on_invalid": "cell 0 has v_good 1.0, not null",
     "gamma_above_one": "gamma must lie in [0, 1), got 1.5",
     "string_r1": "reward has r1 'x', not a number",
@@ -284,6 +309,8 @@ CELL_FIELD_FAULTS = {
     "infinite_q": (3, {"q": math.inf}),
     "list_v_good": (3, {"v_good": [1]}),
     "null_v_good": (3, {"v_good": None}),
+    "infinite_v_good": (3, {"v_good": math.inf}),
+    "nan_v_good": (3, {"v_good": math.nan}),
     "v_good_on_invalid": (0, {"v_good": 1.0}),
 }
 

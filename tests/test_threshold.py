@@ -37,11 +37,15 @@ from rfharvest.threshold import (
     sleep_time_from_threshold,
     vi_threshold_policy,
     _CACHED_COUNTS,
+    _STOP_MARGIN,
     _TIE_BAND,
+    _chain_fields,
+    _later_bound,
     _nearest_index,
     _prefix,
     _scan,
-    _segment_picks,
+    _settled,
+    _ties,
 )
 from rfharvest.value_iteration import VISettings, solve
 
@@ -478,27 +482,204 @@ class TestBatchedScan:
         long = from_burst_parameterization(0.1, 1e5)  # 100,001 counts
         cfg = RewardConfig(r1=1.0, r0=30.0, gamma=0.999)
         other = RewardConfig(r1=1.0, r0=30.0, gamma=0.99)
+        # the second CI slow chain: y is its top, so no bound stops it
+        capped = (GEParams(p=1e-6, q=1e-6), RewardConfig(r1=10.0, r0=10.0, gamma=0.99))
         _prefix.clear()
         seen = []
-        for params, c in ((short, cfg), (long, cfg), (short, cfg), (short, other), (long, other)):
+        for params, c in ((short, cfg), (long, cfg), (short, cfg), (short, other), (long, other), capped):
             policy, value = optimal_sleep_time(params, c)
             ref_policy, ref_value = reference_sleep_time(params, c)
             assert policy == ref_policy and bits(value) == bits(ref_value)
             ((gamma, terms),) = _prefix.items()
             assert gamma == c.gamma
             assert not any(t.flags.writeable for t in terms)
-            assert default_n_max(params) < len(terms[0]) <= 100_001
+            assert policy.never_harvest or policy.sleep_slots < len(terms[0]) <= 100_001
             seen.append(terms)
-        # the long chain's best count lies past the first 4096
+        # under gamma 0.999 the long chain's best count lies past the
+        # first 4096, so its rounds grow the prefix to its cap; under 0.99
+        # it never harvests, which its first round proves
         assert optimal_sleep_time(long, cfg)[0].sleep_slots > _CACHED_COUNTS
-        assert [len(terms[0]) for terms in seen] == [_CACHED_COUNTS, 100_001, 100_001, _CACHED_COUNTS, 100_001]
-        assert seen[2] is seen[1]
+        assert optimal_sleep_time(long, other)[0].never_harvest
+        assert [len(terms[0]) for terms in seen] == [_CACHED_COUNTS, 100_001, 100_001, _CACHED_COUNTS, _CACHED_COUNTS, 100_001]
+        assert seen[2] is seen[1] and seen[4] is seen[3]
 
     def test_grid_without_valid_cells_builds(self):
         # p + q = q / pi_g >= 1 on every cell: nothing to scan
         assert _scan([], CFG) == []
         table = build_lookup_table([0.1, 0.2], [1.5, 3.0], CFG)
         assert [c.valid for c in table.cells] == [False] * 4
+
+
+# gamma at both ends, the middle, and near 1 where slow chains scan far
+STOP_GAMMAS = st.sampled_from([0.0, 1e-16, 0.5, 0.99, 0.9999])
+# at q = 1/2 and r0 = r1 the sleep counts 0 and 1 tie exactly
+TIE_P = (0.1, 0.25, 0.2069, 0.4815)
+# p = q just under 1/2: v_good is 1e-11 at gamma 1 - 1e-8 and its terms
+# cancel from ~5, so float values near the never-harvest boundary keep
+# no relative precision
+BOUNDARY = GEParams(p=0.4999999999995, q=0.4999999999995)
+
+
+@st.composite
+def scan_chains(draw):
+    """A chain of a kind a scan meets: a standard-grid cell, a slowly
+    mixing chain (p + q down to 1e-7, up to the 100,001-count cap), one
+    whose counts 0 and 1 tie exactly under r0 = r1, one that mixes
+    within a slot (under 32 counts in all), or the boundary chain."""
+    kind = draw(st.sampled_from(["grid", "slow", "tie", "fast", "boundary"]))
+    if kind == "tie":
+        return GEParams(p=draw(st.sampled_from(TIE_P)), q=0.5)
+    if kind == "boundary":
+        return BOUNDARY
+    pi_g = draw(st.floats(0.05, 0.95))
+    if kind == "grid":
+        s = 1.0 / draw(st.floats(1.1, 20.0)) / pi_g
+    elif kind == "slow":
+        s = 10.0 ** draw(st.floats(-7.0, -3.0))
+    else:
+        s = 1.0 - 10.0 ** draw(st.floats(-12.0, -1.0))
+    p, q = s * (1.0 - pi_g), s * pi_g
+    assume(is_valid_chain(p, q))
+    return GEParams(p=p, q=q)
+
+
+def priced_counts(monkeypatch) -> list[int]:
+    """Counts the scan prices from here on, as a list of one running total."""
+    total = [0]
+
+    def counted(terms, params, cfg):
+        v_good, v_wake = _policy_values(terms, params, cfg)
+        total[0] += v_good.size
+        return v_good, v_wake
+
+    monkeypatch.setattr("rfharvest.threshold._policy_values", counted)
+    return total
+
+
+class TestCertifiedStop:
+    """``_scan`` prices a batch in rounds and stops each chain once
+    ``_later_bound`` proves no later count can change its result; the
+    one-pass scan of the full range (``reference_sleep_time``) stays the
+    oracle, bit for bit."""
+
+    @given(st.lists(scan_chains(), min_size=1, max_size=5), STOP_GAMMAS, st.sampled_from(REWARDS))
+    @example([BOUNDARY, GEParams(p=1e-6, q=1e-6), GEParams(p=0.25, q=0.5)], 0.99, (10.0, 10.0))
+    @example([GEParams(p=1e-6, q=1e-6)] * 2, 0.99, (10.0, 10.0))  # y is the top: both run to the cap
+    @example([GEParams(p=0.05, q=0.05), GEParams(p=0.2, q=0.1)], 0.99, (1.0, 10.0))  # never cells
+    @settings(max_examples=60, deadline=None)
+    def test_scan_equals_full_scan_bit_for_bit(self, chains, gamma, rewards):
+        cfg = RewardConfig(r1=rewards[0], r0=rewards[1], gamma=gamma)
+        for params, (policy, value) in zip(chains, _scan(chains, cfg)):
+            ref_policy, ref_value = reference_sleep_time(params, cfg)
+            assert policy == ref_policy and bits(value) == bits(ref_value), params
+            alone_policy, alone_value = optimal_sleep_time(params, cfg)
+            assert alone_policy == policy and bits(alone_value) == bits(value)
+
+    @pytest.mark.parametrize("chains", [[BOUNDARY], [BOUNDARY, GEParams(p=1e-6, q=1e-6)]], ids=["alone", "batch"])
+    def test_never_harvest_boundary(self, chains):
+        cfg = RewardConfig(r1=10.0, r0=10.0, gamma=1.0 - 1e-8)
+        for params, (policy, value) in zip(chains, _scan(chains, cfg)):
+            ref_policy, ref_value = reference_sleep_time(params, cfg)
+            assert policy == ref_policy and bits(value) == bits(ref_value)
+
+    @given(edge_problems())
+    @example((BOUNDARY, RewardConfig(r1=10.0, r0=10.0, gamma=1.0 - 1e-8)))
+    @example((GEParams(p=1e-6, q=1e-6), RewardConfig(r1=10.0, r0=10.0, gamma=0.9999)))
+    @settings(max_examples=40, deadline=None)
+    def test_margin_against_decimal_oracle(self, problem):
+        # the stop needs every later float v_good at most upper + margin;
+        # the bound on the exact values and the rounding of the float
+        # ones each stay under 1% of the margin, near the never-harvest
+        # boundary too (a 300-problem scan of this space: under 0.05%)
+        params, cfg = problem
+        n_max = default_n_max(params)
+        terms = _discount_terms(np.arange(n_max + 1), cfg.gamma)
+        v_good, v_wake = _policy_values(terms, params, cfg)
+        fields = _chain_fields([params], cfg)
+        for m in sorted({0, 1, 31, 200, n_max // 2, n_max} & set(range(n_max + 1))):
+            upper, margin, never = (float(x[0]) for x in _later_bound(v_good[m : m + 1], terms[2][m], terms[1][m], fields, cfg))
+            assert margin > 0.0
+            for n in sorted({m, m + 1, 2 * m + 1, 4 * m + 3, n_max} & set(range(m, n_max + 1))):
+                (exact_good, _, exact_wake), _ = decimal_policy_values(n, params, cfg)
+                assert exact_good - Decimal(upper) <= Decimal(margin) / 100, (m, n)
+                assert abs(Decimal(float(v_good[n])) - exact_good) <= Decimal(margin) / 100, (m, n)
+                if never:
+                    assert exact_wake < 0 and v_wake[n] < 0.0, (m, n)
+
+    @pytest.mark.parametrize("top", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("wake_top", [0.0, 1.0, math.nan, math.inf])
+    def test_non_finite_top_settles_nothing(self, top, wake_top):
+        # harvesting is settled, and the bound lies far below, but a NaN
+        # or infinite top proves nothing
+        settled = _settled(np.array([top]), np.array([wake_top]), np.array([-1e300]), np.array([0.0]), np.array([True]))
+        assert not settled.any()
+
+    def test_nan_bound_settles_nothing(self):
+        nan = np.array([math.nan])
+        assert not _settled(np.array([1.0]), np.array([1.0]), nan, nan, np.array([False])).any()
+        assert not _settled(np.array([1.0]), np.array([1.0]), np.array([0.0]), nan, np.array([False])).any()
+
+    def test_proven_never_settles_without_a_top(self):
+        # every v_wake so far negative and none later can be: never
+        args = (np.array([math.nan]), np.array([-1.0]), np.array([math.nan]), np.array([math.nan]))
+        assert _settled(*args, np.array([True])).all()
+        assert not _settled(*args, np.array([False])).any()
+
+    @pytest.mark.parametrize(
+        "rewards,overflows", [((1e308, 1e308), True), ((1e307, 1e307), True), ((1e307, 1e308), False), ((1e306, 1e306), False)]
+    )
+    def test_values_near_the_float_range(self, rewards, overflows):
+        # values past the float range raise; finite ones are the full scan's
+        chains = [GEParams(p=0.4 * 2 / 3, q=0.4), GEParams(p=0.05, q=0.475), BOUNDARY]
+        cfg = RewardConfig(r1=rewards[0], r0=rewards[1], gamma=0.99)
+        with np.errstate(all="ignore"):
+            refs = [reference_sleep_time(params, cfg) for params in chains]
+            finite = all(math.isfinite(v.v_good) and math.isfinite(v.v_wake) for _, v in refs)
+            assert finite != overflows
+            if overflows:
+                with pytest.raises(OverflowError, match="float range"):
+                    _scan(chains, cfg)
+                with pytest.raises(OverflowError, match="float range"):
+                    optimal_sleep_time(chains[0], cfg)
+                return
+            for (policy, value), (ref_policy, ref_value) in zip(_scan(chains, cfg), refs):
+                assert policy == ref_policy and bits(value) == bits(ref_value)
+
+    def test_infinite_top_with_a_finite_pick(self):
+        # some later count overflows to inf, so the band is NaN and count
+        # 0, whose values are finite, is picked; no bound may stop first
+        params = GEParams(p=0.533805790498459, q=0.13897194822246156)
+        cfg = RewardConfig(r1=3.848070246501975e307, r0=8.513893723163215e306, gamma=0.99)
+        with np.errstate(all="ignore"):
+            assert scan_values(params, cfg)[0].max() == math.inf
+            ref_policy, ref_value = reference_sleep_time(params, cfg)
+            assert ref_policy == ThresholdPolicy.sleep(0)
+            for policy, value in _scan([params, params], cfg) + _scan([params], cfg):
+                assert policy == ref_policy and bits(value) == bits(ref_value)
+
+    def test_table_document_refuses_non_finite_v_good(self):
+        doc = build_lookup_table([0.6], [2.5], CFG).to_json_dict()
+        for bad in (math.inf, -math.inf, math.nan):
+            doc["cells"][0]["v_good"] = bad
+            with pytest.raises(ValueError, match="not a finite number"):
+                LookupTable.from_json_dict(doc)
+
+    def test_standard_grid_stops_early(self, monkeypatch):
+        # the full scans price 54,594 counts per reward setting
+        pi_g_axis, t_b_axis = grid_axis(*STANDARD_PI_G), grid_axis(*STANDARD_T_B)
+        for r1, r0 in REWARDS:
+            total = priced_counts(monkeypatch)
+            build_lookup_table(pi_g_axis, t_b_axis, RewardConfig(r1=r1, r0=r0, gamma=0.99))
+            assert total[0] < 15_000, (r1, r0)
+
+    @pytest.mark.parametrize("gamma,slots,counts", [(0.9999, 1448, 40_928), (0.99, 1586, 100_001)])
+    def test_slow_lone_chain(self, monkeypatch, gamma, slots, counts):
+        # at gamma 0.9999 the bound stops the scan; at 0.99 y is the top,
+        # nothing proves a stop and the scan runs to the cap
+        total = priced_counts(monkeypatch)
+        policy, _ = optimal_sleep_time(GEParams(p=1e-6, q=1e-6), RewardConfig(r1=10.0, r0=10.0, gamma=gamma))
+        assert policy.sleep_slots == slots
+        assert total[0] == counts
 
 
 def best_count(v_good: np.ndarray, v_wake: np.ndarray) -> int | None:
@@ -512,15 +693,19 @@ def best_count(v_good: np.ndarray, v_wake: np.ndarray) -> int | None:
 
 
 def picks_per_segment(segments) -> tuple[list, list]:
-    """The sleep counts ``_segment_picks`` gives segments laid end to end,
-    and those ``best_count`` gives each segment alone; each segment is a
-    (v_good, v_wake) pair of equal-length lists."""
-    sizes = [len(v_good) for v_good, _ in segments]
-    starts = np.fromiter(itertools.accumulate(sizes[:-1], initial=0), np.intp, len(sizes))
-    v_good = np.array([v for seg, _ in segments for v in seg], dtype=float)
-    v_wake = np.array([v for _, seg in segments for v in seg], dtype=float)
-    never, pick = _segment_picks(v_good, v_wake, starts, sizes)
-    got = [None if n else p - s for n, p, s in zip(never.tolist(), pick.tolist(), starts.tolist())]
+    """The sleep counts the scan's pick rule gives segments set as rows of
+    one block, padded past their ends with -inf as the scan masks counts
+    past a chain's cap: ``_ties`` against each row's top, and the never
+    test on each row's top of v_wake. Also those ``best_count`` gives
+    each segment alone; each segment is a (v_good, v_wake) pair of
+    equal-length lists."""
+    width = max(len(v_good) for v_good, _ in segments)
+    v_good, v_wake = (
+        np.array([seg[k] + [-INF] * (width - len(seg[k])) for seg in segments], dtype=float) for k in (0, 1)
+    )
+    ties = _ties(v_good, v_good.max(axis=1))
+    never = v_wake.max(axis=1) < 0.0
+    got = [None if n else int(i) for n, i in zip(never.tolist(), ties.argmax(axis=1).tolist())]
     alone = [best_count(np.array(g, dtype=float), np.array(w, dtype=float)) for g, w in segments]
     return got, alone
 
