@@ -36,12 +36,14 @@ def main() -> None:
         for t_b in (float(x) for x in args.burst_lengths.split(",")):
             params = from_burst_parameterization(args.pi_g, t_b)
             policy, _ = optimal_sleep_time(params, cfg)
+            print(f"burst length {t_b}: sleep count {policy.label()}")
+            if policy.never_harvest:
+                continue  # a never-harvest policy induces no battery chain
             rows = sweep_initial_levels(params, policy, BatteryConfig(capacity=args.capacity), levels)
             for row in rows:
                 writer.writerow(
                     [row[k] for k in SWEEP_CSV_HEADER] + [policy.sleep_slots]
                 )
-            print(f"burst length {t_b}: sleep count {policy.label()}")
     print(f"wrote {path}")
 
 

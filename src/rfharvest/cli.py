@@ -7,7 +7,8 @@ tables), learn (posterior-sampling episodes as JSON lines), compare
 (learner-versus-baselines experiment). Flags override values from an
 optional JSON config file; all randomness flows from --seed.
 
-Exit codes: 0 success, 1 runtime error, 2 usage error.
+Exit codes: 0 success, 1 runtime error, 2 usage error; ``main``
+alone prints a failing command's ``error:`` line.
 """
 
 from __future__ import annotations
@@ -110,18 +111,10 @@ def cmd_solve(args) -> int:
     return 0
 
 
-def _scanned(scan, *args, **kwargs):
-    """Run a threshold scan; values past the float range raise its
-    OverflowError (exit 1), which numpy's float warnings would only
-    repeat."""
-    with np.errstate(over="ignore", invalid="ignore"):
-        return scan(*args, **kwargs)
-
-
 def cmd_policy(args) -> int:
     params = _chain_from_args(args)
     cfg = _reward_from_args(args)
-    policy, value = _scanned(optimal_sleep_time, params, cfg)
+    policy, value = optimal_sleep_time(params, cfg)
     print(f"p {_fmt(params.p)}")
     print(f"q {_fmt(params.q)}")
     print(f"sleep_slots {policy.label()}")
@@ -134,7 +127,6 @@ def cmd_policy(args) -> int:
 def cmd_table(args) -> int:
     cfg = _reward_from_args(args)
     table = _from_flags(
-        _scanned,
         build_lookup_table,
         pi_g_axis=grid_axis(args.pi_g_min, args.pi_g_max, args.pi_g_steps),
         t_b_axis=grid_axis(args.t_b_min, args.t_b_max, args.t_b_steps),
@@ -158,8 +150,7 @@ def cmd_battery(args) -> int:
     else:
         policy, _ = optimal_sleep_time(params, cfg)
         if policy.never_harvest:
-            print("error: optimal policy never harvests, give --sleep-slots explicitly", file=sys.stderr)
-            return 1
+            raise battery_mod.PolicyNeverHarvests("optimal policy never harvests, give --sleep-slots explicitly")
     if args.levels:
         levels = _from_flags(lambda: sorted({int(x) for x in args.levels.split(",")}))
     else:
@@ -225,7 +216,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_chain_flags(p_solve)
     _add_reward_flags(p_solve)
     p_solve.add_argument("--epsilon", type=float, default=None, help="stopping-rule error bound")
-    p_solve.add_argument("--max-iterations", type=int, default=1_000_000)
+    p_solve.add_argument("--max-iterations", type=int, default=VISettings.max_iterations)
     p_solve.set_defaults(func=cmd_solve)
 
     p_policy = sub.add_parser("policy", help="closed-form optimal sleep count")
@@ -316,7 +307,10 @@ def main(argv: list[str] | None = None) -> int:
             args = parser.parse_args(_apply_config_defaults(parser, argv))
         except SystemExit as exc:  # argparse exits on usage errors and --help
             return int(exc.code or 0)
-        return args.func(args)
+        # values past the float range raise their own error (exit 1),
+        # which numpy's float warnings would only repeat
+        with np.errstate(over="ignore", invalid="ignore"):
+            return args.func(args)
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

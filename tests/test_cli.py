@@ -5,6 +5,7 @@ import json
 import math
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -17,9 +18,15 @@ from rfharvest.threshold import LookupTable, build_lookup_table, optimal_sleep_t
 
 
 def run_cli(argv, capsys):
-    code = cli.main(argv)
+    """Exit code, stdout and stderr of ``cli.main(argv)``. pytest records
+    warnings instead of printing them, so each one raised in the command
+    comes back at the head of stderr, formatted as a process prints it."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = cli.main(argv)
     captured = capsys.readouterr()
-    return code, captured.out, captured.err
+    shown = "".join(warnings.formatwarning(w.message, w.category, w.filename, w.lineno, w.line) for w in caught)
+    return code, captured.out, shown + captured.err
 
 
 class TestValidation:
@@ -93,7 +100,8 @@ class TestValidation:
             capsys,
         )
         assert code == 1
-        assert "Probabilities do not sum to 1" in err
+        assert err.startswith("error: Probabilities do not sum to 1")
+        assert err.count("\n") == 1  # no numpy warnings
 
     def test_solver_budget_exits_1(self, capsys):
         # a solve that runs out of iterations is a runtime failure that
@@ -252,6 +260,30 @@ class TestBatteryCommand:
         write_sweep_csv(rows, buf)
         assert out.read_text() == buf.getvalue()
 
+    def test_never_harvest_optimum_exits_1_without_output(self, tmp_path, capsys):
+        # a never-harvest policy induces no battery chain to analyse
+        out = tmp_path / "battery.csv"
+        code, stdout, err = run_cli(
+            ["battery", "--pi-g", "0.3", "--t-b", "5", "--r0", "10", "--r1", "10", "--output", str(out)],
+            capsys,
+        )
+        assert code == 1
+        assert stdout == ""
+        assert err == "error: optimal policy never harvests, give --sleep-slots explicitly\n"
+        assert not out.exists()
+
+    def test_values_past_the_float_range_exit_1(self, tmp_path, capsys):
+        out = tmp_path / "battery.csv"
+        code, stdout, err = run_cli(
+            ["battery", "--pi-g", "0.6", "--t-b", "2.5", "--r1", "1e308", "--r0", "1e308", "--output", str(out)],
+            capsys,
+        )
+        assert code == 1
+        assert stdout == ""
+        assert err.startswith("error: policy values of (p, q)") and "float range" in err
+        assert err.count("\n") == 1  # no numpy warnings
+        assert not out.exists()
+
 
 # malformed table document -> the message `learn --table` must exit 2 with
 MALFORMED_TABLE_ERRORS = {
@@ -399,6 +431,17 @@ class TestLearnCommand:
         assert files[0] == files[1]
         first = json.loads(files[0].decode().splitlines()[0])
         assert first["action"] == "harvest"
+
+    def test_values_past_the_float_range_exit_1(self, tmp_path, capsys):
+        code, stdout, err = run_cli(
+            ["learn", "--pi-g", "0.6", "--t-b", "2.5", "--r1", "1e308", "--r0", "1e308",
+             "--horizon", "50", "--output", str(tmp_path / "trace.jsonl")],
+            capsys,
+        )
+        assert code == 1
+        assert stdout == ""
+        assert err.startswith("error: policy values of (p, q)") and "float range" in err
+        assert err.count("\n") == 1  # no numpy warnings
 
 
 class TestCompareCommand:

@@ -9,6 +9,7 @@ proof that every name is used.
 """
 
 import ast
+import csv
 import importlib
 import re
 import subprocess
@@ -84,6 +85,21 @@ def test_script_help_runs(script):
     proc = subprocess.run([sys.executable, str(script), "--help"], capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert "usage:" in proc.stdout
+
+
+def test_battery_sweep_skips_a_never_harvest_burst_length(tmp_path):
+    # at pi_g 0.3, burst length 5 has a never-harvest optimum and so no
+    # battery chain; burst length 20 sleeps 7
+    script = ROOT / "scripts" / "battery_sweep.py"
+    proc = subprocess.run(
+        [sys.executable, str(script), "--pi-g", "0.3", "--burst-lengths", "5,20", "--output-dir", str(tmp_path)],
+        capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert "burst length 5.0: sleep count never\n" in proc.stdout
+    assert "burst length 20.0: sleep count 7\n" in proc.stdout
+    rows = list(csv.DictReader((tmp_path / "battery_absorption.csv").read_text().splitlines()))
+    assert rows and {row["burst_length"] for row in rows} == {"20.0"}
 
 
 def test_traced_layer_metrics_are_never_null(monkeypatch):

@@ -684,7 +684,7 @@ class TestCertifiedStop:
 
 def best_count(v_good: np.ndarray, v_wake: np.ndarray) -> int | None:
     """The pick rule on one chain's scanned values, stated per chain: the
-    oracle of ``_segment_picks``. The sleep count, None for never; a NaN
+    oracle of ``_ties``. The sleep count, None for never; a NaN
     best picks 0, as argmax does on an all-False mask."""
     if float(v_wake.max()) < 0.0:
         return None
@@ -728,7 +728,7 @@ def from_burst_parts(pi_g: float, t_b: float) -> tuple[float, float]:
 
 
 class TestSegmentPicks:
-    """``_segment_picks`` states the pick rule once for one chain or many;
+    """``_ties`` states the pick rule once for one chain or many;
     on any values it must pick what ``best_count`` picks per segment."""
 
     @pytest.mark.parametrize(
