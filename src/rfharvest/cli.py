@@ -14,7 +14,9 @@ alone prints a failing command's ``error:`` line.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
+import os
 import sys
 
 import numpy as np
@@ -163,6 +165,27 @@ def cmd_battery(args) -> int:
     return 0
 
 
+@contextlib.contextmanager
+def _replaced_on_success(path: str):
+    """A text file for ``path`` whose contents land there only if the
+    block completes: they go to a sibling temporary file that
+    ``os.replace`` then moves onto ``path``, so a command that fails
+    leaves no new file and an earlier one untouched. A path that exists
+    but is not a regular file (a pipe, /dev/stdout) is written directly."""
+    if os.path.exists(path) and not os.path.isfile(path):
+        with open(path, "w") as fh:
+            yield fh
+        return
+    tmp = f"{path}.{os.getpid()}.tmp"
+    try:
+        with open(tmp, "w") as fh:
+            yield fh
+        os.replace(tmp, path)
+    finally:
+        with contextlib.suppress(FileNotFoundError):
+            os.remove(tmp)
+
+
 def cmd_learn(args) -> int:
     params = _chain_from_args(args)
     cfg = _reward_from_args(args)
@@ -171,7 +194,7 @@ def cmd_learn(args) -> int:
         with open(args.table) as fh:
             table = _from_flags(LookupTable.load_json, fh)
     planner = _from_flags(SleepTimePlanner, cfg, table)  # refuses a table built for another reward
-    with open(args.output, "w") as fh:
+    with _replaced_on_success(args.output) as fh:
         for episode in range(args.episodes):
             trace = run_learner(
                 params,

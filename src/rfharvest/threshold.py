@@ -21,7 +21,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .beliefs import RewardConfig, _discount_terms, _never_wake_value, _policy_values, _sleep_count
+from .beliefs import RewardConfig, _discount_terms, _never_wake_value, _policy_values, _sleep_count, _wake_belief
 from .gilbert_elliott import GEParams, is_valid_chain
 from .value_iteration import VISettings, harvest_crossover, solve
 
@@ -190,15 +190,17 @@ _KEPT_COUNTS = 1 << 17
 _STOP_MARGIN = 1e-12
 
 
-def _chain_fields(chains: Sequence[GEParams], cfg: RewardConfig) -> np.ndarray:
-    """Rows p, q, log(1 - p - q), pi = q / (p + q), y and y's term scale
+def _chain_fields(chains: Sequence[GEParams], sizes: Sequence[int], cfg: RewardConfig) -> np.ndarray:
+    """Rows p, q, log(1 - p - q), the wake-up belief at the chain's last
+    count (``sizes`` - 1, its ``default_n_max``), y and y's term scale
     (r1 (1-p) + r0 p) / (1 - gamma + gamma p), a column per chain."""
     g, r1, r0 = cfg.gamma, cfg.r1, cfg.r0
     p = np.array([c.p for c in chains])
     q = np.array([c.q for c in chains])
     y_den = (1.0 - g) + g * p
-    log_c = [c.log_persistence for c in chains]
-    return np.array([p, q, log_c, q / (p + q), (r1 * (1.0 - p) - r0 * p) / y_den, (r1 * (1.0 - p) + r0 * p) / y_den])
+    log_c = np.array([c.log_persistence for c in chains])
+    b_cap = _wake_belief(np.array(sizes, dtype=float), SimpleNamespace(p=p, q=q, log_persistence=log_c))
+    return np.array([p, q, log_c, b_cap, (r1 * (1.0 - p) - r0 * p) / y_den, (r1 * (1.0 - p) + r0 * p) / y_den])
 
 
 def _later_bound(v_m, big_g: float, rest: float, fields: np.ndarray, cfg: RewardConfig):
@@ -206,35 +208,37 @@ def _later_bound(v_m, big_g: float, rest: float, fields: np.ndarray, cfg: Reward
     v_good at m, ``big_g`` and ``rest`` are G_m and 1 - G_m, and
     ``fields`` the chains' ``_chain_fields``.
 
-    For n >= m, G = gamma^(n+1) lies in (0, G_m] and the wake-up belief b
-    in [b_m, pi), pi = q / (p + q). v_good is a ratio of affine functions
-    of G for fixed b and of b for fixed G, with a positive denominator,
-    so it is monotone in each on that box (Charnes & Cooper 1962) and
-    its largest value sits at a corner: y (both corners at G = 0),
-    v_good(m) at (G_m, b_m), or v(G_m, pi). ``upper`` is the largest of
-    the three. ``margin`` is ``_STOP_MARGIN`` of the largest term scale
-    (the value with every numerator term taken positive) over the wider
-    box b in [q, pi], found at its corners the same way. ``never`` says
-    whether every later v_wake is negative: its numerator
-    b (r0 + r1) - r0 + gamma b v_good is at most
-    pi (r0 + r1) - r0 + gamma pi max(upper + margin, 0), and that bound
-    must lie below the rounding of the numerator's terms.
+    For m <= n <= n_max, the chain's cap, G = gamma^(n+1) lies in
+    (0, G_m] and the wake-up belief b in [b_m, b_cap], its value at the
+    cap (b rises with n toward q / (p + q), which it never reaches).
+    v_good is a ratio of affine functions of G for fixed b and of b for
+    fixed G, with a positive denominator, so it is monotone in each on
+    that box (Charnes & Cooper 1962) and its largest value sits at a
+    corner: y (both corners at G = 0), v_good(m) at (G_m, b_m), or
+    v(G_m, b_cap). ``upper`` is the largest of the three. ``margin`` is
+    ``_STOP_MARGIN`` of the largest term scale (the value with every
+    numerator term taken positive) over the wider box b in [q, b_cap],
+    found at its corners the same way. ``never`` says whether every
+    later v_wake is negative: its numerator b (r0 + r1) - r0 +
+    gamma b v_good is at most b_cap (r0 + r1) - r0 +
+    gamma b_cap max(upper + margin, 0), and that bound must lie below
+    the rounding of the numerator's terms.
     """
     g, r1, r0 = cfg.gamma, cfg.r1, cfg.r0
     d = 1.0 - g
-    p, q, _, pi, y, y_scale = fields
+    p, q, _, b_cap, y, y_scale = fields
     gain = r1 * (1.0 - p) * rest
     cost = p * r0
     den = rest * (d + g * p)
-    den_pi = den + big_g * pi * d
-    v_pi = (gain + big_g * r1 * pi - cost) / den_pi
-    upper = np.maximum(np.maximum(y, v_m), v_pi)
-    scale_pi = (gain + big_g * r1 * pi + cost) / den_pi
+    den_cap = den + big_g * b_cap * d
+    v_cap = (gain + big_g * r1 * b_cap - cost) / den_cap
+    upper = np.maximum(np.maximum(y, v_m), v_cap)
+    scale_cap = (gain + big_g * r1 * b_cap + cost) / den_cap
     scale_q = (gain + big_g * r1 * q + cost) / (den + big_g * q * d)
-    scale = np.maximum(np.maximum(y_scale, scale_q), scale_pi)
+    scale = np.maximum(np.maximum(y_scale, scale_q), scale_cap)
     margin = _STOP_MARGIN * scale
-    wake = pi * (r0 + r1) - r0 + g * pi * np.maximum(upper + margin, 0.0)
-    never = wake < -_STOP_MARGIN * (pi * (r0 + r1) + r0 + g * pi * scale)
+    wake = b_cap * (r0 + r1) - r0 + g * b_cap * np.maximum(upper + margin, 0.0)
+    never = wake < -_STOP_MARGIN * (b_cap * (r0 + r1) + r0 + g * b_cap * scale)
     return upper, margin, never
 
 
@@ -271,7 +275,7 @@ def _rounds(chains: Sequence[GEParams], sizes: list[int], cfg: RewardConfig):
     (v_good, v_fail, v_wake) there.
     """
     g = cfg.gamma
-    fields = _chain_fields(chains, cfg)
+    fields = _chain_fields(chains, sizes, cfg)
     size = np.array(sizes)
     top = np.full(len(chains), -np.inf)
     wake_top = top.copy()

@@ -12,6 +12,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from rfharvest.battery import (
+    _head,
     BatteryConfig,
     PolicyNeverHarvests,
     SWEEP_CSV_HEADER,
@@ -21,6 +22,7 @@ from rfharvest.battery import (
     sweep_initial_levels,
     write_sweep_csv,
 )
+from rfharvest.beliefs import belief_after_failure_and_sleep
 from rfharvest.gilbert_elliott import GEParams, from_burst_parameterization
 from rfharvest.threshold import ThresholdPolicy
 
@@ -35,6 +37,27 @@ GRID_PROBABILITY = st.integers(10486, 1038090).map(lambda k: k / 2**20)
 # The whole grid in (0, 1], strong drift and certain success included;
 # Decimal holds every grid value and its complement exactly.
 FULL_GRID_PROBABILITY = st.integers(1, 2**20).map(lambda k: k / 2**20)
+
+
+# Success probabilities 1/2^20 .. 4/2^20 and their complements: at
+# capacities 64-72 such chains drift so strongly that the rarer outcome
+# falls below 1e-300 from the far end of the battery.
+TINY_PROBABILITY = st.integers(1, 4).map(lambda k: k / 2**20)
+
+
+def reference_success_probs(pi_g: float, t_b: float, sleep: int) -> tuple[float, float]:
+    """(s0, s1) of ``build_chain`` on a burst-parameterized chain."""
+    params = from_burst_parameterization(pi_g, t_b)
+    return 1.0 - params.p, float(belief_after_failure_and_sleep(sleep, params))
+
+
+# Two chains whose (g, m, a) repeat at consecutive levels before the
+# coefficients stop changing: at (0.6, 2.5) with N = 1 they repeat at
+# levels 78-79 and change at 80 (constant from level 82); at (0.35, 8)
+# with N = 0 they hold over levels 258-263 and change at 264 and 265
+# (constant from level 266).
+NEAR_FIXED_POINT = reference_success_probs(0.6, 2.5, 1)
+SLOW_FIXED_POINT = reference_success_probs(0.35, 8.0, 0)
 
 
 def dense_chain(chain) -> tuple[np.ndarray, np.ndarray]:
@@ -126,8 +149,8 @@ def decimal_absorption(chain) -> tuple[list, list, list]:
 def seven_pass_absorption(chain) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Oracle: the level recursion as one coefficient pass plus a forward
     and a backward pass per system, each system solved with its zero
-    costs written out. ``absorption_analysis`` must match it bit for bit.
-    Returns the full-charge, depletion and conditional slot tables."""
+    costs written out. ``three_sweep_absorption`` must match it bit for
+    bit. Returns the full-charge, depletion and conditional slot tables."""
     cap = chain.battery.capacity
     s0, s1 = chain.success_after_success, chain.success_after_failure
     f0, f1 = 1.0 - s0, 1.0 - s1
@@ -167,6 +190,63 @@ def seven_pass_absorption(chain) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     with np.errstate(invalid="ignore", divide="ignore"):
         slots = np.where(full > 0.0, y / full, np.nan)
     return full, solve(zeros, zeros, 1.0, 0.0), slots
+
+
+def three_sweep_absorption(chain) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Oracle: the level recursion over every level, O(capacity), as
+    three sweeps. One upward sweep builds g, m, a with the depletion
+    system's e, c (no costs, c_0 = 1); full charge is a running product
+    of m from the top and needs no sweep; a second upward sweep builds
+    the slot system y = h * T from h0 and (N+1) h1, and one downward
+    sweep substitutes both remaining systems back. Each system's forward
+    e, c are parked in the output rows that the back-substitution
+    overwrites. The conditional slot counts are y / h, NaN where h is
+    0.0. Returns the full-charge, depletion and conditional slot tables,
+    every level 0..capacity."""
+    cap = chain.battery.capacity
+    s0, s1 = chain.success_after_success, chain.success_after_failure
+    f0, f1 = 1.0 - s0, 1.0 - s1
+    levels = range(1, cap)
+    full, dep, y = (np.empty((2, cap + 1)) for _ in range(3))
+    dep_e, dep_c, y_e, y_c = (memoryview(row) for row in (*dep, *y))
+    g, m, a = (array("d", [0.0]) * cap for _ in range(3))  # indexed by level; a_0 = 0
+    abar, a_l, c_l = 1.0, 0.0, 1.0
+    for level in levels:
+        g[level] = g_l = s0 + f0 * abar
+        m[level] = m_l = s0 / g_l
+        dep_e[level] = e_l = f0 * c_l / g_l
+        dep_c[level] = c_l = f1 * (a_l * e_l + c_l)
+        a[level] = a_l = s1 + f1 * a_l * m_l
+        abar = f1 * abar / g_l
+
+    full[:, 0], full[:, cap] = 0.0, 1.0
+    np.multiply.accumulate(np.frombuffer(m)[:0:-1], out=full[0, cap - 1 : 0 : -1])
+    np.multiply(np.frombuffer(a)[1:], full[0, 2:], out=full[1, 1:cap])
+
+    # the slot costs (N+1) h1 are parked in y's phase-1 row; each zip
+    # below reads a level's parked values before the body overwrites them
+    np.multiply(full[1, 1:cap], chain.sleep_slots + 1.0, out=y[1, 1:cap])
+    c_l = 0.0
+    for level, g_l, a_prev, h0, k1 in zip(levels, memoryview(g)[1:], a, full[0, 1:cap].data, y_c[1:cap]):
+        y_e[level] = e_l = (h0 + f0 * c_l) / g_l
+        y_c[level] = c_l = k1 + f1 * (a_prev * e_l + c_l)
+
+    dep_up = y_up = 0.0
+    for level, m_l, a_l, de, dc, ye, yc in zip(
+        reversed(levels), reversed(m), reversed(a),
+        *(reversed(row[1:cap]) for row in (dep_e, dep_c, y_e, y_c)),
+    ):
+        dep_c[level] = a_l * dep_up + dc
+        dep_e[level] = dep_up = m_l * dep_up + de
+        y_c[level] = a_l * y_up + yc
+        y_e[level] = y_up = m_l * y_up + ye
+    dep[:, 0], dep[:, cap] = 1.0, 0.0
+    y[:, 0], y[:, cap] = 0.0, 0.0
+
+    with np.errstate(invalid="ignore", divide="ignore"):
+        slots = np.divide(y, full, out=y)
+    slots[full == 0.0] = np.nan
+    return full, dep, slots
 
 
 def simulate_chain(
@@ -360,10 +440,192 @@ class TestAbsorptionAnalysis:
     @settings(max_examples=100, deadline=None)
     def test_bit_equal_to_seven_pass_recursion(self, capacity, s0, s1, sleep):
         chain = build_chain_from_success_probs(s0, s1, sleep, BatteryConfig(capacity))
-        res = absorption_analysis(chain)
-        got = (res.full_charge_prob, res.depletion_prob, res.expected_slots_conditional)
+        got = three_sweep_absorption(chain)
         for table, expected in zip(got, seven_pass_absorption(chain)):
             assert table.tobytes() == expected.tobytes()
+
+    @given(
+        capacity=st.integers(2, 3000),
+        s0=st.floats(1e-6, 1.0),
+        s1=st.floats(1e-6, 1.0),
+        sleep=st.integers(0, 30),
+    )
+    @example(capacity=60, s0=NEAR_FIXED_POINT[0], s1=NEAR_FIXED_POINT[1], sleep=1)
+    @example(capacity=80, s0=NEAR_FIXED_POINT[0], s1=NEAR_FIXED_POINT[1], sleep=1)
+    @example(capacity=83, s0=NEAR_FIXED_POINT[0], s1=NEAR_FIXED_POINT[1], sleep=1)
+    @example(capacity=84, s0=NEAR_FIXED_POINT[0], s1=NEAR_FIXED_POINT[1], sleep=1)
+    @example(capacity=3000, s0=NEAR_FIXED_POINT[0], s1=NEAR_FIXED_POINT[1], sleep=1)
+    @example(capacity=200, s0=SLOW_FIXED_POINT[0], s1=SLOW_FIXED_POINT[1], sleep=0)
+    @example(capacity=265, s0=SLOW_FIXED_POINT[0], s1=SLOW_FIXED_POINT[1], sleep=0)
+    @example(capacity=267, s0=SLOW_FIXED_POINT[0], s1=SLOW_FIXED_POINT[1], sleep=0)
+    @example(capacity=268, s0=SLOW_FIXED_POINT[0], s1=SLOW_FIXED_POINT[1], sleep=0)
+    @example(capacity=3000, s0=SLOW_FIXED_POINT[0], s1=SLOW_FIXED_POINT[1], sleep=0)
+    @example(capacity=3000, s0=1.0, s1=1.0, sleep=30)
+    @example(capacity=3000, s0=1e-6, s1=1e-6, sleep=7)
+    @example(capacity=3000, s0=0.5, s1=0.5, sleep=0)  # zero drift: no fixed point
+    @settings(max_examples=100, deadline=None)
+    def test_matches_three_sweep_oracle(self, capacity, s0, s1, sleep):
+        # the fixed-point head and closed-form tail against the recursion
+        # over every level, on both sides of the level where the
+        # coefficients stop changing
+        chain = build_chain_from_success_probs(s0, s1, sleep, BatteryConfig(capacity))
+        res = absorption_analysis(chain)
+        full, dep, slots = three_sweep_absorption(chain)
+        for got, exact in ((res.full_charge_prob, full), (res.depletion_prob, dep)):
+            kept = exact > 1e-290
+            np.testing.assert_allclose(got[kept], exact[kept], rtol=1e-12, atol=0)
+        kept = full > 1e-290  # where the oracle's y / h is sound
+        np.testing.assert_allclose(res.expected_slots_conditional[kept], slots[kept], rtol=1e-12, atol=0)
+        assert np.array_equal(np.isnan(res.expected_slots_conditional), res.full_charge_prob == 0.0)
+        assert np.all(res.depletion_prob <= 1.0)
+        # requested levels, in any order and repeated, are those columns
+        levels = [capacity, 0, capacity // 2, capacity - 1, 1, capacity // 2]
+        some = absorption_analysis(chain, levels)
+        assert some.levels.tolist() == levels and some.capacity == capacity
+        for got, every in (
+            (some.full_charge_prob, res.full_charge_prob),
+            (some.depletion_prob, res.depletion_prob),
+            (some.expected_slots_conditional, res.expected_slots_conditional),
+        ):
+            assert got.tobytes() == every[:, levels].tobytes()
+
+    @given(
+        capacity=st.integers(2, 3000),
+        s0=st.floats(1e-6, 1.0),
+        s1=st.floats(1e-6, 1.0),
+        sleep=st.integers(0, 30),
+    )
+    @example(capacity=3000, s0=NEAR_FIXED_POINT[0], s1=NEAR_FIXED_POINT[1], sleep=1)
+    @example(capacity=3000, s0=SLOW_FIXED_POINT[0], s1=SLOW_FIXED_POINT[1], sleep=0)
+    @example(capacity=3000, s0=0.5, s1=0.5, sleep=0)
+    @settings(max_examples=100, deadline=None)
+    def test_head_stops_only_at_a_fixed_point(self, capacity, s0, s1, sleep):
+        # every level above the head has, bit for bit, the constants the
+        # head hands to the closed-form tail, in the plain recursion
+        chain = build_chain_from_success_probs(s0, s1, sleep, BatteryConfig(capacity))
+        rows, tail = _head(chain)
+        top = rows.shape[1]
+        if tail is None:
+            assert top == capacity - 1
+            return
+        g_t, m_t, a_t, u, v, beta, r = tail
+        assert 0.0 <= beta < 1.0
+        f0, f1 = 1.0 - s0, 1.0 - s1
+        abar, a = 1.0, 0.0
+        for level in range(1, capacity):
+            g = s0 + f0 * abar
+            m = s0 / g
+            a_next = s1 + f1 * a * m
+            if level > top:
+                assert (g, m, a_next, f0 * a, f1 * a * m / a_next) == (g_t, m_t, a_t, u, v)
+                assert (f1 * abar / g == abar) if r == 1.0 else (g == s0 and f1 * abar / g <= abar)
+            a, abar = a_next, f1 * abar / g
+
+    def test_levels_outside_the_battery_rejected(self):
+        chain = build_chain(PARAMS, ThresholdPolicy.sleep(1), BatteryConfig(capacity=10))
+        for bad in ([11], [0, -1]):
+            with pytest.raises(ValueError, match=r"levels must lie in \[0, capacity\]"):
+                absorption_analysis(chain, bad)
+
+    @given(
+        capacity=st.integers(64, 72),
+        tiny0=TINY_PROBABILITY,
+        tiny1=TINY_PROBABILITY,
+        upward=st.booleans(),
+        sleep=st.integers(0, 5),
+    )
+    @settings(max_examples=30, deadline=None)
+    def test_strong_drift_against_decimal_oracle(self, capacity, tiny0, tiny1, upward, sleep):
+        # the rarer outcome falls below 1e-300 at the far end; the slot
+        # counts keep 1e-12 wherever full charge reads above 0.0, where
+        # it is subnormal too
+        s0, s1 = (1.0 - tiny0, 1.0 - tiny1) if upward else (tiny0, tiny1)
+        chain = build_chain_from_success_probs(s0, s1, sleep, BatteryConfig(capacity))
+        res = absorption_analysis(chain)
+        h, dep, y = decimal_absorption(chain)
+        rare = min(min(h), min(dep))
+        assert 0 < rare < Decimal("1e-300")
+        for got, exact in (
+            (transient(res.full_charge_prob), h),
+            (transient(res.depletion_prob), dep),
+        ):
+            exact = np.array([float(v) for v in exact])
+            kept = exact >= 1e-290
+            np.testing.assert_allclose(got[kept], exact[kept], rtol=1e-13, atol=0)
+            np.testing.assert_array_equal(got[exact == 0.0], 0.0)
+        assert np.all(res.depletion_prob <= 1.0)
+        slots = np.array([float(yi / hi) for yi, hi in zip(y, h)])
+        got = transient(res.expected_slots_conditional)
+        defined = transient(res.full_charge_prob) > 0.0
+        assert np.array_equal(np.isnan(got), ~defined)
+        np.testing.assert_allclose(got[defined], slots[defined], rtol=1e-12, atol=0)
+
+    @given(
+        capacity=st.integers(2, 3000),
+        s0=st.floats(1e-6, 1.0),
+        s1=st.floats(1e-6, 1.0),
+        sleep=st.integers(0, 30),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_slots_fall_as_level_rises(self, capacity, s0, s1, sleep):
+        # from a post-success state every path to full charge passes each
+        # higher level, so the conditional slot count falls with the level
+        chain = build_chain_from_success_probs(s0, s1, sleep, BatteryConfig(capacity))
+        slots = absorption_analysis(chain).expected_slots_conditional[0]
+        defined = slots[~np.isnan(slots)]
+        assert defined.size and np.all(np.diff(defined) < 0.0)
+        assert np.array_equal(np.flatnonzero(np.isnan(slots)), np.arange(capacity + 1 - defined.size))
+
+    def test_downward_drift_at_capacity_8000(self):
+        # battery --pi-g 0.35 --t-b 8 --sleep-slots 0 --capacity 8000:
+        # depletion never above 1 (the recursion's sums printed up to
+        # 1.000000000000005 at levels 100-4000), and no slot count taken
+        # from an underflowed probability. At level 1 full charge is
+        # about 1e-454, below the double range, so it reads 0.0 and the
+        # slot count NaN (the running product of m stuck at the smallest
+        # subnormal and printed 13.5); the lowest level where it reads
+        # above 0.0 needs more slots than level 2500.
+        chain = build_chain(from_burst_parameterization(0.35, 8.0), ThresholdPolicy.sleep(0), BatteryConfig(8000))
+        res = absorption_analysis(chain)
+        full, slots = res.full_charge_prob, res.expected_slots_conditional
+        assert np.all(res.depletion_prob <= 1.0) and np.all(res.depletion_prob[:, 2499] <= 1.0)
+        assert np.all(full[:, 1] == 0.0) and np.all(np.isnan(slots[:, 1]))
+        lowest = np.flatnonzero(full[0] > 0.0)[0]
+        assert 1 < lowest < 2500
+        assert slots[0, lowest] > slots[0, 2500] == pytest.approx(18333.333333333, rel=1e-12)
+
+    def test_capacity_free_cost(self):
+        # capacity 1e9: the head stops at level 74 and the tail is closed
+        # form, so eleven levels need a few kilobytes
+        chain = build_chain(from_burst_parameterization(0.7, 5.0), ThresholdPolicy.sleep(2), BatteryConfig(10**9))
+        levels = list(range(0, 10**9 + 1, 10**8))
+        tracemalloc.start()
+        try:
+            res = absorption_analysis(chain, levels)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
+        assert res.levels.tolist() == levels
+        assert np.all(np.isfinite(res.expected_slots_conditional[:, 1:]))
+        np.testing.assert_allclose(res.full_charge_prob + res.depletion_prob, 1.0, rtol=0, atol=1e-12)
+        assert np.all(np.diff(res.expected_slots_conditional[:, 1:], axis=1) < 0.0)
+
+    def test_every_level_of_a_large_battery(self):
+        # the tail's closed forms run in blocks of levels; every level of
+        # capacity 300,000 matches the same levels requested alone
+        chain = build_chain(from_burst_parameterization(0.7, 5.0), ThresholdPolicy.sleep(2), BatteryConfig(300_000))
+        res = absorption_analysis(chain)
+        levels = [0, 1, 74, 75, 76, 2**17 + 75, 2**17 + 76, 299_999, 300_000]
+        some = absorption_analysis(chain, levels)
+        for got, every in (
+            (some.full_charge_prob, res.full_charge_prob),
+            (some.depletion_prob, res.depletion_prob),
+            (some.expected_slots_conditional, res.expected_slots_conditional),
+        ):
+            assert got.tobytes() == every[:, levels].tobytes()
+        assert np.all(np.diff(res.expected_slots_conditional[0, 1:]) < 0.0)
+        np.testing.assert_allclose(res.full_charge_prob + res.depletion_prob, 1.0, rtol=0, atol=1e-12)
 
     def test_tiny_probabilities_keep_relative_accuracy(self):
         # against the ruin closed form down to 2e-60: full charge under

@@ -3,6 +3,7 @@
 import io
 import json
 import math
+import os
 import subprocess
 import sys
 import warnings
@@ -442,6 +443,38 @@ class TestLearnCommand:
         assert stdout == ""
         assert err.startswith("error: policy values of (p, q)") and "float range" in err
         assert err.count("\n") == 1  # no numpy warnings
+        assert list(tmp_path.iterdir()) == []  # no trace file, no temporary one
+
+    def test_failure_leaves_an_earlier_output_untouched(self, tmp_path, capsys):
+        out = tmp_path / "trace.jsonl"
+        out.write_text("earlier run\n")
+        code, _, _ = run_cli(
+            ["learn", "--pi-g", "0.6", "--t-b", "2.5", "--r1", "1e308", "--r0", "1e308",
+             "--horizon", "50", "--output", str(out)],
+            capsys,
+        )
+        assert code == 1
+        assert out.read_text() == "earlier run\n"
+        assert list(tmp_path.iterdir()) == [out]
+        code, _, _ = run_cli(
+            ["learn", "--pi-g", "0.6", "--t-b", "2.5", "--r0", "10", "--r1", "10",
+             "--horizon", "20", "--output", str(out)],
+            capsys,
+        )
+        assert code == 0
+        assert len(out.read_text().splitlines()) == 20
+        assert list(tmp_path.iterdir()) == [out]
+
+    def test_output_that_is_not_a_regular_file_is_written_directly(self, capsys):
+        # a device such as /dev/null (or /dev/stdout) cannot be replaced
+        # by a file moved beside it, so it is opened as given
+        code, out, _ = run_cli(
+            ["learn", "--pi-g", "0.6", "--t-b", "2.5", "--r0", "10", "--r1", "10",
+             "--horizon", "20", "--output", os.devnull],
+            capsys,
+        )
+        assert code == 0 and out.endswith(f"wrote {os.devnull}\n")
+        assert os.path.exists(os.devnull) and not os.path.isfile(os.devnull)
 
 
 class TestCompareCommand:

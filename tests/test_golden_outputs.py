@@ -18,8 +18,12 @@ steps began to take the policy's values from the closed form in
 ``beliefs`` instead of a 2x2 solve over sleep-transformed basis lines:
 the iterations and sleep counts stayed, and the values and crossover
 moved in their last digits. The battery
-digests were recorded on the level recursion for absorption; the
-banded elimination sweep before it printed different last digits. The
+digests were recorded when the level recursion began to stop at its
+coefficients' fixed point, with a closed-form tail above it, and to
+take the slot counts from the chain conditioned on full charge: the
+values moved in their last digits (by at most 1.3e-13 relative where
+they were normal), as they had when the level recursion replaced the
+banded elimination sweep before it. The
 table digests were recorded from the sleep-count scan that ran once
 per cell, before it scanned a grid row in one batch. The (10, 10) and
 (1, 10) table digests were recorded again when a "never" cell began to
@@ -67,8 +71,8 @@ SOLVE_DIGESTS = {
 # (capacity, level step) -> sha256 of `rfharvest battery --pi-g 0.7 --t-b 5
 # --r0 10 --r1 10 --gamma 0.99` CSV; (50, 10) is the README command
 BATTERY_DIGESTS = {
-    (50, 10): "e5800b13dacc9adb01a2e51c4c56c531fc49b472689404f53d187f65e6db2b9e",
-    (2000, 100): "f6b9eb7667c52fcd99ca55b72a3ba60a5389d28c7314a12f611a1cd08d8f95e4",
+    (50, 10): "5e64e45efc0dd2812678ba25356e19b8f84effc924296ddba6417c7a4949f98c",
+    (2000, 100): "23abe8908f1d2368269a260429cccd4714afdd22acce0088c08b6c3f0fb2c0f3",
 }
 
 # (r1, r0, format) -> sha256 of `rfharvest table ... --gamma 0.99` on the

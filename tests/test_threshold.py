@@ -595,7 +595,7 @@ class TestCertifiedStop:
         n_max = default_n_max(params)
         terms = _discount_terms(np.arange(n_max + 1), cfg.gamma)
         v_good, v_wake = _policy_values(terms, params, cfg)
-        fields = _chain_fields([params], cfg)
+        fields = _chain_fields([params], [n_max + 1], cfg)
         for m in sorted({0, 1, 31, 200, n_max // 2, n_max} & set(range(n_max + 1))):
             upper, margin, never = (float(x[0]) for x in _later_bound(v_good[m : m + 1], terms[2][m], terms[1][m], fields, cfg))
             assert margin > 0.0
@@ -672,7 +672,7 @@ class TestCertifiedStop:
             build_lookup_table(pi_g_axis, t_b_axis, RewardConfig(r1=r1, r0=r0, gamma=0.99))
             assert total[0] < 15_000, (r1, r0)
 
-    @pytest.mark.parametrize("gamma,slots,counts", [(0.9999, 1448, 40_928), (0.99, 1586, 100_001)])
+    @pytest.mark.parametrize("gamma,slots,counts", [(0.9999, 1448, 24_544), (0.99, 1586, 100_001)])
     def test_slow_lone_chain(self, monkeypatch, gamma, slots, counts):
         # at gamma 0.9999 the bound stops the scan; at 0.99 y is the top,
         # nothing proves a stop and the scan runs to the cap
@@ -680,6 +680,18 @@ class TestCertifiedStop:
         policy, _ = optimal_sleep_time(GEParams(p=1e-6, q=1e-6), RewardConfig(r1=10.0, r0=10.0, gamma=gamma))
         assert policy.sleep_slots == slots
         assert total[0] == counts
+
+    def test_never_harvest_chain_settles_in_its_first_round(self, monkeypatch):
+        # at gamma 0 every v_wake is 11 b - 1, and b at the cap (100,000
+        # counts) is 0.0906, far below q / (p + q) = 1/2: the bound on the
+        # belief at the cap proves "never" after the first 32 counts,
+        # where the bound on q / (p + q) priced all 100,001
+        total = priced_counts(monkeypatch)
+        params, cfg = GEParams(p=1e-6, q=1e-6), RewardConfig(r1=10.0, r0=1.0, gamma=0.0)
+        policy, value = optimal_sleep_time(params, cfg)
+        assert total[0] == 32
+        ref_policy, ref_value = reference_sleep_time(params, cfg)
+        assert policy == ref_policy == ThresholdPolicy.never() and bits(value) == bits(ref_value)
 
 
 def best_count(v_good: np.ndarray, v_wake: np.ndarray) -> int | None:
