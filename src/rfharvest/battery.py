@@ -101,6 +101,15 @@ class BatteryConfig:
         if self.capacity < 2:
             raise ValueError("capacity must be at least 2 units")
 
+    def level_array(self, levels) -> np.ndarray:
+        """Initial ``levels`` as an int64 array; ValueError for a level
+        outside [0, capacity]."""
+        cols = np.array(levels, dtype=np.int64, ndmin=1)
+        if cols.size and not (0 <= cols.min() and cols.max() <= self.capacity):
+            bad = cols[(cols < 0) | (cols > self.capacity)][0]
+            raise ValueError(f"levels must lie in [0, capacity], got {bad}")
+        return cols
+
 
 @dataclass(frozen=True)
 class BatteryChain:
@@ -151,13 +160,20 @@ def build_chain_from_success_probs(
 def build_chain(
     params: GEParams, policy: ThresholdPolicy, battery: BatteryConfig
 ) -> BatteryChain:
-    """Embedded battery chain induced by a sleep-after-failure policy."""
+    """Embedded battery chain induced by a sleep-after-failure policy;
+    FloatingPointError where the wake-up belief underflows to 0.0."""
     if policy.never_harvest:
         raise PolicyNeverHarvests("a never-harvest policy induces no battery chain")
     n = policy.sleep_slots
+    wake = float(belief_after_failure_and_sleep(n, params))
+    if wake == 0.0:
+        raise FloatingPointError(
+            f"the wake-up belief after {n} sleep slots at (p, q) = ({params.p}, {params.q}) underflows "
+            f"to 0.0, below the smallest positive float {math.ulp(0.0)}; the battery chain needs it positive"
+        )
     return build_chain_from_success_probs(
         success_after_success=1.0 - params.p,
-        success_after_failure=float(belief_after_failure_and_sleep(n, params)),
+        success_after_failure=wake,
         sleep_slots=n,
         battery=battery,
     )
@@ -290,10 +306,7 @@ def absorption_analysis(chain: BatteryChain, levels=None) -> AbsorptionResult:
     fixed point below capacity, the head is the whole recursion.
     """
     cap = chain.battery.capacity
-    cols = np.arange(cap + 1) if levels is None else np.array(levels, dtype=np.int64, ndmin=1)
-    if cols.size and not (0 <= cols.min() and cols.max() <= cap):
-        bad = cols[(cols < 0) | (cols > cap)][0]
-        raise ValueError(f"levels must lie in [0, capacity], got {bad}")
+    cols = np.arange(cap + 1) if levels is None else chain.battery.level_array(levels)
     s0 = chain.success_after_success
     f0 = 1.0 - s0
     (g, a, abar, e_cond, c), tail = _head(chain)

@@ -155,10 +155,10 @@ def cmd_battery(args) -> int:
             raise battery_mod.PolicyNeverHarvests("optimal policy never harvests, give --sleep-slots explicitly")
     if args.levels:
         levels = _from_flags(lambda: sorted({int(x) for x in args.levels.split(",")}))
+        _from_flags(config.level_array, levels)
     else:
         levels = list(range(0, args.capacity + 1, args.level_step))
-    # every ValueError of the sweep comes from the flags (levels out of range)
-    rows = _from_flags(battery_mod.sweep_initial_levels, params, policy, config, levels)
+    rows = battery_mod.sweep_initial_levels(params, policy, config, levels)
     with open(args.output, "w") as fh:
         battery_mod.write_sweep_csv(rows, fh)
     print(f"wrote {args.output}")
@@ -196,16 +196,8 @@ def cmd_learn(args) -> int:
     planner = _from_flags(SleepTimePlanner, cfg, table)  # refuses a table built for another reward
     with _replaced_on_success(args.output) as fh:
         for episode in range(args.episodes):
-            trace = run_learner(
-                params,
-                cfg,
-                k=args.k,
-                horizon=args.horizon,
-                seed=args.seed + episode,
-                planner=planner,
-            )
-            trace.write_jsonl(fh)
-            print(f"episode {episode} total_discounted_reward {_fmt(trace.total_discounted_reward)}")
+            total = run_learner(params, cfg, args.k, args.horizon, args.seed + episode, fh, planner)
+            print(f"episode {episode} total_discounted_reward {_fmt(total)}")
     print(f"wrote {args.output}")
     return 0
 

@@ -19,6 +19,7 @@ __all__ = [
     "is_valid_chain",
     "Stationary",
     "stationary",
+    "burst_escape_probabilities",
     "from_burst_parameterization",
     "simulate",
 ]
@@ -85,22 +86,27 @@ def stationary(params: GEParams) -> Stationary:
     return Stationary(bad=params.p / total, good=params.q / total)
 
 
-def from_burst_parameterization(pi_g: float, t_b: float) -> GEParams:
-    """Build chain parameters from the good-state probability and the
-    mean bad-burst length.
+def burst_escape_probabilities(pi_g: float, t_b: float) -> tuple[float, float]:
+    """(p, q) from the good-state probability and the mean bad-burst
+    length, which need not form a valid chain.
 
     ``t_b`` is the average number of consecutive bad slots (1/q) and
     ``pi_g`` the stationary probability of a good slot, which gives
-    q = 1/t_b and p = q (1 - pi_g) / pi_g. The resulting parameters
-    must still satisfy the positive-correlation constraint; boundary
-    cases such as (pi_g=0.5, t_b=2) are rejected.
+    q = 1/t_b and p = q (1 - pi_g) / pi_g. The one statement of the
+    pair's domain: ValueError unless 0 < pi_g < 1 and 1 < t_b < inf.
     """
     if not 0.0 < pi_g < 1.0:
         raise ValueError(f"pi_g must lie strictly inside (0, 1), got {pi_g}")
     if not 1.0 < t_b < math.inf:
         raise ValueError(f"t_b must be a finite number above 1, got {t_b}")
     q = 1.0 / t_b
-    p = q * (1.0 - pi_g) / pi_g
+    return q * (1.0 - pi_g) / pi_g, q
+
+
+def from_burst_parameterization(pi_g: float, t_b: float) -> GEParams:
+    """``GEParams`` of ``burst_escape_probabilities``; boundary cases such
+    as (pi_g=0.5, t_b=2) break positive correlation and are rejected."""
+    p, q = burst_escape_probabilities(pi_g, t_b)
     return GEParams(p=p, q=q)
 
 

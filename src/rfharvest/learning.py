@@ -36,6 +36,11 @@ draw raises ValueError.
 Like every policy in ``harness``, the learner is a sleep-after-failure
 rule: it only says how many slots to sleep after each harvest, and
 ``_run_episode``, the one episode loop, counts those slots down.
+
+``run_learner`` streams its trace, one JSON line per slot, to the
+caller's stream 1024 lines at a time while the episode runs; no slot
+is kept once its line is written, so only the integer weights grow
+with the horizon.
 """
 
 from __future__ import annotations
@@ -43,9 +48,8 @@ from __future__ import annotations
 import json
 import math
 from bisect import bisect_right
-from dataclasses import astuple, dataclass
+from dataclasses import astuple
 from itertools import accumulate
-from json.encoder import encode_basestring_ascii
 from typing import NamedTuple
 
 import numpy as np
@@ -63,7 +67,6 @@ __all__ = [
     "SleepTimePlanner",
     "sample_and_plan",
     "PosteriorSamplingLearner",
-    "SlotRecord",
     "EpisodeTrace",
     "run_learner",
 ]
@@ -409,9 +412,9 @@ def _run_episode(
     and ``policy.after_harvest(good)`` return the slots to sleep before
     the next harvest (0 harvests at once, None never again); the loop
     counts them down and calls ``policy.after_sleep()`` on each.
-    ``record(t, good, reward, timer)``, when given, is called once slot
-    t is taken, with the observed state (None for a sleeping slot), the
-    slot's reward and the slots still to sleep.
+    ``record(t, good, timer)``, when given, is called once slot t is
+    taken, with the observed state (None for a sleeping slot) and the
+    slots still to sleep.
     """
     total = 0.0
     discount = 1.0
@@ -420,60 +423,31 @@ def _run_episode(
     for t, state in enumerate(states.tolist()):
         if timer == 0:
             good = bool(state)
-            reward = r1 if good else -r0
-            total += discount * reward
+            total += discount * (r1 if good else -r0)
             timer = policy.after_harvest(good)
         else:
-            good, reward = None, 0.0
+            good = None
             policy.after_sleep()
             if timer is not None:
                 timer -= 1
         if record is not None:
-            record(t, good, reward, timer)
+            record(t, good, timer)
         discount *= gamma
     return total
 
 
-class SlotRecord(NamedTuple):
-    t: int
-    action: str
-    observation: str | None
-    timer: int
-    reward: float
-    hypothesis_count: int
-
-
-# json.dumps of a scalar by its exact type; other types, and floats that
-# are not finite, go through json.dumps itself
-_JSON_TEXT = {
-    type(None): lambda x: "null",
-    int: int.__repr__,
-    float: lambda x: float.__repr__(x) if math.isfinite(x) else json.dumps(x),
-    str: encode_basestring_ascii,
-}
-
-
-def _json_scalar(x, get=_JSON_TEXT.get, dumps=json.dumps) -> str:
-    return get(type(x), dumps)(x)
-
-
-@dataclass(frozen=True)
 class EpisodeTrace:
-    records: tuple[SlotRecord, ...]
-    total_discounted_reward: float
+    """An episode's JSON-lines trace on its way to ``stream``: lines
+    collect in ``lines`` and ``write_jsonl`` moves them to the stream."""
 
-    def write_jsonl(self, stream) -> None:
-        """One line per record, ``json.dumps(record._asdict(),
-        sort_keys=True)``, formatted directly and written 1024 records at
-        a time."""
-        j = _json_scalar
-        for start in range(0, len(self.records), 1024):
-            lines = [
-                f'{{"action": {j(a)}, "hypothesis_count": {j(h)}, "observation": {j(o)}, '
-                f'"reward": {j(r)}, "t": {j(t)}, "timer": {j(timer)}}}\n'
-                for t, a, o, timer, r, h in self.records[start : start + 1024]
-            ]
-            stream.write("".join(lines))
+    def __init__(self, stream):
+        self.stream = stream
+        self.lines: list[str] = []
+
+    def write_jsonl(self) -> None:
+        """Write the collected lines to the stream and start afresh."""
+        self.stream.write("".join(self.lines))
+        self.lines.clear()
 
 
 def run_learner(
@@ -482,32 +456,41 @@ def run_learner(
     k: int,
     horizon: int,
     seed: int,
+    stream,
     planner: SleepTimePlanner | None = None,
-) -> EpisodeTrace:
-    """Run one learning episode against a hidden simulated chain.
+) -> float:
+    """Run one learning episode against a hidden simulated chain,
+    writing its trace to ``stream``; the discounted reward total.
 
     The hidden path and the learner's sampling draws both derive from
     ``seed``, so traces are fully reproducible. The learner plans with
     ``planner``, by default ``SleepTimePlanner(cfg)``; one planner may
-    serve many episodes. Returns the per-slot trace and the discounted
-    reward total.
+    serve many episodes. Each slot's line is the text of
+    ``json.dumps(record, sort_keys=True)`` for its record ``{t, action,
+    observation, timer, reward, hypothesis_count}``, filled into the
+    template of its kind: a good harvest, a bad one or a sleep.
     """
     states = simulate(params, horizon, seed=seed)
     rng = np.random.Generator(np.random.Philox(np.random.SeedSequence([seed, 1])))
     learner = PosteriorSamplingLearner(k=k, planner=SleepTimePlanner(cfg) if planner is None else planner)
-    records = []
+    trace = EpisodeTrace(stream)
+    lines = trace.lines
+    # (action, observation, reward) text by the slot's observed state
+    shapes = {
+        True: ('"harvest"', '"G"', json.dumps(cfg.r1)),
+        False: ('"harvest"', '"B"', json.dumps(-cfg.r0)),
+        None: ('"sleep"', "null", "0.0"),
+    }
 
-    def record(t: int, good: bool | None, reward: float, timer: int) -> None:
-        records.append(
-            SlotRecord(
-                t=t,
-                action="sleep" if good is None else "harvest",
-                observation=None if good is None else ("G" if good else "B"),
-                timer=timer,
-                reward=reward,
-                hypothesis_count=len(learner.hypotheses),
-            )
+    def record(t: int, good: bool | None, timer: int) -> None:
+        action, observation, reward = shapes[good]
+        lines.append(
+            f'{{"action": {action}, "hypothesis_count": {len(learner.hypotheses)}, "observation": {observation}, '
+            f'"reward": {reward}, "t": {t}, "timer": {timer}}}\n'
         )
+        if len(lines) == 1024:
+            trace.write_jsonl()
 
     total = _run_episode(learner, rng, states, cfg, record)
-    return EpisodeTrace(records=tuple(records), total_discounted_reward=total)
+    trace.write_jsonl()
+    return total

@@ -22,7 +22,7 @@ from typing import Sequence
 import numpy as np
 
 from .beliefs import RewardConfig, _discount_terms, _never_wake_value, _policy_values, _sleep_count, _wake_belief
-from .gilbert_elliott import GEParams, is_valid_chain
+from .gilbert_elliott import GEParams, burst_escape_probabilities, is_valid_chain
 from .value_iteration import VISettings, harvest_crossover, solve
 
 __all__ = [
@@ -132,9 +132,12 @@ def default_n_max(params: GEParams) -> int:
     machine precision, so the cap sits there (plus a small margin), and
     never past 100,000. It ignores gamma; where the discount settles the
     race sooner, the scan's stop bound (``_later_bound``) ends it
-    earlier. Plain float arithmetic: it runs per chain.
+    earlier. Plain float arithmetic: it runs per chain. On chains near
+    the float floor the ratio of logs leaves the float range, so it is
+    clamped, to the side of the cap it lies on, before it is rounded.
     """
-    n = math.ceil(math.log(1e-12 / (params.q / (params.p + params.q))) / params.log_persistence) + 8
+    x = math.log(1e-12 / (params.q / (params.p + params.q))) / params.log_persistence
+    n = math.ceil(min(max(x, -8.0), 100_000.0)) + 8
     return 1 if n < 1 else 100_000 if n > 100_000 else n
 
 
@@ -628,15 +631,9 @@ def build_lookup_table(
     most chains stop after their first 32 counts, and the whole grid
     takes one or two rounds.
     """
-    for pi_g in pi_g_axis:
-        if not 0.0 < pi_g < 1.0:
-            raise ValueError(f"pi_g axis values must lie in (0, 1), got {pi_g}")
-    for t_b in t_b_axis:
-        if not t_b > 1.0:
-            raise ValueError(f"t_b axis values must exceed 1, got {t_b}")
+    grid = [(pi_g, t_b, *burst_escape_probabilities(pi_g, t_b)) for pi_g in pi_g_axis for t_b in t_b_axis]
     _check_axis("pi_g_axis", pi_g_axis)
     _check_axis("t_b_axis", t_b_axis)
-    grid = [(pi_g, t_b, q * (1.0 - pi_g) / pi_g, q) for pi_g in pi_g_axis for t_b, q in ((t, 1.0 / t) for t in t_b_axis)]
     best = iter(_scan([GEParams(p=p, q=q) for _, _, p, q in grid if is_valid_chain(p, q)], cfg))
     cells = []
     for pi_g, t_b, p, q in grid:

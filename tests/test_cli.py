@@ -147,6 +147,12 @@ class TestPolicyCommand:
         assert err.startswith("error: policy values of (p, q)") and "float range" in err
         assert err.count("\n") == 1  # no numpy warnings
 
+    @pytest.mark.parametrize("p,q", [("1e-308", "1e-308"), ("0.5", "5e-324"), ("1e-300", "1e-300"), ("0.5", "1e-310")])
+    def test_chains_at_the_float_floor_never_harvest(self, capsys, p, q):
+        code, out, err = run_cli(["policy", "--p", p, "--q", q], capsys)
+        assert (code, err) == (0, "")
+        assert "sleep_slots never\n" in out
+
     def test_values_near_the_float_range_print(self, capsys):
         code, out, _ = run_cli(["policy", "--pi-g", "0.6", "--t-b", "2.5", "--r1", "1e306", "--r0", "1e306"], capsys)
         assert code == 0
@@ -199,6 +205,22 @@ class TestTableCommand:
         assert code == 1
         assert stdout == ""
         assert "float range" in err and err.count("\n") == 1
+        assert not out.exists()
+
+    def test_burst_length_at_the_float_floor(self, tmp_path, capsys):
+        out = tmp_path / "t.csv"
+        argv = ["table", "--t-b-min", "1e308", "--t-b-steps", "1", "--pi-g-steps", "2", "--output", str(out)]
+        assert run_cli(argv, capsys)[0] == 0
+        assert [row.split(",")[4] for row in out.read_text().splitlines()[1:]] == ["never", "never"]
+
+    def test_infinite_burst_length_exits_2(self, tmp_path, capsys):
+        # "t_b": Infinity would not be JSON
+        out = tmp_path / "t.json"
+        argv = ["table", "--t-b-min", "inf", "--t-b-max", "inf", "--t-b-steps", "1", "--format", "json",
+                "--output", str(out)]
+        code, stdout, err = run_cli(argv, capsys)
+        assert (code, stdout) == (2, "")
+        assert err == "error: t_b must be a finite number above 1, got inf\n"
         assert not out.exists()
 
     def test_default_grid_is_the_comparison_table(self, tmp_path, capsys, monkeypatch):
@@ -271,6 +293,19 @@ class TestBatteryCommand:
         assert code == 1
         assert stdout == ""
         assert err == "error: optimal policy never harvests, give --sleep-slots explicitly\n"
+        assert not out.exists()
+
+    def test_wake_up_belief_underflow_exits_1(self, tmp_path, capsys):
+        # valid flags whose wake-up belief (about 2e-324) rounds to 0.0:
+        # a runtime limit, not a usage error
+        out = tmp_path / "battery.csv"
+        code, stdout, err = run_cli(
+            ["battery", "--p", "1e-162", "--q", "1e-162", "--sleep-slots", "0", "--capacity", "10",
+             "--output", str(out)],
+            capsys,
+        )
+        assert (code, stdout) == (1, "")
+        assert err.startswith("error: the wake-up belief after 0 sleep slots") and "underflows" in err
         assert not out.exists()
 
     def test_values_past_the_float_range_exit_1(self, tmp_path, capsys):

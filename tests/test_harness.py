@@ -202,7 +202,7 @@ class TestEpisodeLoop:
         horizon = len(states)
         assert policy.rng is rng
         assert [r[0] for r in records] == list(range(horizon))
-        harvests = [t for t, good, _, _ in records if good is not None]
+        harvests = [t for t, good, _ in records if good is not None]
         assert policy.harvested == [states[t] for t in harvests]
         assert policy.sleeps == horizon - len(harvests)
         assert len(policy.returned) == len(harvests) + 1
@@ -210,18 +210,17 @@ class TestEpisodeLoop:
         # in full, cut off at the horizon, with the timer counting down
         for start, n, end in zip([-1] + harvests, policy.returned, harvests + [horizon]):
             if start >= 0:
-                assert records[start][3] == n
+                assert records[start][2] == n
             slept = records[start + 1 : end]
             if n is None:
                 assert end == horizon
-                assert all(r[3] is None for r in slept)
+                assert all(r[2] is None for r in slept)
             else:
                 assert end == min(start + 1 + n, horizon)
-                assert [r[3] for r in slept] == list(range(n - 1, -1, -1))[: len(slept)]
+                assert [r[2] for r in slept] == list(range(n - 1, -1, -1))[: len(slept)]
         expected = 0.0
-        for t, good, reward, _ in records:
-            assert reward == (0.0 if good is None else (cfg.r1 if good else -cfg.r0))
-            expected += cfg.gamma**t * reward
+        for t, good, _ in records:
+            expected += cfg.gamma**t * (0.0 if good is None else (cfg.r1 if good else -cfg.r0))
         assert total == pytest.approx(expected, abs=1e-9)
 
 

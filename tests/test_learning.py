@@ -9,7 +9,9 @@ import copy
 import io
 import json
 import math
+import os
 import random
+import tracemalloc
 from dataclasses import dataclass
 from enum import Enum
 from unittest import mock
@@ -21,18 +23,16 @@ from hypothesis import strategies as st
 
 from rfharvest import learning
 from rfharvest.beliefs import Observation, RewardConfig
-from rfharvest.gilbert_elliott import GEParams, from_burst_parameterization
+from rfharvest.gilbert_elliott import GEParams, from_burst_parameterization, is_valid_chain
 from rfharvest.learning import (
     BAD,
     GOOD,
     _draw,
     _truncate,
     EmptyPosterior,
-    EpisodeTrace,
     HypothesisMap,
     PosteriorCount,
     SleepTimePlanner,
-    SlotRecord,
     UNIFORM_PRIOR,
     initial_particles,
     observe,
@@ -729,79 +729,110 @@ class TestSampleAndPlan:
             SleepTimePlanner(CFG, table=table)
         with pytest.raises(ValueError, match="table was built for"):
             planner = SleepTimePlanner(CFG, table)
-            run_learner(from_burst_parameterization(0.6, 2.5), CFG, k=5, horizon=60, seed=1, planner=planner)
+            run_learner(from_burst_parameterization(0.6, 2.5), CFG, 5, 60, 1, io.StringIO(), planner)
+
+
+def run_trace(params, cfg, k, horizon, seed, planner=None):
+    """``run_learner``'s total and its trace, one parsed record per line."""
+    out = io.StringIO()
+    total = run_learner(params, cfg, k, horizon, seed, out, planner)
+    return total, [json.loads(line) for line in out.getvalue().splitlines()]
+
+
+class WriteLog(io.StringIO):
+    """A text stream that remembers the size of each write."""
+
+    def __init__(self):
+        super().__init__()
+        self.writes = []
+
+    def write(self, text):
+        self.writes.append(text.count("\n"))
+        return super().write(text)
 
 
 class TestRunLearner:
     def test_trace_is_reproducible(self):
         params = from_burst_parameterization(0.6, 2.5)
-        a = run_learner(params, CFG, k=5, horizon=120, seed=7)
-        b = run_learner(params, CFG, k=5, horizon=120, seed=7)
-        assert a == b
+        assert run_trace(params, CFG, k=5, horizon=120, seed=7) == run_trace(params, CFG, k=5, horizon=120, seed=7)
 
     def test_trace_schema_and_jsonl(self):
         params = from_burst_parameterization(0.6, 2.5)
-        trace = run_learner(params, CFG, k=5, horizon=50, seed=3)
-        assert len(trace.records) == 50
-        out = io.StringIO()
-        trace.write_jsonl(out)
-        lines = out.getvalue().strip().split("\n")
-        assert len(lines) == 50
-        rec = json.loads(lines[0])
-        assert set(rec) == {"t", "action", "observation", "timer", "reward", "hypothesis_count"}
-        assert rec["t"] == 0 and rec["action"] == "harvest"
+        _, records = run_trace(params, CFG, k=5, horizon=50, seed=3)
+        assert len(records) == 50
+        assert set(records[0]) == {"t", "action", "observation", "timer", "reward", "hypothesis_count"}
+        assert records[0]["t"] == 0 and records[0]["action"] == "harvest"
 
     @given(
-        st.lists(
-            st.builds(
-                SlotRecord,
-                t=st.integers(0, 10**6),
-                action=st.sampled_from(["harvest", "sleep"]) | st.text(max_size=4),
-                observation=st.sampled_from([None, "G", "B"]),
-                timer=st.none() | st.integers(0, 10**9),
-                reward=st.sampled_from([0.0, -0.0, 5e-324, 1e300, math.inf, -math.inf, 10.0, -10.0]) | st.floats(),
-                hypothesis_count=st.integers(0, 10**5),
-            ),
-            max_size=20,
-        ),
-        st.sampled_from([1, 60]),
+        st.tuples(st.floats(0.02, 0.4), st.floats(0.05, 0.5)).filter(lambda pq: is_valid_chain(*pq)),
+        st.integers(1, 4),
+        st.integers(0, 2**32),
+        st.sampled_from([1, 2, 1023, 1024, 1025, 2049]),
+        st.sampled_from([1, 10, 2.5, 10.0]),
+        st.sampled_from([1, 10, 0.5, 10.0]),
     )
-    @settings(max_examples=100, deadline=None)
-    def test_jsonl_lines_are_json_dumps_of_records(self, records, copies):
-        # the writer works in 1024-record chunks; 60 copies of up to 20
-        # records straddle a chunk's end
-        records = records * copies
-        trace = EpisodeTrace(records=tuple(records), total_discounted_reward=0.0)
-        out = io.StringIO()
-        trace.write_jsonl(out)
-        assert out.getvalue() == "".join(json.dumps(r._asdict(), sort_keys=True) + "\n" for r in records)
+    @settings(max_examples=25, deadline=None)
+    def test_jsonl_lines_are_json_dumps_of_records(self, pq, k, seed, horizon, r1, r0):
+        # horizons straddle the 1024-line writes; int rewards print as ints
+        cfg = RewardConfig(r1=r1, r0=r0, gamma=0.99)
+        out = WriteLog()
+        total = run_learner(GEParams(*pq), cfg, k, horizon, seed, out)
+        assert sum(out.writes) == horizon and max(out.writes) <= 1024
+        lines = out.getvalue().splitlines()
+        acc, discount = 0.0, 1.0
+        for t, line in enumerate(lines):
+            rec = json.loads(line)
+            assert line == json.dumps(rec, sort_keys=True)
+            expected = {"G": r1, "B": -r0, None: 0.0}[rec["observation"]]
+            assert rec["t"] == t and rec["reward"] == expected and type(rec["reward"]) is type(expected)
+            acc += discount * rec["reward"]
+            discount *= cfg.gamma
+        assert acc == total
 
     def test_hypothesis_count_bounded(self):
         params = from_burst_parameterization(0.6, 2.5)
-        trace = run_learner(params, CFG, k=4, horizon=200, seed=11)
-        assert max(r.hypothesis_count for r in trace.records) <= 8
+        _, records = run_trace(params, CFG, k=4, horizon=200, seed=11)
+        assert max(r["hypothesis_count"] for r in records) <= 8
 
     def test_tail_rewards_negligible(self):
         # discounting makes everything after slot 500 irrelevant
         params = from_burst_parameterization(0.6, 2.5)
-        trace = run_learner(params, CFG, k=10, horizon=2_000, seed=1)
-        tail = sum(r.reward * CFG.gamma**r.t for r in trace.records if r.t >= 500)
-        assert abs(tail) < 0.01 * abs(trace.total_discounted_reward)
+        total, records = run_trace(params, CFG, k=10, horizon=2_000, seed=1)
+        tail = sum(r["reward"] * CFG.gamma ** r["t"] for r in records if r["t"] >= 500)
+        assert abs(tail) < 0.01 * abs(total)
 
     def test_learned_sleep_matches_known_parameter_optimum(self):
         # once the posterior has converged, the planned sleeps should
         # settle on the optimum for the posterior-mean parameters
         params = from_burst_parameterization(0.6, 2.5)
-        trace = run_learner(params, CFG, k=20, horizon=3_000, seed=2)
-        plans = [r.timer for r in trace.records if r.action == "harvest" and r.observation == "B"]
+        _, records = run_trace(params, CFG, k=20, horizon=3_000, seed=2)
+        plans = [r["timer"] for r in records if r["action"] == "harvest" and r["observation"] == "B"]
         late = plans[-30:]
         modal = max(set(late), key=late.count)
         # posterior mean estimate at the end of the run
-        s = replay_learner_particles(params, trace)
+        s = replay_learner_particles(records)
         mean_p, mean_q = weighted_mean_estimates(s)
         expected, _ = optimal_sleep_time(GEParams(mean_p, mean_q), CFG)
         assert modal == expected.sleep_slots
         assert late.count(modal) > len(late) // 2
+
+    def test_memory_does_not_grow_with_the_horizon(self):
+        # lines reach the stream as the episode runs, so a longer run
+        # holds no more than the larger integer weights it carries
+        params = from_burst_parameterization(0.6, 2.5)
+
+        def peak(horizon):
+            with open(os.devnull, "w") as sink:
+                tracemalloc.start()
+                try:
+                    run_learner(params, CFG, 20, horizon, 1, sink)
+                    return tracemalloc.get_traced_memory()[1]
+                finally:
+                    tracemalloc.stop()
+
+        peak(1_100)  # the first run also pays for lazy imports and the discount-term cache
+        short, long = peak(1_100), peak(4_000)
+        assert long - short <= 64 * 1024, (short, long)
 
     @pytest.mark.xfail(
         strict=True,
@@ -811,14 +842,14 @@ class TestRunLearner:
     )
     def test_long_run_survives_weight_overflow(self):
         params = from_burst_parameterization(0.3, 8.0)
-        trace = run_learner(params, CFG, k=20, horizon=3_000, seed=1)
-        assert len(trace.records) == 3_000
+        _, records = run_trace(params, CFG, k=20, horizon=3_000, seed=1)
+        assert len(records) == 3_000
 
 
-def replay_learner_particles(params, trace):
+def replay_learner_particles(records):
     s = initial_particles(20)
-    for r in trace.records:
-        z = {"G": G, "B": B, None: Z}[r.observation]
+    for r in records:
+        z = {"G": G, "B": B, None: Z}[r["observation"]]
         s = observe(s, z)
     return s
 

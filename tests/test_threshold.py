@@ -393,6 +393,22 @@ class TestOptimalSleepTime:
         assert cli.main(["policy", *flags.split()]) == 0
         assert f"sleep_slots {slots}\n" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("p,q,cap", [(1e-308, 1e-308, 100_000), (0.5, 5e-324, 1)])
+    def test_cap_at_the_float_floor(self, p, q, cap):
+        # the ratio of logs is +inf on the first chain and -inf on the second
+        assert default_n_max(GEParams(p=p, q=q)) == cap
+
+    @given(
+        st.tuples(st.floats(1e-300, 0.5), st.floats(1e-300, 0.5)).filter(lambda pq: is_valid_chain(*pq))
+        | st.sampled_from([(1e-300, 1e-300), (0.5, 1e-310), (1e-6, 1e-6), (0.3, 0.3)])
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_cap_is_the_rounded_ratio_where_it_is_finite(self, pq):
+        params = GEParams(*pq)
+        x = math.log(1e-12 / (params.q / (params.p + params.q))) / params.log_persistence
+        assume(math.isfinite(x))
+        assert default_n_max(params) == min(max(math.ceil(x) + 8, 1), 100_000)
+
     @given(valid_params())
     @settings(max_examples=30, deadline=None)
     def test_scan_cap_does_not_bind(self, params):
