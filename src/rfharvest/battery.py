@@ -93,18 +93,25 @@ class PolicyNeverHarvests(ValueError):
 
 @dataclass(frozen=True)
 class BatteryConfig:
-    """Integer-unit battery: a success adds one unit, a failure spends one."""
+    """Integer-unit battery: a success adds one unit, a failure spends one.
+    The capacity lies in [2, 2**63 - 1]; the upper end is the largest
+    level an int64 column holds."""
 
     capacity: int
 
     def __post_init__(self) -> None:
         if self.capacity < 2:
             raise ValueError("capacity must be at least 2 units")
+        if self.capacity > 2**63 - 1:
+            raise ValueError(f"capacity must be at most 2**63 - 1 units, got {self.capacity}")
 
     def level_array(self, levels) -> np.ndarray:
         """Initial ``levels`` as an int64 array; ValueError for a level
-        outside [0, capacity]."""
-        cols = np.array(levels, dtype=np.int64, ndmin=1)
+        outside [0, capacity], one past int64 included."""
+        try:
+            cols = np.array(levels, dtype=np.int64, ndmin=1)
+        except OverflowError:  # past int64, so outside [0, capacity]: find it
+            cols = np.array(levels, dtype=object, ndmin=1)
         if cols.size and not (0 <= cols.min() and cols.max() <= self.capacity):
             bad = cols[(cols < 0) | (cols > self.capacity)][0]
             raise ValueError(f"levels must lie in [0, capacity], got {bad}")

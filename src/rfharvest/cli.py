@@ -60,6 +60,15 @@ def _positive_int(text: str) -> int:
     return x
 
 
+def _seed(text: str) -> int:
+    # no object takes the seed before work starts; a UsageError passes
+    # argparse by, so main prints it as one error: line
+    x = int(text)
+    if x < 0:
+        raise UsageError(f"--seed must be a non-negative integer, got {x}")
+    return x
+
+
 def _add_chain_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--p", type=float, help="good-to-bad transition probability")
     parser.add_argument("--q", type=float, help="bad-to-good transition probability")
@@ -269,14 +278,14 @@ def build_parser() -> argparse.ArgumentParser:
     p_learn.add_argument("--k", type=_positive_int, default=20, help="posterior truncation size")
     p_learn.add_argument("--horizon", type=_positive_int, default=500)
     p_learn.add_argument("--episodes", type=_positive_int, default=1)
-    p_learn.add_argument("--seed", type=int, default=0)
+    p_learn.add_argument("--seed", type=_seed, default=0)
     p_learn.add_argument("--table", default=None, help="JSON lookup table to plan from")
     p_learn.add_argument("--output", required=True, help="JSON-lines trace file")
     p_learn.set_defaults(func=cmd_learn)
 
     p_cmp = sub.add_parser("compare", help="learner-versus-baselines experiment")
     p_cmp.add_argument("--scale", choices=("desk", "paper"), default="desk")
-    p_cmp.add_argument("--seed", type=int, default=0)
+    p_cmp.add_argument("--seed", type=_seed, default=0)
     p_cmp.add_argument("--k", type=_positive_int, default=20)
     p_cmp.add_argument("--output", required=True)
     p_cmp.add_argument("--format", choices=("csv", "json"), default="csv")

@@ -533,7 +533,9 @@ class LookupTable:
         raises ValueError naming the fault: the reward values must be
         numbers that ``RewardConfig`` takes, the axes must be nonempty
         and strictly ascending, and the cells must follow them in
-        row-major order with p and q finite numbers, valid true exactly
+        row-major order with pi_g, t_b, p and q finite numbers, (p, q)
+        the pair that ``burst_escape_probabilities`` gives (pi_g, t_b)
+        (which refuses an axis value outside its domain), valid true exactly
         when (p, q) is a valid chain (``is_valid_chain``), v_good a finite
         number on valid cells and null on invalid ones, and each valid cell with
         its policy: never_harvest true or false and, unless true,
@@ -560,14 +562,17 @@ class LookupTable:
         for index, c in enumerate(data["cells"]):
             where = f"cell {index}"
             _require_keys(c, ("pi_g", "t_b", "p", "q", "valid", "policy", "v_good"), where)
+            for key in ("pi_g", "t_b", "p", "q"):
+                if type(c[key]) not in (int, float) or not math.isfinite(c[key]):
+                    raise ValueError(f"{where} has {key} {c[key]!r}, not a finite number")
             pair = (pi_g_axis[index // len(t_b_axis)], t_b_axis[index % len(t_b_axis)])
             if (c["pi_g"], c["t_b"]) != pair:
                 raise ValueError(f"{where} has (pi_g, t_b) = ({c['pi_g']}, {c['t_b']}), not its axis pair {pair}")
             if not isinstance(c["valid"], bool):
                 raise ValueError(f"{where} has valid {c['valid']!r}, not true or false")
-            for key in ("p", "q"):
-                if type(c[key]) not in (int, float) or not math.isfinite(c[key]):
-                    raise ValueError(f"{where} has {key} {c[key]!r}, not a finite number")
+            implied = burst_escape_probabilities(c["pi_g"], c["t_b"])
+            if (c["p"], c["q"]) != implied:
+                raise ValueError(f"{where} has (p, q) = ({c['p']}, {c['q']}), not {implied}, the pair its (pi_g, t_b) give")
             if c["valid"] != is_valid_chain(c["p"], c["q"]):
                 flag, verdict = ("true", "is not") if c["valid"] else ("false", "is")
                 raise ValueError(f"{where} has valid {flag}, but (p, q) = ({c['p']}, {c['q']}) {verdict} a valid chain")

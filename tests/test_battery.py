@@ -304,6 +304,9 @@ class TestBatteryConfig:
     def test_validation(self):
         with pytest.raises(ValueError):
             BatteryConfig(capacity=1)
+        with pytest.raises(ValueError, match=r"at most 2\*\*63 - 1"):
+            BatteryConfig(capacity=2**63)
+        assert BatteryConfig(capacity=2**63 - 1).level_array([0, 2**63 - 1]).dtype == np.int64
 
 
 class TestBuildChain:
@@ -523,7 +526,7 @@ class TestAbsorptionAnalysis:
 
     def test_levels_outside_the_battery_rejected(self):
         chain = build_chain(PARAMS, ThresholdPolicy.sleep(1), BatteryConfig(capacity=10))
-        for bad in ([11], [0, -1]):
+        for bad in ([11], [0, -1], [3, 2**64], [-(2**64)]):  # int64 cannot hold the last two
             with pytest.raises(ValueError, match=r"levels must lie in \[0, capacity\]"):
                 absorption_analysis(chain, bad)
 

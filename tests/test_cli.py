@@ -49,6 +49,17 @@ class TestValidation:
             (["solve", "--pi-g", "0.6", "--t-b", "2.5", "--max-iterations", "0"], "max_iterations"),
             (["battery", "--pi-g", "0.7", "--t-b", "5", "--capacity", "1", "--output", "OUT"], "capacity"),
             (["table", "--pi-g-min", "0", "--output", "OUT"], "pi_g"),
+            # integers past int64, which an int64 level column cannot hold
+            (["battery", "--pi-g", "0.7", "--t-b", "5", "--capacity", "10",
+              "--levels", "3,99999999999999999999", "--output", "OUT"], "levels"),
+            (["battery", "--pi-g", "0.7", "--t-b", "5", "--capacity", "10",
+              "--levels", "3,-99999999999999999999", "--output", "OUT"], "levels"),
+            (["battery", "--pi-g", "0.7", "--t-b", "5", "--capacity", "9223372036854775808",
+              "--level-step", "4611686018427387904", "--output", "OUT"], "capacity"),
+            # no object takes the seed before work starts: its flag refuses it
+            (["learn", "--pi-g", "0.6", "--t-b", "2.5", "--horizon", "10", "--seed", "-1",
+              "--output", "OUT"], "--seed"),
+            (["compare", "--seed", "-1", "--output", "OUT"], "--seed"),
         ],
     )
     def test_flag_outside_its_domain_exits_2(self, tmp_path, capsys, argv, field):
@@ -58,6 +69,8 @@ class TestValidation:
         assert code == 2
         assert out == ""
         assert err.startswith("error: ") and field in err
+        assert err.count("\n") == 1
+        assert not (tmp_path / "out").exists()
 
     def test_conflicting_parameterizations_rejected(self, capsys):
         code, _, err = run_cli(
@@ -82,6 +95,9 @@ class TestValidation:
             ["--levels", "3,11"],
             ["--levels", "3,x"],
             ["--sleep-slots", "-1"],
+            ["--levels", "3,99999999999999999999"],
+            ["--levels", "3,-99999999999999999999"],
+            ["--capacity", "9223372036854775808", "--level-step", "4611686018427387904"],
         ],
     )
     def test_invalid_battery_flags_exit_2(self, tmp_path, capsys, flags):
@@ -349,6 +365,9 @@ MALFORMED_TABLE_ERRORS = {
     "gamma_above_one": "gamma must lie in [0, 1), got 1.5",
     "string_r1": "reward has r1 'x', not a number",
     "infinite_r0": "r0 must be positive and finite, got inf",
+    "p_off_its_pair": "cell 3 has (p, q) = (0.2, 0.5), not (0.33333333333333337, 0.5), the pair its (pi_g, t_b) give",
+    "pi_g_axis_above_one": "pi_g must lie strictly inside (0, 1), got 1.5",
+    "string_t_b_axis": "cell 0 has t_b '2.0', not a finite number",
 }
 # fault -> (reward field, value)
 REWARD_FIELD_FAULTS = {
@@ -380,6 +399,7 @@ CELL_FIELD_FAULTS = {
     "infinite_v_good": (3, {"v_good": math.inf}),
     "nan_v_good": (3, {"v_good": math.nan}),
     "v_good_on_invalid": (0, {"v_good": 1.0}),
+    "p_off_its_pair": (3, {"p": 0.2}),  # a valid chain, but not (0.6, 2.0)'s
 }
 
 
@@ -414,6 +434,14 @@ class TestLearnCommand:
             next(c for c in doc["cells"] if c["valid"])["policy"] = None
         elif fault == "top_level_list":
             doc = [doc]
+        elif fault == "pi_g_axis_above_one":
+            doc["pi_g_axis"][-1] = 1.5  # and its cells, so each follows its axis pair
+            for c in doc["cells"][6:]:
+                c["pi_g"] = 1.5
+        elif fault == "string_t_b_axis":  # strings ascend too, so only the cells' types refuse them
+            doc["t_b_axis"] = [str(t_b) for t_b in doc["t_b_axis"]]
+            for c in doc["cells"]:
+                c["t_b"] = str(c["t_b"])
         elif fault in CELL_FIELD_FAULTS:
             index, fields = CELL_FIELD_FAULTS[fault]
             doc["cells"][index].update(fields)

@@ -1,11 +1,11 @@
 """Every name a module exports must exist in it and have a caller.
 
 A caller is a reference from the package itself, outside the name's own
-definition, its ``__all__`` entry and its ``__init__`` re-export, or one
-from ``scripts/`` or ``perfbench/``; tests do not count. The search is
-textual, so a name that only its own docstring or messages mention still
-passes: this is a backstop against API that only tests reach, not a
-proof that every name is used.
+definition and its ``__all__`` entry, or one from ``scripts/`` or
+``perfbench/``; tests do not count. The search is textual, so a name
+that only its own docstring or messages mention still passes: this is a
+backstop against API that only tests reach, not a proof that every name
+is used.
 """
 
 import ast
@@ -34,7 +34,6 @@ _ALL_BLOCK = re.compile(r"^__all__ = \[.*?\]$", re.M | re.S)
 PACKAGE_TEXT = "\n".join(
     _ALL_BLOCK.sub("", path.read_text())
     for path in sorted((ROOT / "src" / "rfharvest").glob("*.py"))
-    if path.name != "__init__.py"
 )
 OUTSIDE_TEXT = "\n".join(
     path.read_text() for folder in ("scripts", "perfbench") for path in sorted((ROOT / folder).glob("*.py"))
@@ -62,12 +61,10 @@ def test_all_names_have_a_caller_outside_tests(name):
 
 
 def test_no_unused_imports_in_src():
-    # every top-level import of a module must be read in it; __init__.py
-    # only re-exports, so its imports are the package's public names
+    # every top-level import of a module must be read in it, so a name
+    # has one import path: the module that defines it
     unused = []
     for path in sorted((ROOT / "src" / "rfharvest").glob("*.py")):
-        if path.name == "__init__.py":
-            continue
         tree = ast.parse(path.read_text())
         read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
         for node in tree.body:
