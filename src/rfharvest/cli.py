@@ -34,9 +34,8 @@ from .threshold import (
     build_lookup_table,
     grid_axis,
     optimal_sleep_time,
-    sleep_time_from_threshold,
 )
-from .value_iteration import VISettings, harvest_crossover, solve
+from .value_iteration import VISettings, solve
 
 
 class UsageError(Exception):
@@ -52,9 +51,16 @@ def _from_flags(build, *args, **kwargs):
         raise UsageError(str(exc)) from exc
 
 
+def _integer(text: str) -> int:
+    try:  # argparse names the type function in a bare int() failure
+        return int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}") from None
+
+
 def _positive_int(text: str) -> int:
     # for the counts that no object checks before work starts
-    x = int(text)
+    x = _integer(text)
     if x < 1:
         raise argparse.ArgumentTypeError(f"must be a positive integer, got {x}")
     return x
@@ -63,7 +69,7 @@ def _positive_int(text: str) -> int:
 def _seed(text: str) -> int:
     # no object takes the seed before work starts; a UsageError passes
     # argparse by, so main prints it as one error: line
-    x = int(text)
+    x = _integer(text)
     if x < 0:
         raise UsageError(f"--seed must be a non-negative integer, got {x}")
     return x
@@ -111,14 +117,12 @@ def cmd_solve(args) -> int:
     cfg = _reward_from_args(args)
     settings = _from_flags(VISettings, epsilon=args.epsilon, max_iterations=args.max_iterations)
     result = solve(params, cfg, settings=settings)
-    bbar = harvest_crossover(result.value, params, cfg)
-    policy = sleep_time_from_threshold(bbar, params)
     print(f"iterations {result.iterations}")
     print(f"epsilon {_fmt(result.epsilon)}")
     print(f"value_after_failure {_fmt(result.value.value(params.q))}")
     print(f"value_after_success {_fmt(result.value.value(1.0 - params.p))}")
-    print(f"crossover_belief {_fmt(bbar)}")
-    print(f"sleep_slots {policy.label()}")
+    print(f"crossover_belief {_fmt(result.crossover)}")
+    print(f"sleep_slots {ThresholdPolicy(result.sleep_slots).label()}")
     return 0
 
 

@@ -21,16 +21,15 @@ from typing import Sequence
 
 import numpy as np
 
-from .beliefs import RewardConfig, _discount_terms, _never_wake_value, _policy_values, _sleep_count, _wake_belief
+from .beliefs import RewardConfig, _discount_terms, _never_wake_value, _policy_values, _wake_belief
 from .gilbert_elliott import GEParams, burst_escape_probabilities, is_valid_chain
-from .value_iteration import VISettings, harvest_crossover, solve
+from .value_iteration import VISettings, solve
 
 __all__ = [
     "ThresholdPolicy",
     "PolicyValue",
     "LookupCell",
     "LookupTable",
-    "sleep_time_from_threshold",
     "policy_value_linear_system",
     "optimal_sleep_time",
     "vi_threshold_policy",
@@ -95,17 +94,6 @@ class PolicyValue:
     v_good: float
     v_fail: float
     v_wake: float
-
-
-def sleep_time_from_threshold(bbar: float, params: GEParams) -> ThresholdPolicy:
-    """Sleep count implied by a harvest threshold on beliefs.
-
-    A threshold at or above the stationary good probability is never
-    reached after a failure, so the policy never harvests; the count
-    itself comes from ``beliefs``, and ``value_iteration``'s policy
-    steps read it off every iterate's crossover too.
-    """
-    return ThresholdPolicy(_sleep_count(bbar, params))
 
 
 # Values within this relative distance of the best count as tied, and
@@ -401,8 +389,7 @@ def vi_threshold_policy(
 ) -> tuple[ThresholdPolicy, float]:
     """Sleep count implied by the value-iteration greedy crossover."""
     result = solve(params, cfg, settings=settings)
-    bbar = harvest_crossover(result.value, params, cfg)
-    return sleep_time_from_threshold(bbar, params), bbar
+    return ThresholdPolicy(result.sleep_slots), result.crossover
 
 
 @dataclass(frozen=True)

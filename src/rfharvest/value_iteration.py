@@ -27,10 +27,10 @@ wakes). Every line of its value is "sleep k slots, then harvest", a
 sleep transform of the harvesting line through the policy's values
 (V(q), V(1-p)). Those come in O(1) from the closed form in ``beliefs``,
 and the next iterate is the envelope of those lines and the zero line.
-Once the greedy policy repeats, never harvests or sleeps past
-``MAX_STEP_SLEEP``, plain backups take over. Even slowly mixing chains
-then stop after a handful of backups, where the plain loop needs about
-1/(1-gamma).
+A count past ``MAX_STEP_SLEEP`` is priced at the cap. Once the greedy
+policy repeats or never harvests, plain backups take over. Even slowly
+mixing chains then stop after a handful of backups, where the plain
+loop needs about 1/(1-gamma).
 """
 
 from __future__ import annotations
@@ -62,7 +62,7 @@ PRUNE_TOL = 1e-12
 # A policy step builds one line per slot slept: 1e5 slots take about
 # 0.35 s on one core of a 2-core Xeon host and keep up to ~50k envelope
 # lines. A greedy policy that sleeps longer, possible only when p + q is
-# tiny, ends the policy steps instead.
+# tiny, is priced at this count instead; a negative cap takes no steps.
 MAX_STEP_SLEEP = 100_000
 
 
@@ -184,9 +184,14 @@ class VISettings:
 
 @dataclass(frozen=True)
 class SolveResult:
+    """``value``, within ``epsilon``/2 of the fixed point, and its greedy
+    ``crossover`` and ``sleep_slots`` (None: never wake after a failure)."""
+
     value: PiecewiseLinearValue
     iterations: int
     epsilon: float
+    crossover: float
+    sleep_slots: int | None
 
 
 def _domain(params: GEParams) -> tuple[float, float]:
@@ -310,10 +315,10 @@ def solve(
     the bound is 0 after the first backup, which is already exact.
 
     After each failed check the greedy policy of the backed-up iterate
-    is priced exactly and its value becomes the next iterate, until the
-    greedy policy repeats one already priced, never harvests or sleeps
-    more than ``MAX_STEP_SLEEP`` slots. ``iterations`` counts backups
-    only.
+    is priced exactly, its count clamped to ``MAX_STEP_SLEEP``, and its
+    value becomes the next iterate, until the greedy policy repeats one
+    already priced or never harvests. ``iterations`` counts backups
+    only; ``crossover`` and ``sleep_slots`` read the returned value.
     """
     settings = settings or VISettings()
     eps = settings.resolved_epsilon(cfg)
@@ -321,7 +326,7 @@ def solve(
 
     v = zero_alpha_value(params)
     priced: set[int | None] = set()
-    stepping = True
+    stepping = MAX_STEP_SLEEP >= 0
     for it in range(1, settings.max_iterations + 1):
         v_next = bellman_backup_alpha(v, params, cfg)
         d_min, d_max = difference_range(v_next, v)
@@ -330,15 +335,12 @@ def solve(
         if span < eps:
             shift = scale * 0.5 * (d_max + d_min)
             lines = tuple(AlphaVector(a + shift, b) for a, b in v.lines)
-            return SolveResult(
-                value=PiecewiseLinearValue(lines=lines, lo=v.lo, hi=v.hi),
-                iterations=it,
-                epsilon=eps,
-            )
+            v = PiecewiseLinearValue(lines=lines, lo=v.lo, hi=v.hi)
+            return SolveResult(v, it, eps, *_greedy_policy(v, params, cfg))
         if stepping:
-            bbar = harvest_crossover(v, params, cfg)
-            n = _sleep_count(bbar, params)
-            stepping = bbar <= v.hi and n not in priced and (n or 0) <= MAX_STEP_SLEEP
+            bbar, n = _greedy_policy(v, params, cfg)
+            n = n if n is None else min(n, MAX_STEP_SLEEP)
+            stepping = bbar <= v.hi and n not in priced
             if stepping:
                 priced.add(n)
                 v = _policy_value(n, params, cfg)
@@ -347,6 +349,12 @@ def solve(
         f"(last span bound gamma/(1-gamma)*(max d - min d) = {span:.3e}, "
         f"epsilon {eps:.3e}); gamma may be too close to 1 for this budget"
     )
+
+
+def _greedy_policy(v: PiecewiseLinearValue, params: GEParams, cfg: RewardConfig) -> tuple[float, int | None]:
+    """The greedy crossover of v and the sleep count it implies."""
+    bbar = harvest_crossover(v, params, cfg)
+    return bbar, _sleep_count(bbar, params)
 
 
 def harvest_crossover(

@@ -72,6 +72,28 @@ class TestValidation:
         assert err.count("\n") == 1
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["learn", "--pi-g", "0.6", "--t-b", "2.5", "--seed", "x"],
+            ["learn", "--pi-g", "0.6", "--t-b", "2.5", "--k", "x"],
+            ["learn", "--pi-g", "0.6", "--t-b", "2.5", "--horizon", "1.5"],
+            ["learn", "--pi-g", "0.6", "--t-b", "2.5", "--episodes", "x"],
+            ["compare", "--seed", "x"],
+            ["compare", "--k", "x"],
+            ["battery", "--pi-g", "0.7", "--t-b", "5", "--level-step", "x"],
+        ],
+    )
+    def test_non_integer_count_names_the_type(self, tmp_path, capsys, argv):
+        # argparse names the flag's type function when int() fails inside it
+        out_path = tmp_path / "out"
+        code, out, err = run_cli([*argv, "--output", str(out_path)], capsys)
+        assert code == 2
+        assert out == ""
+        assert f"expected an integer, got {argv[-1]!r}" in err
+        assert "_seed" not in err and "_positive_int" not in err
+        assert not out_path.exists()
+
     def test_conflicting_parameterizations_rejected(self, capsys):
         code, _, err = run_cli(
             ["policy", "--p", "0.2", "--q", "0.3", "--pi-g", "0.6", "--t-b", "2.5"], capsys

@@ -76,6 +76,25 @@ def test_no_unused_imports_in_src():
     assert not unused, f"imports that nothing in their module reads: {unused}"
 
 
+def test_value_iteration_alone_reads_the_greedy_policy():
+    # solve returns its crossover and sleep count, so no other module
+    # turns a value function into them
+    imported: dict[str, dict[str, set[str]]] = {}
+    for path in sorted((ROOT / "src" / "rfharvest").glob("*.py")):
+        for node in ast.parse(path.read_text()).body:
+            if isinstance(node, ast.ImportFrom) and node.module:
+                names = imported.setdefault(path.stem, {}).setdefault(node.module, set())
+                names.update(alias.name for alias in node.names)
+    assert imported["threshold"]["value_iteration"] == {"solve", "VISettings"}
+    readers = sorted(
+        module
+        for module, sources in imported.items()
+        for names in sources.values()
+        if names & {"_sleep_count", "harvest_crossover"}
+    )
+    assert readers == ["value_iteration"]
+
+
 @pytest.mark.parametrize("script", SCRIPTS, ids=lambda path: path.name)
 def test_script_help_runs(script):
     # importing a name the package no longer has fails here, before any work

@@ -837,8 +837,8 @@ class TestRunLearner:
     @pytest.mark.xfail(
         strict=True,
         raises=ValueError,
-        reason="known limit: sample_and_plan converts the exact weights with float(), "
-        "which overflows once they pass 2**1024 (from horizon 2562 at this seed)",
+        reason="known limit: _draw converts the exact weights with float(), whose sum "
+        "overflows once they pass 2**1024 (from horizon 2423 at this seed)",
     )
     def test_long_run_survives_weight_overflow(self):
         params = from_burst_parameterization(0.3, 8.0)

@@ -20,7 +20,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from rfharvest import cli
-from rfharvest.beliefs import RewardConfig, _discount_terms, _policy_values, belief_after_failure_and_sleep
+from rfharvest.beliefs import RewardConfig, _discount_terms, _policy_values, _sleep_count, belief_after_failure_and_sleep
 from rfharvest.gilbert_elliott import GEParams, from_burst_parameterization, is_valid_chain, stationary
 from rfharvest.harness import mc_policy_value
 from rfharvest.threshold import (
@@ -34,7 +34,6 @@ from rfharvest.threshold import (
     grid_axis,
     optimal_sleep_time,
     policy_value_linear_system,
-    sleep_time_from_threshold,
     vi_threshold_policy,
     _CACHED_COUNTS,
     _STOP_MARGIN,
@@ -183,23 +182,23 @@ def edge_problems(draw):
 class TestSleepTimeFromThreshold:
     def test_direct_evaluation(self):
         # (0.3 - 0.5*0.45)/0.3 = 0.25, log_0.5(0.25) = 2, so N = 1
-        policy = sleep_time_from_threshold(0.45, PARAMS)
+        policy = ThresholdPolicy(_sleep_count(0.45, PARAMS))
         assert policy.sleep_slots == 1
 
     def test_threshold_at_stationary_never_harvests(self):
         pi_g = stationary(PARAMS).good
-        assert sleep_time_from_threshold(pi_g, PARAMS).never_harvest
-        assert sleep_time_from_threshold(0.99, PARAMS).never_harvest
+        assert ThresholdPolicy(_sleep_count(pi_g, PARAMS)).never_harvest
+        assert ThresholdPolicy(_sleep_count(0.99, PARAMS)).never_harvest
 
     def test_threshold_below_q_means_no_sleep(self):
-        assert sleep_time_from_threshold(0.3, PARAMS).sleep_slots == 0
-        assert sleep_time_from_threshold(0.05, PARAMS).sleep_slots == 0
-        assert sleep_time_from_threshold(-2.0, PARAMS).sleep_slots == 0
+        assert ThresholdPolicy(_sleep_count(0.3, PARAMS)).sleep_slots == 0
+        assert ThresholdPolicy(_sleep_count(0.05, PARAMS)).sleep_slots == 0
+        assert ThresholdPolicy(_sleep_count(-2.0, PARAMS)).sleep_slots == 0
 
     @given(valid_params(), st.floats(0.0, 1.0))
     @settings(max_examples=200)
     def test_count_matches_first_belief_clearing_threshold(self, params, bbar):
-        policy = sleep_time_from_threshold(bbar, params)
+        policy = ThresholdPolicy(_sleep_count(bbar, params))
         pi_g = stationary(params).good
         if bbar >= pi_g:
             assert policy.never_harvest

@@ -13,6 +13,7 @@ lines and solving a 2x2 system, the oracle for the closed form that
 """
 
 import math
+import time
 
 import numpy as np
 import pytest
@@ -26,7 +27,6 @@ from rfharvest.threshold import (
     ThresholdPolicy,
     optimal_sleep_time,
     policy_value_linear_system,
-    sleep_time_from_threshold,
     vi_threshold_policy,
 )
 from rfharvest.value_iteration import (
@@ -84,11 +84,9 @@ def plain_solve(params: GEParams, cfg: RewardConfig, settings: VISettings) -> So
         if scale * (d_max - d_min) < eps:
             shift = scale * 0.5 * (d_max + d_min)
             lines = tuple(AlphaVector(a + shift, b) for a, b in v.lines)
-            return SolveResult(
-                value=PiecewiseLinearValue(lines=lines, lo=v.lo, hi=v.hi),
-                iterations=it,
-                epsilon=eps,
-            )
+            v = PiecewiseLinearValue(lines=lines, lo=v.lo, hi=v.hi)
+            bbar = harvest_crossover(v, params, cfg)
+            return SolveResult(v, it, eps, bbar, _sleep_count(bbar, params))
     raise MaxIterationsExceeded(f"plain loop not done after {settings.max_iterations} backups")
 
 
@@ -398,8 +396,8 @@ class TestGreedyPolicy:
         b_a = harvest_crossover(res_a.value, PARAMS, CFG)
         b_g = grid_crossover(*grid_solve(PARAMS, CFG, epsilon=1e-6, resolution=1e-4), PARAMS, CFG)
         assert b_a <= PARAMS.q and b_g <= PARAMS.q
-        assert sleep_time_from_threshold(b_a, PARAMS).sleep_slots == 0
-        assert sleep_time_from_threshold(b_g, PARAMS).sleep_slots == 0
+        assert ThresholdPolicy(_sleep_count(b_a, PARAMS)).sleep_slots == 0
+        assert ThresholdPolicy(_sleep_count(b_g, PARAMS)).sleep_slots == 0
 
     def test_harvest_slope_dominates_sleep_slopes_at_fixed_point(self):
         res = solve(PARAMS, CFG, VISettings(epsilon=1e-8))
@@ -528,9 +526,7 @@ class TestPolicySteps:
         if gamma == 0.0:
             # the first backup is exact, and no policy step follows it
             assert res == ref and res.iterations == 1
-        n_res, n_ref = (
-            _sleep_count(harvest_crossover(r.value, params, cfg), params) for r in (res, ref)
-        )
+        n_res, n_ref = res.sleep_slots, ref.sleep_slots
         if n_res != n_ref:
             # criterion 1's rule: one slot apart, at a closed-form value tie.
             # Greedy on an epsilon/2-accurate value, each count is within
@@ -591,9 +587,48 @@ class TestPolicySteps:
         assert abs(v.value(params.q) - value.v_fail) <= eps / 2 + slack
         assert abs(v.value(1.0 - params.p) - value.v_good) <= eps / 2 + slack
 
+    @given(
+        valid_params(),
+        st.sampled_from([0.0, 0.5, 0.9, 0.99]),
+        REWARDS,
+        st.sampled_from([1e-2, 1e-4, 1e-6]),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_result_carries_its_greedy_policy(self, params, gamma, rewards, eps):
+        # the crossover and count of the returned value, as a caller would
+        # read them off it
+        cfg = RewardConfig(r1=rewards[0], r0=rewards[1], gamma=gamma)
+        res = solve(params, cfg, VISettings(epsilon=eps))
+        bbar = harvest_crossover(res.value, params, cfg)
+        assert res.crossover.hex() == bbar.hex()
+        assert res.sleep_slots == _sleep_count(bbar, params)
+
+    # slowly mixing chains (p + q down to 1.4e-9), where an early
+    # iterate's crossover implies counts near 1e9: ending the steps there
+    # instead of clamping ran for minutes on the first two and took 2062
+    # backups on the third
+    @pytest.mark.parametrize(
+        "p,q,r1,r0,gamma,eps",
+        [
+            (4e-8, 1e-7, 10.0, 1.0, 0.999, 1e-4),
+            (4e-8, 1e-7, 10.0, 10.0, 0.999, 1e-6),
+            (4e-10, 1e-9, 10.0, 1.0, 0.99, 1e-6),
+        ],
+    )
+    def test_clamped_steps_solve_slowly_mixing_chains(self, p, q, r1, r0, gamma, eps):
+        params, cfg = GEParams(p=p, q=q), RewardConfig(r1=r1, r0=r0, gamma=gamma)
+        start = time.perf_counter()
+        res = solve(params, cfg, VISettings(epsilon=eps, max_iterations=20))
+        assert time.perf_counter() - start < 10.0
+        # values at 1-p only: the counts, and the values at q, are
+        # ill-conditioned here (one slot moves the wake-up belief by ~q (p+q))
+        _, value = optimal_sleep_time(params, cfg)
+        slack = 1e-12 * max(r1, r0) / (1.0 - gamma)
+        assert abs(res.value.value(1.0 - p) - value.v_good) <= eps / 2 + slack
+
     def test_long_sleep_ends_policy_steps(self, monkeypatch):
-        # a greedy policy sleeping past the cap is not priced; with every
-        # policy over it, solve is the plain loop backup for backup
+        # a negative cap switches the policy steps off, so solve is the
+        # plain loop backup for backup
         monkeypatch.setattr(value_iteration, "MAX_STEP_SLEEP", -1)
         cfg = RewardConfig(r1=10.0, r0=10.0, gamma=0.99)
         params = GEParams(p=0.0026, q=0.05)
@@ -623,7 +658,7 @@ class TestPolicySteps:
         assert res.value.lines == (AlphaVector(0.0, 0.0),)
         bbar = harvest_crossover(res.value, params, cfg)
         assert bbar > 1.0 - params.p
-        assert sleep_time_from_threshold(bbar, params) == ThresholdPolicy.never()
+        assert ThresholdPolicy(_sleep_count(bbar, params)) == ThresholdPolicy.never()
         assert optimal_sleep_time(params, cfg)[0] == ThresholdPolicy.never()
 
     def test_never_wake_cell_is_never_harvest(self):
