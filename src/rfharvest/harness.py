@@ -18,7 +18,7 @@ import numpy as np
 
 from .beliefs import RewardConfig
 from .gilbert_elliott import GEParams, from_burst_parameterization, simulate
-from .learning import PosteriorCount, PosteriorSamplingLearner, SleepTimePlanner, _run_episode
+from .learning import PosteriorCount, PosteriorSamplingLearner, SleepTimePlanner, _run_episodes, _Sequential
 from .threshold import STANDARD_PI_G, STANDARD_T_B, ThresholdPolicy, build_lookup_table, grid_axis
 
 __all__ = [
@@ -103,14 +103,24 @@ class ExperimentSpec:
         }
 
 
-# sequential policy protocol: every policy is a sleep-after-failure rule.
-# reset(rng) returns the slots to sleep before the first harvest (0, or
-# None for never); after_harvest(good) returns the slots to sleep next (0
-# after a success, N after a failure, None to stop harvesting for good);
-# after_sleep() is called on every slept slot; ``deterministic`` marks
-# policies whose episodes do not depend on the rng.
-# learning._run_episode steps a policy through a path and counts the
-# sleeps down; threshold.ThresholdPolicy is the known-parameter rule. The
+# policy protocols: every policy is a sleep-after-failure rule, and
+# learning._run_episodes steps the runs of one path through it, counting
+# the sleeps down. It groups the runs that have seen the same history.
+# group protocol: start(rngs) returns the group's state and the slots to
+# sleep before the first harvest (0, or None for never); after_harvest(
+# state, good) returns the next state and the slots to sleep next (0
+# after a success, N after a failure, None to stop harvesting for good),
+# or a function that turns a run's rng into that run's count, which
+# splits the group by count; after_sleep(state) is called on every slept
+# slot and returns the next state.
+# sequential protocol, for policies that keep their state themselves and
+# so run one run at a time (learning._Sequential adapts them): reset(rng)
+# returns the first count; after_harvest(good) returns the next count;
+# after_sleep() is called on every slept slot.
+# ``deterministic`` marks policies whose episodes do not depend on the
+# rng; they run once per path. threshold.ThresholdPolicy, the
+# known-parameter rule, and ImpoverishedPosteriorPolicy are sequential;
+# the Bayes learner and RandomSamplingPolicy are group policies. The
 # Bayes learner and the two baselines below take N from a shared
 # learning.SleepTimePlanner: a count, or None, which each reads its own way.
 
@@ -166,28 +176,28 @@ class RandomSamplingPolicy:
     Follows the learner's outer loop but replaces the posterior draw
     with an independent uniform draw of (p, q) at every failure, and
     shares the learner's one-slot fallback where the planner has no
-    count. The posterior itself is irrelevant to its decisions and is not kept.
+    count. The posterior itself is irrelevant to its decisions and is not kept,
+    so its group state is None.
     """
 
     deterministic = False
 
     def __init__(self, planner: SleepTimePlanner):
         self.planner = planner
-        self._rng = None
 
-    def reset(self, rng) -> int:
-        self._rng = rng
-        return 0
+    def start(self, rngs) -> tuple[None, int]:
+        return None, 0
 
-    def after_harvest(self, good: bool) -> int:
-        if good:
-            return 0
-        p = float(self._rng.random())
-        q = float(self._rng.random())
+    def after_harvest(self, state, good: bool):
+        return None, 0 if good else self._guess
+
+    def _guess(self, rng) -> int:
+        p = float(rng.random())
+        q = float(rng.random())
         n = self.planner.plan(p, q)
         return 1 if n is None else n
 
-    def after_sleep(self) -> None:
+    def after_sleep(self, state) -> None:
         pass
 
 
@@ -195,15 +205,15 @@ def _make_policy(defn: PolicyDef, cfg: RewardConfig):
     opts = dict(defn.options)
     table = opts.pop("table", None)
     if defn.name == "always_harvest":
-        return ThresholdPolicy(0, **opts)
+        return _Sequential(ThresholdPolicy(0, **opts))
     if defn.name == "fixed_threshold":
         if "sleep_slots" not in opts:
             raise ValueError("fixed_threshold needs a sleep_slots option: a count, or None to never harvest")
-        return ThresholdPolicy(**opts)
+        return _Sequential(ThresholdPolicy(**opts))
     if defn.name == "bayes_learner":
         return PosteriorSamplingLearner(planner=SleepTimePlanner(cfg, table), **opts)
     if defn.name == "impoverished_posterior":
-        return ImpoverishedPosteriorPolicy(planner=SleepTimePlanner(cfg, table), **opts)
+        return _Sequential(ImpoverishedPosteriorPolicy(planner=SleepTimePlanner(cfg, table), **opts))
     if defn.name == "random_sampling":
         return RandomSamplingPolicy(planner=SleepTimePlanner(cfg, table), **opts)
     raise ValueError(f"unknown policy {defn.name!r}")
@@ -252,8 +262,13 @@ def evaluate(spec: ExperimentSpec) -> ExperimentResult:
     """Simulate paths x runs episodes per policy and aggregate.
 
     Deterministic policies are run once per path since every run would
-    repeat the same episode. Standard errors are computed across
-    path-level means.
+    repeat the same episode. The runs of one (path, policy) cell are
+    stepped together by ``learning._run_episodes``, which shares the
+    work of runs that have seen the same history; each run still draws
+    from its own stream, and a path's mean adds the run totals in run
+    order. If a run fails, the exception is that of the first failing
+    run in (path, policy, run) order. Standard errors are computed
+    across path-level means.
     """
     policies = [(_make_policy(d, spec.cfg), d.key()) for d in spec.policies]
     keys = tuple(key for _, key in policies)
@@ -264,10 +279,10 @@ def evaluate(spec: ExperimentSpec) -> ExperimentResult:
         states = simulate(spec.params, spec.horizon, seed=_path_seed(spec.base_seed, path_idx))
         for policy_idx, (policy, key) in enumerate(policies):
             runs = 1 if policy.deterministic else spec.runs_per_path
+            rngs = [_episode_rng(spec.base_seed, path_idx, run_idx, policy_idx) for run_idx in range(runs)]
             acc = 0.0
-            for run_idx in range(runs):
-                rng = _episode_rng(spec.base_seed, path_idx, run_idx, policy_idx)
-                acc += _run_episode(policy, rng, states, spec.cfg)
+            for total in _run_episodes(policy, rngs, states, spec.cfg):
+                acc += total
             path_means[key][path_idx] = acc / runs
     means = {key: float(path_means[key].mean()) for key in keys}
     std_errors = {

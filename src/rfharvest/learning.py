@@ -22,7 +22,9 @@ The map is kept as two dicts, one per landing state, keyed by the four
 counts packed into one int. A transition adds a constant to the packed
 key, so each dict carries one offset added to all of its keys: a
 harvest whose hypotheses all sit in one state only moves that offset,
-and other updates merge the two shifted dicts with int additions.
+a sleep from one state hands the same (cut) dict to both landing
+states under two offsets, and other updates merge the two shifted
+dicts with int additions.
 
 When a harvest fails, one hypothesis is drawn with probability
 proportional to its weight, its Beta-mean parameter estimates are
@@ -35,7 +37,11 @@ draw raises ValueError.
 
 Like every policy in ``harness``, the learner is a sleep-after-failure
 rule: it only says how many slots to sleep after each harvest, and
-``_run_episode``, the one episode loop, counts those slots down.
+``_run_episodes``, the one episode loop, counts those slots down. The
+filter depends only on the history of observations, so the loop steps
+the runs of one path together and runs that have seen the same history
+share one map: one update per slot, and one prepared draw from which
+each run takes its own uniform.
 
 ``run_learner`` streams its trace, one JSON line per slot, to the
 caller's stream 1024 lines at a time while the episode runs; no slot
@@ -103,6 +109,7 @@ UNIFORM_PRIOR = PosteriorCount(1, 1, 1, 1)
 GOOD, BAD = 0, 1
 HypothesisKey = tuple[int, int, int, int, int]
 S = 2**64
+_COUNT = S - 1  # the mask of one packed count
 # the key step of each transition, by (from, to) state
 _G2G, _G2B, _B2G, _B2B = S**2, S**3, S, 1
 
@@ -112,10 +119,7 @@ def _pack(g2b: int, g2g: int, b2g: int, b2b: int) -> int:
 
 
 def _unpack(packed: int) -> tuple[int, int, int, int]:
-    rest, b2b = divmod(packed, S)
-    rest, b2g = divmod(rest, S)
-    g2b, g2g = divmod(rest, S)
-    return g2b, g2g, b2g, b2b
+    return packed >> 192, (packed >> 128) & _COUNT, (packed >> 64) & _COUNT, packed & _COUNT
 
 
 class HypothesisMap:
@@ -125,13 +129,17 @@ class HypothesisMap:
     weight. Each dict carries an offset that is added to every stored
     key, so a transition that moves all of a state's hypotheses alike
     only moves the offset. Maps are never mutated: an update may share
-    a dict with the map it came from.
+    a dict with the map it came from, and both states of one map may
+    hold the same dict under their two offsets. The one thing a map
+    gains after it is made is ``_draw_order``, the sorted keys and
+    float distribution that its first ``sample_and_plan`` prepares for
+    every later draw from it.
 
     ``weights`` decodes the map to ``(state, g2b, g2g, b2g, b2b) ->
     weight``; ``len`` counts hypotheses without decoding.
     """
 
-    __slots__ = ("_good", "_good_offset", "_bad", "_bad_offset", "k", "fresh")
+    __slots__ = ("_good", "_good_offset", "_bad", "_bad_offset", "k", "fresh", "_draw_order")
 
     def __init__(
         self,
@@ -148,6 +156,7 @@ class HypothesisMap:
         self._bad_offset = bad_offset
         self.k = k
         self.fresh = fresh
+        self._draw_order: tuple[list[int], list[int], list[float]] | None = None
 
     @classmethod
     def from_weights(cls, weights: dict[HypothesisKey, int], k: int, fresh: bool = False) -> HypothesisMap:
@@ -243,7 +252,12 @@ def observe(hyp: HypothesisMap, z: Observation) -> HypothesisMap:
     harvest therefore moves each state's offset by its step into the
     landing state; it is O(1) when all hypotheses sit in one state, and
     otherwise merges the two shifted dicts. A sleep branches both
-    states into both, two merges.
+    states into both, two merges. A sleep from one state gives both
+    landing states that state's dict, under their two offsets: the
+    2K heaviest of the doubled map are then the K heaviest of the dict,
+    cut once, and both states share the kept dict. Only when the K-th
+    and (K+1)-th weights tie does it fall back to truncating the two
+    copies, whose tie order then splits them.
 
     Weights are carried without renormalization. Truncation keeps the
     2K heaviest hypotheses; ties break on the key, good before bad and
@@ -275,10 +289,22 @@ def observe(hyp: HypothesisMap, z: Observation) -> HypothesisMap:
         bad, bad_offset = _merge(good, good_offset + _G2B, bad, bad_offset + _B2B)
         good, good_offset = {}, 0
     elif z is Observation.NONE:
-        (good, good_offset), (bad, bad_offset) = (
-            _merge(good, good_offset + _G2G, bad, bad_offset + _B2G),
-            _merge(good, good_offset + _G2B, bad, bad_offset + _B2B),
-        )
+        if good and bad:
+            (good, good_offset), (bad, bad_offset) = (
+                _merge(good, good_offset + _G2G, bad, bad_offset + _B2G),
+                _merge(good, good_offset + _G2B, bad, bad_offset + _B2B),
+            )
+        else:
+            if good:
+                src, good_offset, bad_offset = good, good_offset + _G2G, good_offset + _G2B
+            else:
+                src, good_offset, bad_offset = bad, bad_offset + _B2G, bad_offset + _B2B
+            if len(src) > hyp.k:
+                weights = sorted(src.values(), reverse=True)
+                cut = weights[hyp.k - 1]
+                if weights[hyp.k] != cut:
+                    src = {key: w for key, w in src.items() if w >= cut}
+            good = bad = src
     else:
         raise ValueError(f"unknown observation {z!r}")
     if not good and not bad:
@@ -316,14 +342,12 @@ class SleepTimePlanner:
         return policy.sleep_slots
 
 
-def _draw(weights: list[int], rng: np.random.Generator) -> int:
-    """Index i drawn with probability ``weights[i] / sum(weights)``.
+def _cdf(weights: list[int]) -> list[float]:
+    """The cumulative distribution that ``rng.choice(len(weights), p=w /
+    w.sum())`` builds on ``w = np.array([float(x) for x in weights])``.
 
-    Inverts the cumulative distribution of the float weights at one
-    uniform: the index, and the generator state after it, are those of
-    ``rng.choice(len(weights), p=w / w.sum())`` on ``w =
-    np.array([float(x) for x in weights])``. When that float sum
-    overflows, raises the ValueError choice would, saying why.
+    When that float sum overflows, raises the ValueError choice would,
+    saying why.
     """
     floats = list(map(float, weights))
     total = float(np.array(floats).sum())
@@ -333,7 +357,17 @@ def _draw(weights: list[int], rng: np.random.Generator) -> int:
             f"(the largest weight has {max(weights).bit_length()} bits; floats end at 2**1024). "
             "Exact weights this large are a known limit, see ROADMAP.md item 2"
         )
-    cdf = list(accumulate([w / total for w in floats]))
+    return list(accumulate([w / total for w in floats]))
+
+
+def _draw(cdf: list[float], rng: np.random.Generator) -> int:
+    """Index i drawn with probability ``weights[i] / sum(weights)`` from
+    their ``_cdf``.
+
+    Inverts the distribution at one uniform: the index, and the
+    generator state after it, are those of ``rng.choice`` on the same
+    weights.
+    """
     last = cdf[-1]
     return bisect_right(cdf, rng.random(), key=lambda c: c / last)
 
@@ -347,23 +381,33 @@ def sample_and_plan(
     then ascending counts, by ``_draw``: one uniform from ``rng``, the
     same index and generator state as ``rng.choice`` with the float
     weights normalized by their sum. Weights past about 2^1024
-    overflow that sum and raise ValueError.
+    overflow that sum and raise ValueError. The sorted keys and their
+    ``_cdf`` are prepared by the first draw from a map and kept on it,
+    so every run that draws from the same map shares them.
 
     Where the planner has no count (estimates that violate the model
     constraint, or whose optimum is to never harvest) the learner sleeps
     a single slot: it must not stop observing forever on the strength
     of a possibly wrong estimate.
     """
-    good, bad = sorted(hyp._good), sorted(hyp._bad)
-    if not good and not bad:
-        raise EmptyPosterior("cannot sample from an empty hypothesis set")
-    idx = _draw([hyp._good[key] for key in good] + [hyp._bad[key] for key in bad], rng)
-    if idx < len(good):
-        packed = good[idx] + hyp._good_offset
+    order = hyp._draw_order
+    if order is None:
+        good, bad = hyp._good, hyp._bad
+        if not good and not bad:
+            raise EmptyPosterior("cannot sample from an empty hypothesis set")
+        good_keys = sorted(good) if good else []
+        bad_keys = sorted(bad) if bad else []
+        cdf = _cdf([*map(good.__getitem__, good_keys), *map(bad.__getitem__, bad_keys)])
+        order = hyp._draw_order = good_keys, bad_keys, cdf
+    good_keys, bad_keys, cdf = order
+    idx = _draw(cdf, rng)
+    if idx < len(good_keys):
+        packed = good_keys[idx] + hyp._good_offset
     else:
-        packed = bad[idx - len(good)] + hyp._bad_offset
-    count = PosteriorCount(*_unpack(packed))
-    p_hat, q_hat = count.mean_p, count.mean_q
+        packed = bad_keys[idx - len(good_keys)] + hyp._bad_offset
+    g2b, g2g, b2g, b2b = packed >> 192, (packed >> 128) & _COUNT, (packed >> 64) & _COUNT, packed & _COUNT
+    # the Beta means, PosteriorCount.mean_p and mean_q
+    p_hat, q_hat = g2b / (g2b + g2g), b2g / (b2g + b2b)
     n = planner.plan(p_hat, q_hat)
     return 1 if n is None else n, (p_hat, q_hat)
 
@@ -372,9 +416,11 @@ class PosteriorSamplingLearner:
     """Keep harvesting after a success; after a failure, sleep for the
     plan of one posterior draw. Learns from every slot.
 
-    Follows the sequential policy protocol of ``harness``. ``reset``
-    starts an episode from the prior with the given sampling stream;
-    the planner is shared across episodes.
+    Follows the group protocol of ``harness``: the state of a group of
+    runs is their hypothesis map, which starts from the prior. After a
+    failure each run of the group draws from the one map with its own
+    stream, so the runs may plan different sleeps. The planner is
+    shared across episodes.
     """
 
     deterministic = False
@@ -382,58 +428,127 @@ class PosteriorSamplingLearner:
     def __init__(self, k: int, planner: SleepTimePlanner):
         self.k = k
         self.planner = planner
-        self.rng: np.random.Generator | None = None
-        self.hypotheses: HypothesisMap | None = None
 
-    def reset(self, rng: np.random.Generator) -> int:
-        self.rng = rng
-        self.hypotheses = initial_particles(self.k)
-        return 0
+    def start(self, rngs) -> tuple[HypothesisMap, int]:
+        return initial_particles(self.k), 0
 
-    def after_harvest(self, good: bool) -> int:
+    def after_harvest(self, hyp: HypothesisMap, good: bool):
         if good:
-            self.hypotheses = observe(self.hypotheses, Observation.GOOD)
-            return 0
-        self.hypotheses = observe(self.hypotheses, Observation.BAD)
-        sleep, _ = sample_and_plan(self.hypotheses, self.rng, self.planner)
-        return sleep
+            return observe(hyp, Observation.GOOD), 0
+        hyp = observe(hyp, Observation.BAD)
+        planner = self.planner
+        return hyp, lambda rng: sample_and_plan(hyp, rng, planner)[0]
 
-    def after_sleep(self) -> None:
-        self.hypotheses = observe(self.hypotheses, Observation.NONE)
+    def after_sleep(self, hyp: HypothesisMap) -> HypothesisMap:
+        return observe(hyp, Observation.NONE)
 
 
-def _run_episode(
-    policy, rng: np.random.Generator, states: np.ndarray, cfg: RewardConfig, record=None
-) -> float:
-    """Step a policy through one hidden state path; the discounted reward.
+class _Sequential:
+    """A policy of the sequential protocol as a group policy of one run.
 
-    This is the one episode loop, shared by ``run_learner`` and the
-    harness, and the only owner of the sleep timer. ``policy.reset(rng)``
-    and ``policy.after_harvest(good)`` return the slots to sleep before
-    the next harvest (0 harvests at once, None never again); the loop
-    counts them down and calls ``policy.after_sleep()`` on each.
-    ``record(t, good, timer)``, when given, is called once slot t is
-    taken, with the observed state (None for a sleeping slot) and the
-    slots still to sleep.
+    The policy keeps its own state, so it can step one run at a time:
+    ``start`` takes the one run's stream and the group state is None.
     """
-    total = 0.0
-    discount = 1.0
+
+    def __init__(self, policy):
+        self.policy = policy
+
+    @property
+    def deterministic(self) -> bool:
+        return self.policy.deterministic
+
+    def start(self, rngs):
+        (rng,) = rngs
+        return None, self.policy.reset(rng)
+
+    def after_harvest(self, state, good: bool):
+        return None, self.policy.after_harvest(good)
+
+    def after_sleep(self, state) -> None:
+        self.policy.after_sleep()
+
+
+def _run_episodes(policy, rngs: list, states: np.ndarray, cfg: RewardConfig, record=None) -> list[float]:
+    """Step the runs of a policy, one per generator in ``rngs``, through
+    one hidden state path; each run's discounted reward, in run order.
+
+    This is the one episode loop, shared by ``run_learner`` (one run)
+    and the harness, and the only owner of the sleep timer. It follows
+    the group protocol of ``harness``: runs that have seen the same
+    history form a group, which holds one policy state, one timer and
+    one running total. ``policy.start(rngs)`` returns the first state
+    and the slots to sleep before the first harvest, and
+    ``policy.after_harvest(state, good)`` the next state and the slots
+    to sleep next (0 harvests at once, None never again); the loop
+    counts them down and passes the state through
+    ``policy.after_sleep(state)`` on each. Where ``after_harvest``
+    answers with a function instead, each run of the group calls it
+    with its own generator, and the group splits by the counts. A group
+    is stepped to the horizon before the groups split from it, so a
+    group of one run costs what that run alone would, and every run
+    does the arithmetic it would do alone.
+
+    A run that raises drops out with every later run, and the others
+    run on; the loop then raises the exception of the first run that
+    failed, as stepping the runs one after another would.
+    ``record(t, good, timer, state)``, when given, is called once slot t
+    is taken, for each group in slot order: with the observed state
+    (None for a sleeping slot), the slots still to sleep and the
+    group's state.
+    """
     r1, r0, gamma = cfg.r1, cfg.r0, cfg.gamma
-    timer = policy.reset(rng)
-    for t, state in enumerate(states.tolist()):
-        if timer == 0:
-            good = bool(state)
-            total += discount * (r1 if good else -r0)
-            timer = policy.after_harvest(good)
-        else:
-            good = None
-            policy.after_sleep()
-            if timer is not None:
-                timer -= 1
-        if record is not None:
-            record(t, good, timer)
-        discount *= gamma
-    return total
+    after_harvest, after_sleep = policy.after_harvest, policy.after_sleep
+    hidden = states.astype(bool).tolist()
+    totals = [0.0] * len(rngs)
+    failure, limit = None, len(rngs)  # runs from limit on have dropped out
+    state, timer = policy.start(rngs)
+    # groups still to step: (runs in ascending order, first slot, state,
+    # timer, total, discount at the first slot)
+    pending = [(list(range(len(rngs))), 0, state, timer, 0.0, 1.0)]
+    while pending:
+        runs, start, state, timer, total, discount = pending.pop()
+        if runs[-1] >= limit:
+            runs = [run for run in runs if run < limit]
+            if not runs:
+                continue
+        try:
+            for t in range(start, len(hidden)):
+                if timer == 0:
+                    good = hidden[t]
+                    total += discount * (r1 if good else -r0)
+                    state, timer = after_harvest(state, good)
+                    if callable(timer):
+                        plan, parts = timer, {}
+                        for run in runs:
+                            try:
+                                parts.setdefault(plan(rngs[run]), []).append(run)
+                            except Exception as exc:
+                                failure, limit = exc, run
+                                break
+                        if not parts:
+                            break
+                        # the runs of the first count step on here, the others later
+                        (timer, runs), *rest = parts.items()
+                        for count, part in reversed(rest):
+                            pending.append((part, t + 1, state, count, total, discount * gamma))
+                            if record is not None:
+                                record(t, good, count, state)
+                else:
+                    good = None
+                    state = after_sleep(state)
+                    if timer is not None:
+                        timer -= 1
+                if record is not None:
+                    record(t, good, timer, state)
+                discount *= gamma
+            else:
+                for run in runs:
+                    totals[run] = total
+        except Exception as exc:
+            failure, limit = exc, runs[0]
+    if failure is not None:
+        raise failure
+    return totals
 
 
 class EpisodeTrace:
@@ -482,15 +597,15 @@ def run_learner(
         None: ('"sleep"', "null", "0.0"),
     }
 
-    def record(t: int, good: bool | None, timer: int) -> None:
+    def record(t: int, good: bool | None, timer: int, hyp: HypothesisMap) -> None:
         action, observation, reward = shapes[good]
         lines.append(
-            f'{{"action": {action}, "hypothesis_count": {len(learner.hypotheses)}, "observation": {observation}, '
+            f'{{"action": {action}, "hypothesis_count": {len(hyp)}, "observation": {observation}, '
             f'"reward": {reward}, "t": {t}, "timer": {timer}}}\n'
         )
         if len(lines) == 1024:
             trace.write_jsonl()
 
-    total = _run_episode(learner, rng, states, cfg, record)
+    (total,) = _run_episodes(learner, [rng], states, cfg, record)
     trace.write_jsonl()
     return total

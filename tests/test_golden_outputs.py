@@ -29,7 +29,10 @@ per cell, before it scanned a grid row in one batch. The (10, 10) and
 (1, 10) table digests were recorded again when a "never" cell began to
 report v_good = max(0, y), the value of harvesting on from the
 post-success belief until the first failure, instead of 0; only those
-cells' v_good moved. Rerunning one
+cells' v_good moved. The deep-sharing evaluate digest (3 paths x 40
+runs) was recorded from the harness that still stepped every run on
+its own, before the runs of a path began to share one filter; it pins
+runs that part late, deep into the horizon. Rerunning one
 version twice (acceptance criterion 8) cannot catch a change to the
 random draws or to the floating-point operations; these can. A change
 that alters them on purpose must say so and record new digests.
@@ -88,6 +91,8 @@ TABLE_DIGESTS = {
 
 # the four desk policies on the reference chain, 2 paths x 2 runs, base seed 3
 EVALUATE_DIGEST = "b3ce94ee0d923ee90cd8d386e9d4a0e531b8a6463a4f1595a4e3a59cf65228fd"
+# the same policies, 3 paths x 40 runs, base seed 5
+DEEP_SHARING_DIGEST = "a77a26e53531993c1d7152f986bed051f13e56943dc35d5c377242d46d3e66a5"
 
 
 @pytest.mark.parametrize("pi_g,t_b,k,horizon", sorted(LEARN_DIGESTS))
@@ -140,7 +145,8 @@ def test_table_digest(tmp_path, r1, r0, fmt):
     assert hashlib.sha256(out.read_bytes()).hexdigest() == TABLE_DIGESTS[(r1, r0, fmt)]
 
 
-def test_evaluate_json_digest():
+def desk_policies_digest(paths, runs_per_path, base_seed):
+    """sha256 of the JSON result of the four desk policies on the reference chain."""
     table = build_lookup_table(
         [0.05 + 0.9 * i / 19 for i in range(20)], [1.1 + 18.9 * i / 19 for i in range(20)], CFG
     )
@@ -149,9 +155,9 @@ def test_evaluate_json_digest():
         params=from_burst_parameterization(0.6, 2.5),
         cfg=CFG,
         horizon=500,
-        paths=2,
-        runs_per_path=2,
-        base_seed=3,
+        paths=paths,
+        runs_per_path=runs_per_path,
+        base_seed=base_seed,
         policies=(
             PolicyDef("bayes_learner", {"k": 20, **opts}),
             PolicyDef("impoverished_posterior", dict(opts)),
@@ -161,4 +167,13 @@ def test_evaluate_json_digest():
     )
     buf = io.StringIO()
     write_result_json(evaluate(spec), buf)
-    assert hashlib.sha256(buf.getvalue().encode()).hexdigest() == EVALUATE_DIGEST
+    return hashlib.sha256(buf.getvalue().encode()).hexdigest()
+
+
+def test_evaluate_json_digest():
+    assert desk_policies_digest(paths=2, runs_per_path=2, base_seed=3) == EVALUATE_DIGEST
+
+
+def test_evaluate_json_digest_with_deep_sharing():
+    # 40 runs of one path part at many depths of the horizon
+    assert desk_policies_digest(paths=3, runs_per_path=40, base_seed=5) == DEEP_SHARING_DIGEST

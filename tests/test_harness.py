@@ -9,22 +9,32 @@ expectation by a forward recursion over (hidden state, sleep timer).
 import io
 import json
 import zlib
+from functools import lru_cache
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rfharvest.beliefs import RewardConfig
-from rfharvest.gilbert_elliott import GEParams, from_burst_parameterization, stationary
+from rfharvest import harness
+from rfharvest.beliefs import Observation, RewardConfig
+from rfharvest.gilbert_elliott import GEParams, from_burst_parameterization, simulate, stationary
 from rfharvest.harness import (
     ExperimentSpec,
     PolicyDef,
-    _run_episode,
     evaluate,
     mc_policy_value,
     write_result_csv,
     write_result_json,
+)
+from rfharvest.learning import (
+    PosteriorSamplingLearner,
+    SleepTimePlanner,
+    _run_episodes,
+    _Sequential,
+    initial_particles,
+    observe,
+    sample_and_plan,
 )
 from rfharvest.threshold import build_lookup_table, optimal_sleep_time, policy_value_linear_system
 
@@ -150,10 +160,7 @@ class TestEvaluate:
         params = from_burst_parameterization(0.6, 2.5)
         states = simulate(params, 500, seed=99)
         policy = _make_policy(PolicyDef("random_sampling"), CFG)
-        rewards = []
-        for run in range(1024):
-            rewards.append(_run_episode(policy, _episode_rng(1, 0, run, 0), states, CFG))
-        rewards = np.asarray(rewards)
+        rewards = np.asarray(_run_episodes(policy, [_episode_rng(1, 0, run, 0) for run in range(1024)], states, CFG))
         se_n = rewards.reshape(-1, 16).mean(axis=1).std(ddof=1)
         se_2n = rewards.reshape(-1, 32).mean(axis=1).std(ddof=1)
         assert 1.15 < se_n / se_2n < 1.75  # ideal ratio sqrt(2)
@@ -195,9 +202,9 @@ class TestEpisodeLoop:
         policy = ScriptedPolicy(first, script)
         rng = np.random.default_rng(0)
         records = []
-        total = _run_episode(
-            policy, rng, np.array(states, dtype=np.int8), cfg,
-            lambda *rec: records.append(rec),
+        (total,) = _run_episodes(
+            _Sequential(policy), [rng], np.array(states, dtype=np.int8), cfg,
+            lambda t, good, timer, state: records.append((t, good, timer)),
         )
         horizon = len(states)
         assert policy.rng is rng
@@ -222,6 +229,187 @@ class TestEpisodeLoop:
         for t, good, _ in records:
             expected += cfg.gamma**t * (0.0 if good is None else (cfg.r1 if good else -cfg.r0))
         assert total == pytest.approx(expected, abs=1e-9)
+
+
+# Per-run oracles for the grouped loop: each steps one run through the
+# path on its own, slot by slot, as the harness ran its runs before the
+# runs of a path were grouped.
+
+
+def learner_alone(k, planner, rng, states, cfg):
+    hyp, timer = initial_particles(k), 0
+    total, discount = 0.0, 1.0
+    for hidden in states.tolist():
+        if timer == 0:
+            good = bool(hidden)
+            total += discount * (cfg.r1 if good else -cfg.r0)
+            hyp = observe(hyp, Observation.GOOD if good else Observation.BAD)
+            timer = 0 if good else sample_and_plan(hyp, rng, planner)[0]
+        else:
+            hyp = observe(hyp, Observation.NONE)
+            timer -= 1
+        discount *= cfg.gamma
+    return total
+
+
+def random_sampling_alone(planner, rng, states, cfg):
+    timer, total, discount = 0, 0.0, 1.0
+    for hidden in states.tolist():
+        if timer == 0:
+            good = bool(hidden)
+            total += discount * (cfg.r1 if good else -cfg.r0)
+            timer = 0
+            if not good:
+                p = float(rng.random())
+                q = float(rng.random())
+                n = planner.plan(p, q)
+                timer = 1 if n is None else n
+        else:
+            timer -= 1
+        discount *= cfg.gamma
+    return total
+
+
+def evaluate_alone(spec):
+    """``evaluate``'s result for the learner and random-sampling policies,
+    with every run stepped on its own and its failure raised at once."""
+    keys = tuple(d.key() for d in spec.policies)
+    path_means = {key: np.empty(spec.paths) for key in keys}
+    for path_idx in range(spec.paths):
+        states = simulate(spec.params, spec.horizon, seed=harness._path_seed(spec.base_seed, path_idx))
+        for policy_idx, d in enumerate(spec.policies):
+            opts = dict(d.options)
+            planner = SleepTimePlanner(spec.cfg, opts.pop("table", None))
+            acc = 0.0
+            for run_idx in range(spec.runs_per_path):
+                rng = harness._episode_rng(spec.base_seed, path_idx, run_idx, policy_idx)
+                if d.name == "bayes_learner":
+                    acc += learner_alone(opts["k"], planner, rng, states, spec.cfg)
+                else:
+                    acc += random_sampling_alone(planner, rng, states, spec.cfg)
+            path_means[d.key()][path_idx] = acc / spec.runs_per_path
+    return harness.ExperimentResult(
+        spec_echo=spec.echo(),
+        policy_keys=keys,
+        means={key: float(path_means[key].mean()) for key in keys},
+        std_errors={
+            key: float(path_means[key].std(ddof=1) / np.sqrt(spec.paths)) if spec.paths > 1 else float("nan")
+            for key in keys
+        },
+        path_means=path_means,
+    )
+
+
+@lru_cache(maxsize=None)
+def small_table(cfg):
+    return build_lookup_table([0.3, 0.5, 0.7, 0.9], [1.5, 3.0, 6.0, 12.0], cfg)
+
+
+@st.composite
+def grouped_specs(draw):
+    """A spec of the learner and random sampling on a drawn chain, with
+    one to 30 runs per path and a gamma that keeps the horizon's tail
+    under the spec's 1% rule."""
+    p = draw(st.floats(0.02, 0.5))
+    params = GEParams(p=p, q=draw(st.floats(0.05, 0.95 - p)))
+    horizon = draw(st.one_of(st.integers(1, 300), st.just(300)))
+    cfg = RewardConfig(r1=draw(st.sampled_from([10.0, 1.0])), r0=10.0, gamma=0.005 ** (1.0 / horizon))
+    table = small_table(cfg) if draw(st.booleans()) else None
+    opts = {} if table is None else {"table": table}
+    return ExperimentSpec(
+        params=params,
+        cfg=cfg,
+        horizon=horizon,
+        paths=draw(st.integers(1, 2)),
+        runs_per_path=draw(st.one_of(st.just(1), st.integers(2, 30), st.just(30))),
+        base_seed=draw(st.integers(0, 2**32)),
+        policies=(
+            PolicyDef("bayes_learner", {"k": draw(st.integers(1, 20)), **opts}),
+            PolicyDef("random_sampling", dict(opts)),
+        ),
+    )
+
+
+class _FailingGenerator(np.random.Generator):
+    """A Philox stream that raises, naming its run, in place of its
+    ``after``-th uniform."""
+
+    def __init__(self, seq, run, after):
+        super().__init__(np.random.Philox(seq))
+        self.run, self.left = run, after
+
+    def random(self, *args, **kwargs):
+        if self.left == 0:
+            raise RuntimeError(f"run {self.run} failed")
+        self.left -= 1
+        return super().random(*args, **kwargs)
+
+
+class TestGroupedRuns:
+    @given(grouped_specs())
+    @settings(max_examples=25, deadline=None)
+    def test_matches_runs_stepped_alone(self, spec):
+        # per-run totals bit for bit, then the whole result
+        learner_def = spec.policies[0]
+        planner = SleepTimePlanner(spec.cfg, learner_def.options.get("table"))
+        states = simulate(spec.params, spec.horizon, seed=harness._path_seed(spec.base_seed, 0))
+
+        def rngs():
+            return [harness._episode_rng(spec.base_seed, 0, run, 0) for run in range(spec.runs_per_path)]
+
+        learner = PosteriorSamplingLearner(learner_def.options["k"], planner)
+        alone = [learner_alone(learner.k, planner, rng, states, spec.cfg) for rng in rngs()]
+        assert _run_episodes(learner, rngs(), states, spec.cfg) == alone
+        grouped, expected = evaluate(spec), evaluate_alone(spec)
+        assert json.dumps(grouped.to_json_dict()) == json.dumps(expected.to_json_dict())
+        for key in grouped.policy_keys:
+            assert grouped.path_means[key].tobytes() == expected.path_means[key].tobytes()
+
+    def failing_spec(self):
+        return ExperimentSpec(
+            params=from_burst_parameterization(0.6, 2.5),
+            cfg=CFG,
+            horizon=500,
+            paths=1,
+            runs_per_path=8,
+            base_seed=4,
+            policies=(PolicyDef("bayes_learner", {"k": 20}),),
+        )
+
+    @pytest.mark.parametrize("failing,raised", [({2: 3, 5: 0}, 2), ({5: 0}, 5), ({0: 6, 7: 0}, 0)])
+    def test_failure_is_the_first_failing_run(self, monkeypatch, failing, raised):
+        # the later run fails first in time, at the path's first draw, while
+        # every run still shares one group; its failure is not the one raised
+        def episode_rng(base_seed, path_idx, run_idx, policy_idx):
+            seq = np.random.SeedSequence([base_seed, 11, path_idx, run_idx, policy_idx])
+            if run_idx in failing:
+                return _FailingGenerator(seq, run_idx, failing[run_idx])
+            return np.random.Generator(np.random.Philox(seq))
+
+        monkeypatch.setattr(harness, "_episode_rng", episode_rng)
+        spec = self.failing_spec()
+        with pytest.raises(RuntimeError) as alone:
+            evaluate_alone(spec)
+        with pytest.raises(RuntimeError) as grouped:
+            evaluate(spec)
+        assert str(grouped.value) == str(alone.value) == f"run {raised} failed"
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    def test_weight_overflow_reads_as_when_runs_step_alone(self):
+        spec = ExperimentSpec(
+            params=from_burst_parameterization(0.3, 8.0),
+            cfg=CFG,
+            horizon=3_000,
+            paths=1,
+            runs_per_path=3,
+            base_seed=1,
+            policies=(PolicyDef("bayes_learner", {"k": 20}),),
+        )
+        with pytest.raises(ValueError, match="Probabilities do not sum to 1") as alone:
+            evaluate_alone(spec)
+        with pytest.raises(ValueError) as grouped:
+            evaluate(spec)
+        assert str(grouped.value) == str(alone.value)
 
 
 def per_slot_policy_value(params, cfg, sleep_slots, episodes, horizon, seed):

@@ -27,6 +27,11 @@ from rfharvest.gilbert_elliott import GEParams, from_burst_parameterization, is_
 from rfharvest.learning import (
     BAD,
     GOOD,
+    _B2B,
+    _B2G,
+    _G2B,
+    _G2G,
+    _cdf,
     _draw,
     _truncate,
     EmptyPosterior,
@@ -236,15 +241,15 @@ def reference_observe(good, bad, k, fresh, z):
 
 
 class _FixedPick:
-    """Stands in for the draw: records the weights it is given and
+    """Stands in for the draw: records the distribution it is given and
     returns a chosen index."""
 
     def __init__(self, pick):
         self.pick = pick
-        self.weights = None
+        self.cdf = None
 
-    def __call__(self, weights, rng):
-        self.weights = weights
+    def __call__(self, cdf, rng):
+        self.cdf = cdf
         return self.pick
 
 
@@ -254,15 +259,15 @@ class _NullPlanner:
 
 
 def draw_order(hyp):
-    """(probabilities, estimates by index) that sample_and_plan draws from."""
+    """(cumulative distribution, estimates by index) that sample_and_plan
+    draws from."""
     estimates = []
     for i in range(len(hyp.weights)):
         pick = _FixedPick(i)
         with mock.patch.object(learning, "_draw", pick):
             _, est = sample_and_plan(hyp, None, _NullPlanner())
         estimates.append(est)
-    floats = np.array([float(w) for w in pick.weights])
-    return floats / floats.sum(), estimates
+    return pick.cdf, estimates
 
 
 class TestBranchUpdates:
@@ -389,9 +394,10 @@ def assert_matches_reference_filter(k, zs):
         ref_entries += [(ArrivalState.BAD, c, w) for c, w in bad]
         assert by_state(s) == {(state, c): w for state, c, w in ref_entries}
         assert len(s) == len(s.weights)
-        probs, estimates = draw_order(s)
+        cdf, estimates = draw_order(s)
         ref_weights = np.array([float(w) for _, _, w in ref_entries])
-        assert np.array_equal(probs, ref_weights / ref_weights.sum())
+        # choice's cumulative sum of the normalized float weights
+        assert cdf == (ref_weights / ref_weights.sum()).cumsum().tolist()
         assert estimates == [(c.mean_p, c.mean_q) for _, c, _ in ref_entries]
 
 
@@ -415,6 +421,58 @@ TIED_WEIGHTS = st.dictionaries(
 # mostly distinct weights, so most cuts fall between two weights
 DISTINCT_WEIGHTS = st.dictionaries(st.integers(0, 2**70), st.integers(1, 2**100), max_size=30)
 WEIGHT_MAPS = st.one_of(TIED_WEIGHTS, DISTINCT_WEIGHTS)
+
+
+@st.composite
+def one_state_maps(draw):
+    """(k, state, counts -> weight): k, k + 1 or 2k hypotheses, all in one
+    state, with weights from a few values (ties at the cut are common)
+    or from a wide range (ties are rare)."""
+    k = draw(st.integers(1, 20))
+    n = draw(st.sampled_from([k, k + 1, 2 * k]))
+    counts = draw(st.lists(st.tuples(*[st.integers(1, 40)] * 4), min_size=n, max_size=n, unique=True))
+    weight = draw(st.sampled_from([st.sampled_from([1, 2, 3]), st.integers(1, 2**90)]))
+    weights = draw(st.lists(weight, min_size=n, max_size=n))
+    return k, draw(st.sampled_from([GOOD, BAD])), dict(zip(counts, weights))
+
+
+class TestOneStateSleep:
+    """A sleep from a map whose hypotheses all sit in one state cuts that
+    state's dict once, where the two-merge update truncated two copies."""
+
+    @given(one_state_maps())
+    @settings(max_examples=300, deadline=None)
+    def test_matches_two_copy_truncation_and_reference_filter(self, case):
+        k, state, weights = case
+        src = HypothesisMap.from_weights({(state, *c): w for c, w in weights.items()}, k)
+        entries = src._good if state == GOOD else src._bad
+        before, entries_before = src.weights, dict(entries)
+        out = observe(src, Z)
+        # the update it replaces: the dict under both landing offsets, cut as two maps
+        offsets = (_G2G, _G2B) if state == GOOD else (_B2G, _B2B)
+        two = (entries, entries) if len(entries) <= k else _truncate(entries, entries, 2 * k)
+        assert out.weights == HypothesisMap(two[0], offsets[0], two[1], offsets[1], k).weights
+        pairs = tuple(sorted((PosteriorCount(*c), w) for c, w in weights.items()))
+        ref_good, ref_bad = reference_observe(*((pairs, ()) if state == GOOD else ((), pairs)), k, False, Z)
+        expected = {(ArrivalState.GOOD, c): w for c, w in ref_good}
+        expected.update({(ArrivalState.BAD, c): w for c, w in ref_bad})
+        assert by_state(out) == expected
+        ranked = sorted(weights.values(), reverse=True)
+        if len(ranked) <= k or ranked[k - 1] != ranked[k]:
+            assert out._good is out._bad
+        assert src.weights == before and entries == entries_before
+
+    @pytest.mark.parametrize("state", [GOOD, BAD])
+    def test_tie_at_the_cut_falls_back_to_two_copies(self, state):
+        # k = 2 of three hypotheses whose 2nd and 3rd weights tie: the
+        # good copy takes its ties first, so the two states keep different ones
+        weights = {(1, 1, 1, 1): 5, (1, 1, 1, 2): 3, (1, 1, 2, 1): 3}
+        src = HypothesisMap.from_weights({(state, *c): w for c, w in weights.items()}, 2)
+        entries = src._good if state == GOOD else src._bad
+        out = observe(src, Z)
+        good, bad = _truncate(entries, entries, 4)
+        assert (out._good, out._bad) == (good, bad)
+        assert out._good != out._bad
 
 
 class TestTruncate:
@@ -473,7 +531,7 @@ def assert_draws_as_choice_at_every_cdf_step(weights):
     steps /= steps[-1]
     probes = {np.nextafter(b, d) for b in steps for d in (-1.0, 1.0)} | set(steps)
     for u in sorted(float(u) for u in probes if 0.0 <= u < 1.0):
-        assert _draw(weights, _FixedUniform(u)) == int(_FixedUniform(u).choice(len(p), p=p)), u
+        assert _draw(_cdf(weights), _FixedUniform(u)) == int(_FixedUniform(u).choice(len(p), p=p)), u
 
 
 class TestDraw:
@@ -484,7 +542,7 @@ class TestDraw:
         clone = copy.deepcopy(rng)
         floats = np.array([float(w) for w in weights])
         expected = int(clone.choice(len(floats), p=floats / floats.sum()))
-        assert _draw(weights, rng) == expected
+        assert _draw(_cdf(weights), rng) == expected
         assert rng.bit_generator.state == clone.bit_generator.state
 
     @given(st.lists(DRAW_WEIGHT, min_size=1, max_size=80))
@@ -505,7 +563,7 @@ class TestDraw:
     def test_single_hypothesis_takes_one_uniform(self):
         rng = np.random.default_rng(3)
         clone = copy.deepcopy(rng)
-        assert _draw([2**1000], rng) == 0
+        assert _draw(_cdf([2**1000]), rng) == 0
         clone.random()
         assert rng.bit_generator.state == clone.bit_generator.state
 
@@ -518,11 +576,14 @@ class TestDraw:
         with pytest.raises(ValueError, match="Probabilities do not sum to 1"):
             clone.choice(len(floats), p=floats / floats.sum())
         with pytest.raises(ValueError, match="Probabilities do not sum to 1") as err:
-            _draw(weights, rng)
+            _cdf(weights)
         assert "3 hypothesis weights" in str(err.value)
         assert "largest weight has 1024 bits" in str(err.value)
         assert "ROADMAP.md item 2" in str(err.value)
         # like choice, a refused draw takes nothing from the generator
+        s = hmap(bad=[(PosteriorCount(1, 1, 1, 1 + i), w) for i, w in enumerate(weights)])
+        with pytest.raises(ValueError, match="Probabilities do not sum to 1"):
+            sample_and_plan(s, rng, _NullPlanner())
         assert rng.bit_generator.state == clone.bit_generator.state
 
 
@@ -837,7 +898,7 @@ class TestRunLearner:
     @pytest.mark.xfail(
         strict=True,
         raises=ValueError,
-        reason="known limit: _draw converts the exact weights with float(), whose sum "
+        reason="known limit: _cdf converts the exact weights with float(), whose sum "
         "overflows once they pass 2**1024 (from horizon 2423 at this seed)",
     )
     def test_long_run_survives_weight_overflow(self):
