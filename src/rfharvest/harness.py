@@ -105,24 +105,25 @@ class ExperimentSpec:
 
 # policy protocols: every policy is a sleep-after-failure rule, and
 # learning._run_episodes steps the runs of one path through it, counting
-# the sleeps down. It groups the runs that have seen the same history.
-# group protocol: start(rngs) returns the group's state and the slots to
-# sleep before the first harvest (0, or None for never); after_harvest(
-# state, good) returns the next state and the slots to sleep next (0
-# after a success, N after a failure, None to stop harvesting for good),
-# or a function that turns a run's rng into that run's count, which
-# splits the group by count; after_sleep(state) is called on every slept
-# slot and returns the next state.
-# sequential protocol, for policies that keep their state themselves and
-# so run one run at a time (learning._Sequential adapts them): reset(rng)
-# returns the first count; after_harvest(good) returns the next count;
-# after_sleep() is called on every slept slot.
+# the sleeps down; runs that have seen the same history form a group.
+# group protocol: start(rngs) returns the group's first state and the
+# slots to sleep before the first harvest (0, or None for never);
+# after_harvest(state, good) returns the next state and the slots to
+# sleep next (0 after a success, N after a failure, None to stop
+# harvesting for good), or a function from a run's rng to that run's
+# count, which splits the group by count; after_sleep(state) is called
+# on every slept slot and returns the next state. The Bayes learner
+# (state: its hypothesis map) and RandomSamplingPolicy (state: None)
+# follow it.
+# sequential protocol, for policies that keep their own state and so run
+# one run at a time behind learning._Sequential: reset(rng) returns the
+# first count, after_harvest(good) the next count, and after_sleep() is
+# called on every slept slot. threshold.ThresholdPolicy, the
+# known-parameter rule, and ImpoverishedPosteriorPolicy follow it.
 # ``deterministic`` marks policies whose episodes do not depend on the
-# rng; they run once per path. threshold.ThresholdPolicy, the
-# known-parameter rule, and ImpoverishedPosteriorPolicy are sequential;
-# the Bayes learner and RandomSamplingPolicy are group policies. The
-# Bayes learner and the two baselines below take N from a shared
-# learning.SleepTimePlanner: a count, or None, which each reads its own way.
+# rng; they run once per path. The Bayes learner and the two baselines
+# below take N from a shared learning.SleepTimePlanner: a count, or
+# None, which each reads its own way.
 
 
 class ImpoverishedPosteriorPolicy:

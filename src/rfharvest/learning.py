@@ -255,9 +255,10 @@ def observe(hyp: HypothesisMap, z: Observation) -> HypothesisMap:
     states into both, two merges. A sleep from one state gives both
     landing states that state's dict, under their two offsets: the
     2K heaviest of the doubled map are then the K heaviest of the dict,
-    cut once, and both states share the kept dict. Only when the K-th
-    and (K+1)-th weights tie does it fall back to truncating the two
-    copies, whose tie order then splits them.
+    cut once at the K-th weight, and both states share the kept dict.
+    Only when the (K+1)-th weight ties the K-th do more than K survive
+    the cut, and the two copies are then truncated as two states, whose
+    tie order splits them.
 
     Weights are carried without renormalization. Truncation keeps the
     2K heaviest hypotheses; ties break on the key, good before bad and
@@ -300,10 +301,8 @@ def observe(hyp: HypothesisMap, z: Observation) -> HypothesisMap:
             else:
                 src, good_offset, bad_offset = bad, bad_offset + _B2G, bad_offset + _B2B
             if len(src) > hyp.k:
-                weights = sorted(src.values(), reverse=True)
-                cut = weights[hyp.k - 1]
-                if weights[hyp.k] != cut:
-                    src = {key: w for key, w in src.items() if w >= cut}
+                cut = sorted(src.values(), reverse=True)[hyp.k - 1]
+                src = {key: w for key, w in src.items() if w >= cut}
             good = bad = src
     else:
         raise ValueError(f"unknown observation {z!r}")
@@ -517,7 +516,9 @@ def _run_episodes(policy, rngs: list, states: np.ndarray, cfg: RewardConfig, rec
                     good = hidden[t]
                     total += discount * (r1 if good else -r0)
                     state, timer = after_harvest(state, good)
-                    if callable(timer):
+                    if callable(timer) and len(runs) == 1:
+                        timer = timer(rngs[runs[0]])
+                    elif callable(timer):
                         plan, parts = timer, {}
                         for run in runs:
                             try:

@@ -376,7 +376,9 @@ class TestGroupedRuns:
             policies=(PolicyDef("bayes_learner", {"k": 20}),),
         )
 
-    @pytest.mark.parametrize("failing,raised", [({2: 3, 5: 0}, 2), ({5: 0}, 5), ({0: 6, 7: 0}, 0)])
+    @pytest.mark.parametrize(
+        "failing,raised", [({2: 3, 5: 0}, 2), ({5: 0}, 5), ({0: 6, 7: 0}, 0), ({2: 0, 5: 0}, 2)]
+    )
     def test_failure_is_the_first_failing_run(self, monkeypatch, failing, raised):
         # the later run fails first in time, at the path's first draw, while
         # every run still shares one group; its failure is not the one raised
@@ -393,6 +395,37 @@ class TestGroupedRuns:
         with pytest.raises(RuntimeError) as grouped:
             evaluate(spec)
         assert str(grouped.value) == str(alone.value) == f"run {raised} failed"
+
+    def test_group_failure_is_that_of_its_first_run(self):
+        # runs 1 and 3 share a group that fails; run 2's group fails too,
+        # later in the steps, and run 0 never fails
+        class FailsAtSixSleeps:
+            def start(self, rngs):
+                return (0, 0), 0
+
+            def after_harvest(self, state, good):
+                return (state[0], state[1] + 1), lambda run: run.sleep
+
+            def after_sleep(self, state):
+                if state[0] == 5:
+                    raise RuntimeError(f"sixth sleep after {state[1]} harvests")
+                return state[0] + 1, state[1]
+
+        class Run:
+            def __init__(self, sleep):
+                self.sleep = sleep
+
+        runs = [Run(0), Run(2), Run(3), Run(2)]
+        states = np.zeros(60, dtype=np.int8)  # every harvest fails
+        alone = {}
+        for i, run in enumerate(runs):
+            try:
+                _run_episodes(FailsAtSixSleeps(), [run], states, CFG)
+            except RuntimeError as exc:
+                alone[i] = str(exc)
+        assert alone == {1: "sixth sleep after 3 harvests", 2: "sixth sleep after 2 harvests", 3: alone[1]}
+        with pytest.raises(RuntimeError, match="^sixth sleep after 3 harvests$"):
+            _run_episodes(FailsAtSixSleeps(), runs, states, CFG)
 
     @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
     def test_weight_overflow_reads_as_when_runs_step_alone(self):

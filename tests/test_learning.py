@@ -759,6 +759,18 @@ class TestSampleAndPlan:
             sd = math.sqrt(draws * (weight / total_w) * (1 - weight / total_w))
             assert abs(seen[count] - expect) < 3.0 * sd
 
+    def test_draws_from_one_map_share_its_prepared_distribution(self):
+        # the runs of a group draw from one map: its keys are sorted and its
+        # CDF built once, and each draw takes only its own uniform
+        planner = SleepTimePlanner(CFG)
+        s = replay([G, Z, Z, B, Z, Z, B], k=4)
+        seeds = range(6)
+        alone = [sample_and_plan(replay([G, Z, Z, B, Z, Z, B], k=4), np.random.default_rng(i), planner) for i in seeds]
+        with mock.patch.object(learning, "_cdf", wraps=learning._cdf) as cdf:
+            shared = [sample_and_plan(s, np.random.default_rng(i), planner) for i in seeds]
+        assert cdf.call_count == 1
+        assert shared == alone
+
     def test_empty_set_raises(self):
         with pytest.raises(EmptyPosterior):
             sample_and_plan(hmap(), np.random.default_rng(0), SleepTimePlanner(CFG))
