@@ -342,10 +342,12 @@ class SleepTimePlanner:
 
 
 def _cdf(weights: list[int]) -> list[float]:
-    """The cumulative distribution that ``rng.choice(len(weights), p=w /
-    w.sum())`` builds on ``w = np.array([float(x) for x in weights])``.
+    """The cumulative sum of ``p = w / w.sum()`` on ``w =
+    np.array([float(x) for x in weights])``, as
+    ``rng.choice(len(weights), p=p)`` builds it before dividing by its
+    last entry.
 
-    When that float sum overflows, raises the ValueError choice would,
+    When the float sum overflows, raises the ValueError choice would,
     saying why.
     """
     floats = list(map(float, weights))
@@ -472,28 +474,21 @@ def _run_episodes(policy, rngs: list, states: np.ndarray, cfg: RewardConfig, rec
     one hidden state path; each run's discounted reward, in run order.
 
     This is the one episode loop, shared by ``run_learner`` (one run)
-    and the harness, and the only owner of the sleep timer. It follows
-    the group protocol of ``harness``: runs that have seen the same
-    history form a group, which holds one policy state, one timer and
-    one running total. ``policy.start(rngs)`` returns the first state
-    and the slots to sleep before the first harvest, and
-    ``policy.after_harvest(state, good)`` the next state and the slots
-    to sleep next (0 harvests at once, None never again); the loop
-    counts them down and passes the state through
-    ``policy.after_sleep(state)`` on each. Where ``after_harvest``
-    answers with a function instead, each run of the group calls it
-    with its own generator, and the group splits by the counts. A group
-    is stepped to the horizon before the groups split from it, so a
-    group of one run costs what that run alone would, and every run
-    does the arithmetic it would do alone.
+    and the harness, and the only owner of the sleep timer: it counts
+    down the sleeps that the policy returns under the group protocol of
+    ``harness``. Runs that have seen the same history form a group with
+    one policy state, timer and running total. Where ``after_harvest``
+    returns a function, each run of the group calls it with its own
+    generator and the group splits by count. A group is stepped to the
+    horizon before the groups split off it, so a group of one run does
+    what that run alone would, and every run's arithmetic is its own.
 
-    A run that raises drops out with every later run, and the others
-    run on; the loop then raises the exception of the first run that
-    failed, as stepping the runs one after another would.
-    ``record(t, good, timer, state)``, when given, is called once slot t
-    is taken, for each group in slot order: with the observed state
-    (None for a sleeping slot), the slots still to sleep and the
-    group's state.
+    A run that raises drops out with every later run; the earlier runs
+    still run, and then the exception of the first failing run is
+    raised, as stepping the runs one after another would raise it.
+    ``record(t, good, timer, state)``, when given, is called for each
+    group once slot t is taken, with the observed state (None for a
+    sleeping slot), the slots still to sleep and the group's state.
     """
     r1, r0, gamma = cfg.r1, cfg.r0, cfg.gamma
     after_harvest, after_sleep = policy.after_harvest, policy.after_sleep
@@ -545,7 +540,7 @@ def _run_episodes(policy, rngs: list, states: np.ndarray, cfg: RewardConfig, rec
             else:
                 for run in runs:
                     totals[run] = total
-        except Exception as exc:
+        except Exception as exc:  # raised once the earlier runs have run
             failure, limit = exc, runs[0]
     if failure is not None:
         raise failure
