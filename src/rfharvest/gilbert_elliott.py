@@ -68,11 +68,16 @@ class GEParams:
 
     @property
     def log_persistence(self) -> float:
-        """``log(1 - p - q)`` as ``log1p(-(p + q))``, which keeps the digits
-        that forming ``1 - p - q`` loses when p + q is small; where p + q
-        rounds to 1 (while 1 - p - q stays positive) the plain log."""
-        s = self.p + self.q
-        return math.log1p(-s) if s < 1.0 else math.log(self.persistence)
+        """``log(1 - p - q)``, by ``_log_persistence``."""
+        return _log_persistence(self.p, self.q)
+
+
+def _log_persistence(p: float, q: float) -> float:
+    """``log(1 - p - q)`` as ``log1p(-(p + q))``, which keeps the digits
+    that forming ``1 - p - q`` loses when p + q is small; where p + q
+    rounds to 1 (while 1 - p - q stays positive) the plain log."""
+    s = p + q
+    return math.log1p(-s) if s < 1.0 else math.log(1.0 - p - q)
 
 
 class Stationary(NamedTuple):

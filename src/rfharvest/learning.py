@@ -348,10 +348,17 @@ def _cdf(weights: list[int]) -> list[float]:
     last entry.
 
     When the float sum overflows, raises the ValueError choice would,
-    saying why.
+    saying why, without numpy's overflow warning before it. Where the
+    plain float sum, which never warns, lies below 2^1023, numpy's sum of
+    the same floats cannot overflow; only above it does numpy's sum run
+    with that warning silenced.
     """
     floats = list(map(float, weights))
-    total = float(np.array(floats).sum())
+    if sum(floats) < 2.0**1023:
+        total = float(np.array(floats).sum())
+    else:
+        with np.errstate(over="ignore"):
+            total = float(np.array(floats).sum())
     if not math.isfinite(total):
         raise ValueError(
             f"Probabilities do not sum to 1: the float sum of {len(weights)} hypothesis weights overflows "

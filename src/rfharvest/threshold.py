@@ -17,12 +17,12 @@ import math
 import sys
 from dataclasses import dataclass
 from types import SimpleNamespace
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
 from .beliefs import RewardConfig, _discount_terms, _never_wake_value, _policy_values, _wake_belief
-from .gilbert_elliott import GEParams, burst_escape_probabilities, is_valid_chain
+from .gilbert_elliott import GEParams, _log_persistence, burst_escape_probabilities, is_valid_chain
 from .value_iteration import VISettings, solve
 
 __all__ = [
@@ -84,9 +84,8 @@ class ThresholdPolicy:
         pass
 
 
-@dataclass(frozen=True)
-class PolicyValue:
-    """Policy values at the three recurrent beliefs.
+class PolicyValue(NamedTuple):
+    """Policy values at the three recurrent beliefs, an immutable row.
 
     v_fail = gamma^n * v_wake holds by construction (first system row).
     """
@@ -316,8 +315,18 @@ def _rounds(chains: Sequence[GEParams], sizes: list[int], cfg: RewardConfig):
     return list(zip((wake_top < 0.0).tolist(), pick.tolist(), zip(good.tolist(), fail.tolist(), wake.tolist())))
 
 
-def _scan(chains: Sequence[GEParams], cfg: RewardConfig) -> list[tuple[ThresholdPolicy, PolicyValue]]:
-    """``optimal_sleep_time`` of each chain.
+class _Chain(NamedTuple):
+    """A chain as the scan reads it: p, q and ``log(1 - p - q)``, unchecked.
+    ``GEParams`` has the same fields, so a scan takes either."""
+
+    p: float
+    q: float
+    log_persistence: float
+
+
+def _scan(chains: Sequence[_Chain | GEParams], cfg: RewardConfig) -> list[tuple[ThresholdPolicy, PolicyValue]]:
+    """``optimal_sleep_time`` of each chain, a valid one (``is_valid_chain``)
+    that the scan does not check again.
 
     A lone chain whose counts 0..``default_n_max`` fit the first
     ``_CACHED_COUNTS`` is priced in one pass over all of them, with no
@@ -326,7 +335,8 @@ def _scan(chains: Sequence[GEParams], cfg: RewardConfig) -> list[tuple[Threshold
     elementwise, and the pick rule runs over every count scanned, so
     each chain gets the bits of the one-pass scan of its full range.
     Only the picked counts' values become floats, v_fail = gamma^n
-    v_wake there. Values past the float range raise OverflowError.
+    v_wake there, and the chains that pick the same count share one
+    ``ThresholdPolicy``. Values past the float range raise OverflowError.
     """
     if not chains:
         return []
@@ -340,17 +350,21 @@ def _scan(chains: Sequence[GEParams], cfg: RewardConfig) -> list[tuple[Threshold
         step = _ROUND_COUNTS // _FIRST_ROUND
         outcomes = [o for i in range(0, len(chains), step) for o in _rounds(chains[i : i + step], sizes[i : i + step], cfg)]
     results = []
+    policies = {}
     for chain, (never_wakes, n, value) in zip(chains, outcomes):
         if never_wakes:
             # after a failure sleeping forever earns 0; after a success
             # harvesting on until the first failure may still pay
-            value = (max(0.0, _never_wake_value(chain, cfg)), 0.0, 0.0)
+            n, value = None, (max(0.0, _never_wake_value(chain, cfg)), 0.0, 0.0)
         if not (math.isfinite(value[0]) and math.isfinite(value[2])):
             raise OverflowError(
                 f"policy values of (p, q) = ({chain.p}, {chain.q}) under (r1, r0) = ({cfg.r1}, {cfg.r0}) "
                 f"leave the float range (magnitudes up to {sys.float_info.max:.4g}); scale the rewards down"
             )
-        results.append((ThresholdPolicy.never() if never_wakes else ThresholdPolicy.sleep(n), PolicyValue(*value)))
+        policy = policies.get(n)
+        if policy is None:
+            policy = policies[n] = ThresholdPolicy(n)
+        results.append((policy, PolicyValue(*value)))
     return results
 
 
@@ -379,7 +393,7 @@ def optimal_sleep_time(params: GEParams, cfg: RewardConfig) -> tuple[ThresholdPo
     for the last gamma scanned. Values past the float range raise
     OverflowError.
     """
-    return _scan([params], cfg)[0]
+    return _scan([_Chain(params.p, params.q, params.log_persistence)], cfg)[0]
 
 
 def vi_threshold_policy(
@@ -392,8 +406,12 @@ def vi_threshold_policy(
     return ThresholdPolicy(result.sleep_slots), result.crossover
 
 
-@dataclass(frozen=True)
-class LookupCell:
+class LookupCell(NamedTuple):
+    """One (pi_g, t_b) cell of a ``LookupTable``, an immutable row: the
+    chain's (p, q) from ``burst_escape_probabilities``, and for a valid
+    chain (``is_valid_chain``) its optimal policy and v_good, both None
+    otherwise."""
+
     pi_g: float
     t_b: float
     p: float
@@ -614,26 +632,33 @@ def build_lookup_table(
     """Optimal policy per (pi_g, t_b) cell; infeasible cells flagged.
 
     Both axes must be strictly ascending, the order ``LookupTable``
-    documents and ``LookupTable.from_json_dict`` checks. The valid
-    cells of the whole grid are scanned in one batch, the scan of
-    ``optimal_sleep_time`` over all their chains at once (``_scan``),
-    with the discount-term prefix and the pick rule it uses; each cell
-    gets the bits a scan of its chain alone gives. The batch's rounds
-    stop each chain once no later count can win: on the standard grid
-    most chains stop after their first 32 counts, and the whole grid
-    takes one or two rounds.
+    documents and ``LookupTable.from_json_dict`` checks; an axis value
+    outside the domain of ``burst_escape_probabilities`` is refused
+    first. Each cell takes its (p, q) and its validity from one call of
+    ``burst_escape_probabilities`` and of ``is_valid_chain``. The valid
+    cells of the whole grid are scanned in one batch of ``_Chain`` rows,
+    the scan of ``optimal_sleep_time`` over all their chains at once
+    (``_scan``), with the discount-term prefix and the pick rule it
+    uses; each cell gets the bits a scan of its chain alone gives. The
+    batch's rounds stop each chain once no later count can win: on the
+    standard grid most chains stop after their first 32 counts, and the
+    whole grid takes one or two rounds.
     """
-    grid = [(pi_g, t_b, *burst_escape_probabilities(pi_g, t_b)) for pi_g in pi_g_axis for t_b in t_b_axis]
+    grid = []
+    for pi_g in pi_g_axis:
+        for t_b in t_b_axis:
+            p, q = burst_escape_probabilities(pi_g, t_b)
+            grid.append((pi_g, t_b, p, q, is_valid_chain(p, q)))
     _check_axis("pi_g_axis", pi_g_axis)
     _check_axis("t_b_axis", t_b_axis)
-    best = iter(_scan([GEParams(p=p, q=q) for _, _, p, q in grid if is_valid_chain(p, q)], cfg))
+    best = iter(_scan([_Chain(p, q, _log_persistence(p, q)) for _, _, p, q, valid in grid if valid], cfg))
     cells = []
-    for pi_g, t_b, p, q in grid:
-        if is_valid_chain(p, q):
+    for pi_g, t_b, p, q, valid in grid:
+        if valid:
             policy, value = next(best)
-            cells.append(LookupCell(pi_g=pi_g, t_b=t_b, p=p, q=q, policy=policy, v_good=value.v_good))
+            cells.append(LookupCell(pi_g, t_b, p, q, policy, value.v_good))
         else:
-            cells.append(LookupCell(pi_g=pi_g, t_b=t_b, p=p, q=q, policy=None, v_good=None))
+            cells.append(LookupCell(pi_g, t_b, p, q, None, None))
     return LookupTable(
         pi_g_axis=tuple(float(x) for x in pi_g_axis),
         t_b_axis=tuple(float(x) for x in t_b_axis),

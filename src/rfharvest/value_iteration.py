@@ -86,9 +86,12 @@ def _crossing(low: AlphaVector, high: AlphaVector) -> float:
 def prune_lines(lines: Sequence[AlphaVector], lo: float, hi: float) -> tuple[AlphaVector, ...]:
     """Keep only the lines that win by more than ``PRUNE_TOL`` somewhere on [lo, hi].
 
-    Lines with numerically coincident slopes are merged first (the one
-    with the larger value survives), then a monotone-chain sweep in
-    slope order builds the upper envelope. A line's margin over its two
+    The lines are sorted by (slope, intercept), duplicates dropped,
+    unless one pass finds the slopes already strictly ascending, the
+    order the backups and policy steps emit them in. Lines with
+    numerically coincident slopes are merged first (the one with the
+    larger value survives), then a monotone-chain sweep in slope order
+    builds the upper envelope. A line's margin over its two
     envelope neighbors is concave with its peak where the neighbors
     cross, so evaluating there (clamped into the interval) bounds the
     margin over the whole envelope; lines that cannot beat it by more
@@ -97,7 +100,10 @@ def prune_lines(lines: Sequence[AlphaVector], lo: float, hi: float) -> tuple[Alp
     if not lines:
         raise ValueError("cannot prune an empty line set")
     mid = 0.5 * (lo + hi)
-    ordered = sorted(set(lines), key=lambda l: (l.beta, l.alpha))
+    if all(a.beta < b.beta for a, b in zip(lines, lines[1:])):
+        ordered = lines
+    else:
+        ordered = sorted(set(lines), key=lambda l: (l.beta, l.alpha))
     dedup: list[AlphaVector] = []
     for ln in ordered:
         if dedup and ln.beta - dedup[-1].beta <= PRUNE_TOL:
@@ -216,11 +222,16 @@ def _sleep_lines(
 def bellman_backup_alpha(
     v: PiecewiseLinearValue, params: GEParams, cfg: RewardConfig
 ) -> PiecewiseLinearValue:
-    """One exact backup: new harvesting line plus sleep-transformed lines."""
+    """One exact backup: sleep-transformed lines plus a new harvesting line.
+
+    The sleep transform scales every slope by gamma (1 - p - q), so the
+    lines keep their slope order, and the harvesting line is usually the
+    steepest; they are emitted in that order for ``prune_lines``.
+    """
     lo, hi = _domain(params)
     v_fail = v.value(lo)
     v_good = v.value(hi)
-    new_lines = [_harvest_line(v_fail, v_good, cfg), *_sleep_lines(v.lines, params, cfg.gamma)]
+    new_lines = [*_sleep_lines(v.lines, params, cfg.gamma), _harvest_line(v_fail, v_good, cfg)]
     return PiecewiseLinearValue(lines=prune_lines(new_lines, lo, hi), lo=lo, hi=hi)
 
 
@@ -283,7 +294,8 @@ def _policy_value(
     and y is the value of a run of harvests, ``beliefs._never_wake_value``.
     With h the harvesting line through (x, y) and
     S the sleep transform, the result is the envelope of S^k h,
-    k = 0..n, and the zero line.
+    k = 0..n, and the zero line, emitted flattest first for
+    ``prune_lines``.
     """
     g = cfg.gamma
     lo, hi = _domain(params)
@@ -297,6 +309,7 @@ def _policy_value(
     for _ in range(n or 0):
         lines.extend(_sleep_lines(lines[-1:], params, g))
     lines.append(AlphaVector(0.0, 0.0))
+    lines.reverse()
     return PiecewiseLinearValue(lines=prune_lines(lines, lo, hi), lo=lo, hi=hi)
 
 

@@ -11,7 +11,9 @@ import json
 import math
 import os
 import random
+import sys
 import tracemalloc
+import warnings
 from dataclasses import dataclass
 from enum import Enum
 from unittest import mock
@@ -567,6 +569,22 @@ class TestDraw:
         clone.random()
         assert rng.bit_generator.state == clone.bit_generator.state
 
+    @given(st.lists(st.integers(2**1010, int(sys.float_info.max)) | st.integers(1, 2**60), min_size=1, max_size=40))
+    @settings(max_examples=200, deadline=None)
+    def test_sums_near_the_float_limit_warn_nothing(self, weights):
+        # on both sides of the guard at 2^1023: the cdf of the unguarded
+        # sum where it is finite, else the ValueError, and no warning
+        floats = [float(w) for w in weights]
+        with np.errstate(over="ignore"):
+            total = float(np.array(floats).sum())
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            if math.isfinite(total):
+                assert _cdf(weights) == list(np.cumsum([w / total for w in floats]))
+            else:
+                with pytest.raises(ValueError, match="ROADMAP.md item 2"):
+                    _cdf(weights)
+
     @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
     def test_float_sum_overflow_raises_as_choice_does(self):
         weights = [2**1023, 2**1023 + 1, 5]
@@ -917,6 +935,15 @@ class TestRunLearner:
         params = from_burst_parameterization(0.3, 8.0)
         _, records = run_trace(params, CFG, k=20, horizon=3_000, seed=1)
         assert len(records) == 3_000
+
+    def test_weight_overflow_fails_without_a_warning(self):
+        # the reproducer above with every warning an error: a library
+        # caller gets only the ValueError that names the known limit
+        params = from_burst_parameterization(0.3, 8.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="Probabilities do not sum to 1.*ROADMAP.md item 2"):
+                run_trace(params, CFG, k=20, horizon=3_000, seed=1)
 
 
 def replay_learner_particles(records):

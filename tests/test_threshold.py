@@ -21,11 +21,18 @@ from hypothesis import strategies as st
 
 from rfharvest import cli
 from rfharvest.beliefs import RewardConfig, _discount_terms, _policy_values, _sleep_count, belief_after_failure_and_sleep
-from rfharvest.gilbert_elliott import GEParams, from_burst_parameterization, is_valid_chain, stationary
+from rfharvest.gilbert_elliott import (
+    GEParams,
+    burst_escape_probabilities,
+    from_burst_parameterization,
+    is_valid_chain,
+    stationary,
+)
 from rfharvest.harness import mc_policy_value
 from rfharvest.threshold import (
     STANDARD_PI_G,
     STANDARD_T_B,
+    LookupCell,
     LookupTable,
     PolicyValue,
     ThresholdPolicy,
@@ -523,6 +530,79 @@ class TestBatchedScan:
         assert _scan([], CFG) == []
         table = build_lookup_table([0.1, 0.2], [1.5, 3.0], CFG)
         assert [c.valid for c in table.cells] == [False] * 4
+
+
+@st.composite
+def mixed_grids(draw):
+    """Ascending axes whose cells mix valid chains with every kind of
+    invalid one: p >= 1 (pi_g small against t_b), 1 - p <= q with p < 1,
+    and (0.5, 2), where 1 - p = q exactly."""
+    pi_g = st.sampled_from([0.5, 0.01, 0.04]) | st.floats(0.005, 0.995)
+    t_b = st.sampled_from([2.0, 1.5, 60.0]) | st.floats(1.001, 80.0)
+    pi_g_axis = sorted(draw(st.lists(pi_g, min_size=1, max_size=5, unique=True)))
+    t_b_axis = sorted(draw(st.lists(t_b, min_size=1, max_size=5, unique=True)))
+    r1, r0 = draw(st.sampled_from(REWARDS))
+    return pi_g_axis, t_b_axis, RewardConfig(r1=r1, r0=r0, gamma=draw(GAMMAS))
+
+
+class TestTableCells:
+    """Each cell of a table is made once: its (p, q) and its validity
+    from one call each, its policy and v_good from the batch scan, which
+    must agree with the per-cell statements of all three."""
+
+    @given(mixed_grids())
+    @example(([0.04, 0.4, 0.5, 0.9], [1.5, 2.0, 60.0], RewardConfig(r1=10.0, r0=10.0, gamma=0.99)))
+    @settings(max_examples=80, deadline=None)
+    def test_cells_equal_their_per_cell_statements(self, grid):
+        pi_g_axis, t_b_axis, cfg = grid
+        table = build_lookup_table(pi_g_axis, t_b_axis, cfg)
+        assert len(table.cells) == len(pi_g_axis) * len(t_b_axis)
+        for index, cell in enumerate(table.cells):
+            pi_g, t_b = pi_g_axis[index // len(t_b_axis)], t_b_axis[index % len(t_b_axis)]
+            p, q = burst_escape_probabilities(pi_g, t_b)
+            assert (cell.pi_g, cell.t_b) == (pi_g, t_b)
+            assert (cell.p.hex(), cell.q.hex()) == (p.hex(), q.hex())
+            assert cell.valid == is_valid_chain(p, q)
+            if cell.valid:
+                policy, value = optimal_sleep_time(GEParams(p=p, q=q), cfg)
+                assert cell.policy == policy
+                assert cell.v_good.hex() == value.v_good.hex()
+            else:
+                assert cell.policy is None and cell.v_good is None
+        # cells that pick the same count share one policy object
+        valid = [c.policy for c in table.cells if c.valid]
+        assert len({id(policy) for policy in valid}) == len(set(valid))
+        assert LookupTable.from_json_dict(table.to_json_dict()) == table
+
+    def test_invalid_cells_of_each_kind(self):
+        table = build_lookup_table([0.04, 0.4, 0.5], [2.0, 60.0], CFG)
+        p_at_least_one, p_below_one, boundary = table.cells[::2]
+        assert p_at_least_one.p >= 1.0 and not p_at_least_one.valid
+        assert p_below_one.p < 1.0 and 1.0 - p_below_one.p < p_below_one.q and not p_below_one.valid
+        assert 1.0 - boundary.p == boundary.q and not boundary.valid
+        assert all(c.valid and c.policy is not None for c in table.cells[1::2])
+
+    def test_out_of_domain_axis_value_is_refused_before_the_order(self):
+        cfg = RewardConfig(r1=1.0, r0=1.0, gamma=0.5)
+        with pytest.raises(ValueError, match="pi_g must lie strictly inside"):
+            build_lookup_table([0.6, 0.4, 1.2], [2.0], cfg)
+        with pytest.raises(ValueError, match="t_b must be a finite number above 1"):
+            build_lookup_table([0.5], [3.0, 2.0, 0.9], cfg)
+        with pytest.raises(ValueError, match="t_b must be a finite number above 1"):
+            build_lookup_table([0.6, 0.4], [2.0, math.inf], cfg)
+
+    def test_cells_and_values_are_immutable_rows(self):
+        cell = LookupCell(pi_g=0.6, t_b=2.5, p=0.26666666666666666, q=0.4, policy=ThresholdPolicy.sleep(1), v_good=1.5)
+        never = LookupCell(pi_g=0.1, t_b=2.0, p=4.5, q=0.5, policy=None, v_good=None)
+        assert cell.valid and not never.valid
+        assert cell._fields == ("pi_g", "t_b", "p", "q", "policy", "v_good")
+        value = PolicyValue(v_good=3.0, v_fail=1.0, v_wake=2.0)
+        assert (value.v_good, value.v_fail, value.v_wake) == (3.0, 1.0, 2.0)
+        for row, field in ((cell, "policy"), (value, "v_good")):
+            with pytest.raises(AttributeError):
+                setattr(row, field, None)
+        assert cell == LookupCell(0.6, 2.5, 0.26666666666666666, 0.4, ThresholdPolicy.sleep(1), 1.5)
+        assert hash(value) == hash(PolicyValue(3.0, 1.0, 2.0))
 
 
 # gamma at both ends, the middle, and near 1 where slow chains scan far

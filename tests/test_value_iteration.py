@@ -14,6 +14,7 @@ lines and solving a 2x2 system, the oracle for the closed form that
 
 import math
 import time
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -216,6 +217,46 @@ class TestPruneLines:
         full = brute_force_envelope(lines, xs)
         pruned = brute_force_envelope(kept, xs)
         np.testing.assert_allclose(pruned, full, atol=1e-9)
+
+    @given(
+        st.lists(
+            st.tuples(st.floats(-10, 10), st.floats(0, 10) | st.sampled_from([0.0, 1.0, 1.0 + 1e-13])).map(
+                lambda t: AlphaVector(*t)
+            ),
+            min_size=1,
+            max_size=16,
+        ),
+        st.randoms(use_true_random=False),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_lines_in_slope_order_give_the_sorted_result(self, lines, rnd):
+        # strictly ascending slopes skip the sort; shuffled lines, with
+        # repeated and coincident slopes, take it, and both give one tuple
+        ordered = sorted(set(lines), key=lambda l: (l.beta, l.alpha))
+        shuffled = list(lines)
+        rnd.shuffle(shuffled)
+        assert prune_lines(shuffled, 0.2, 0.8) == prune_lines(ordered, 0.2, 0.8)
+
+    def test_already_sorted_lines_are_not_sorted_again(self):
+        lines = [AlphaVector(5.0, 0.5), AlphaVector(0.0, 1.0), AlphaVector(-1.0, 10.0)]
+        with mock.patch.object(value_iteration, "sorted", side_effect=AssertionError, create=True):
+            kept = prune_lines(lines, 0.0, 1.0)
+        assert kept == prune_lines(lines[::-1], 0.0, 1.0)
+
+    @pytest.mark.parametrize("pi_g, t_b", [(0.6, 2.5), (0.3, 8.0), (0.5, 1000.0)])
+    def test_backups_and_policy_steps_emit_lines_in_slope_order(self, pi_g, t_b):
+        params = from_burst_parameterization(pi_g, t_b)
+        with mock.patch.object(value_iteration, "prune_lines", wraps=prune_lines) as prune:
+            solve(params, RewardConfig(r1=10.0, r0=10.0, gamma=0.99), VISettings(epsilon=1e-6))
+        # every line but the last, a backup's new harvesting line, comes
+        # in slope order; that line is usually the steepest, so most
+        # calls skip the sort
+        ascending = 0
+        for call in prune.call_args_list:
+            slopes = [line.beta for line in call.args[0]]
+            assert all(a < b for a, b in zip(slopes[:-1], slopes[1:-1]))
+            ascending += len(slopes) < 2 or slopes[-2] < slopes[-1]
+        assert prune.call_count >= 3 and ascending >= 0.75 * prune.call_count
 
 
 class TestBackupAlpha:
