@@ -222,12 +222,8 @@ def _sleep_lines(
 def bellman_backup_alpha(
     v: PiecewiseLinearValue, params: GEParams, cfg: RewardConfig
 ) -> PiecewiseLinearValue:
-    """One exact backup: sleep-transformed lines plus a new harvesting line.
-
-    The sleep transform scales every slope by gamma (1 - p - q), so the
-    lines keep their slope order, and the harvesting line is usually the
-    steepest; they are emitted in that order for ``prune_lines``.
-    """
+    """One exact backup: the sleep-transformed lines, which keep their
+    slope order, then the new harvesting line, usually the steepest."""
     lo, hi = _domain(params)
     v_fail = v.value(lo)
     v_good = v.value(hi)

@@ -582,15 +582,6 @@ class TestTableCells:
         assert 1.0 - boundary.p == boundary.q and not boundary.valid
         assert all(c.valid and c.policy is not None for c in table.cells[1::2])
 
-    def test_out_of_domain_axis_value_is_refused_before_the_order(self):
-        cfg = RewardConfig(r1=1.0, r0=1.0, gamma=0.5)
-        with pytest.raises(ValueError, match="pi_g must lie strictly inside"):
-            build_lookup_table([0.6, 0.4, 1.2], [2.0], cfg)
-        with pytest.raises(ValueError, match="t_b must be a finite number above 1"):
-            build_lookup_table([0.5], [3.0, 2.0, 0.9], cfg)
-        with pytest.raises(ValueError, match="t_b must be a finite number above 1"):
-            build_lookup_table([0.6, 0.4], [2.0, math.inf], cfg)
-
     def test_cells_and_values_are_immutable_rows(self):
         cell = LookupCell(pi_g=0.6, t_b=2.5, p=0.26666666666666666, q=0.4, policy=ThresholdPolicy.sleep(1), v_good=1.5)
         never = LookupCell(pi_g=0.1, t_b=2.0, p=4.5, q=0.5, policy=None, v_good=None)
@@ -1009,6 +1000,13 @@ class TestLookupTable:
             build_lookup_table([0.6, 0.4], [2.0], cfg)
         with pytest.raises(ValueError, match="t_b_axis must be nonempty and strictly ascending"):
             build_lookup_table([0.5], [2.0, 2.0], cfg)
+        # a value outside the domain is refused before the order is checked
+        with pytest.raises(ValueError, match="pi_g must lie strictly inside"):
+            build_lookup_table([0.6, 0.4, 1.2], [2.0], cfg)
+        with pytest.raises(ValueError, match="t_b must be a finite number above 1"):
+            build_lookup_table([0.5], [3.0, 2.0, 0.9], cfg)
+        with pytest.raises(ValueError, match="t_b must be a finite number above 1"):
+            build_lookup_table([0.6, 0.4], [2.0, math.inf], cfg)
 
 
 def test_threshold_policy_validation():
