@@ -161,13 +161,16 @@ def cmd_battery(args) -> int:
     cfg = _reward_from_args(args)
     config = _from_flags(battery_mod.BatteryConfig, capacity=args.capacity)
     if args.sleep_slots is not None:
-        policy = _from_flags(ThresholdPolicy.sleep, args.sleep_slots)
+        policy = _from_flags(ThresholdPolicy, args.sleep_slots)
     else:
         policy, _ = optimal_sleep_time(params, cfg)
         if policy.never_harvest:
             raise battery_mod.PolicyNeverHarvests("optimal policy never harvests, give --sleep-slots explicitly")
-    if args.levels:
-        levels = _from_flags(lambda: sorted({int(x) for x in args.levels.split(",")}))
+    if args.levels is not None:
+        try:
+            levels = sorted({int(x) for x in args.levels.split(",")})
+        except ValueError:
+            raise UsageError(f"--levels takes comma-separated integers, got {args.levels!r}") from None
         _from_flags(config.level_array, levels)
     else:
         levels = list(range(0, args.capacity + 1, args.level_step))

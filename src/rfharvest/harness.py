@@ -18,7 +18,7 @@ import numpy as np
 
 from .beliefs import RewardConfig
 from .gilbert_elliott import GEParams, from_burst_parameterization, simulate
-from .learning import PosteriorCount, PosteriorSamplingLearner, SleepTimePlanner, _run_episodes, _Sequential
+from .learning import UNIFORM_PRIOR, PosteriorCount, PosteriorSamplingLearner, SleepTimePlanner, _run_episodes
 from .threshold import STANDARD_PI_G, STANDARD_T_B, ThresholdPolicy, build_lookup_table, grid_axis
 
 __all__ = [
@@ -103,23 +103,21 @@ class ExperimentSpec:
         }
 
 
-# policy protocols: every policy is a sleep-after-failure rule, and
+# the policy protocol: every policy is a sleep-after-failure rule, and
 # learning._run_episodes steps the runs of one path through it, counting
-# the sleeps down; runs that have seen the same history form a group.
-# group protocol: start(rngs) returns the group's first state and the
+# the sleeps down; runs that have seen the same history form a group
+# with one state. start(rngs) returns the group's first state and the
 # slots to sleep before the first harvest (0, or None for never);
 # after_harvest(state, good) returns the next state and the slots to
 # sleep next (0 after a success, N after a failure, None to stop
 # harvesting for good), or a function from a run's rng to that run's
 # count, which splits the group by count; after_sleep(state) is called
-# on every slept slot and returns the next state. The Bayes learner
-# (state: its hypothesis map) and RandomSamplingPolicy (state: None)
-# follow it.
-# sequential protocol, for policies that keep their own state and so run
-# one run at a time behind learning._Sequential: reset(rng) returns the
-# first count, after_harvest(good) the next count, and after_sleep() is
-# called on every slept slot. threshold.ThresholdPolicy, the
-# known-parameter rule, and ImpoverishedPosteriorPolicy follow it.
+# on every slept slot and returns the next state. A state is never
+# mutated, so one policy serves every group. The group states:
+# threshold.ThresholdPolicy, the known-parameter rule, and
+# RandomSamplingPolicy keep None; the Bayes learner its hypothesis map;
+# ImpoverishedPosteriorPolicy its counts and the outcome of the slot
+# before, None after a sleep.
 # ``deterministic`` marks policies whose episodes do not depend on the
 # rng; they run once per path. The Bayes learner and the two baselines
 # below take N from a shared learning.SleepTimePlanner: a count, or
@@ -137,38 +135,34 @@ class ImpoverishedPosteriorPolicy:
     the policy stops harvesting for good. (The sampling learner never
     falls into this trap, which is the point of the comparison; it
     keeps a protective one-slot fallback instead.)
+
+    The group state is ``(counts, prev_good)``: the ``PosteriorCount``
+    of the transitions seen, from the uniform prior, and the outcome of
+    the previous slot, None when it slept.
     """
 
     deterministic = True
 
     def __init__(self, planner: SleepTimePlanner):
         self.planner = planner
-        self.counts = [1, 1, 1, 1]  # g2b, g2g, b2g, b2b
-        self._prev_good: bool | None = None
 
-    def reset(self, rng) -> int:
-        self.counts = [1, 1, 1, 1]
-        self._prev_good = None
-        return 0
+    def start(self, rngs) -> tuple[tuple[PosteriorCount, None], int]:
+        return (UNIFORM_PRIOR, None), 0
 
-    def after_harvest(self, good: bool) -> int | None:
-        if self._prev_good is not None:
-            if self._prev_good and good:
-                self.counts[1] += 1
-            elif self._prev_good and not good:
-                self.counts[0] += 1
-            elif not self._prev_good and good:
-                self.counts[2] += 1
+    def after_harvest(self, state, good: bool):
+        counts, prev_good = state
+        if prev_good is not None:
+            g2b, g2g, b2g, b2b = counts
+            if prev_good:
+                counts = PosteriorCount(g2b, g2g + 1, b2g, b2b) if good else PosteriorCount(g2b + 1, g2g, b2g, b2b)
             else:
-                self.counts[3] += 1
-        self._prev_good = good
+                counts = PosteriorCount(g2b, g2g, b2g + 1, b2b) if good else PosteriorCount(g2b, g2g, b2g, b2b + 1)
         if good:
-            return 0
-        estimate = PosteriorCount(*self.counts)
-        return self.planner.plan(estimate.mean_p, estimate.mean_q)
+            return (counts, True), 0
+        return (counts, False), self.planner.plan(counts.mean_p, counts.mean_q)
 
-    def after_sleep(self) -> None:
-        self._prev_good = None
+    def after_sleep(self, state):
+        return state[0], None
 
 
 class RandomSamplingPolicy:
@@ -206,15 +200,15 @@ def _make_policy(defn: PolicyDef, cfg: RewardConfig):
     opts = dict(defn.options)
     table = opts.pop("table", None)
     if defn.name == "always_harvest":
-        return _Sequential(ThresholdPolicy(0, **opts))
+        return ThresholdPolicy(0, **opts)
     if defn.name == "fixed_threshold":
         if "sleep_slots" not in opts:
             raise ValueError("fixed_threshold needs a sleep_slots option: a count, or None to never harvest")
-        return _Sequential(ThresholdPolicy(**opts))
+        return ThresholdPolicy(**opts)
     if defn.name == "bayes_learner":
         return PosteriorSamplingLearner(planner=SleepTimePlanner(cfg, table), **opts)
     if defn.name == "impoverished_posterior":
-        return _Sequential(ImpoverishedPosteriorPolicy(planner=SleepTimePlanner(cfg, table), **opts))
+        return ImpoverishedPosteriorPolicy(planner=SleepTimePlanner(cfg, table), **opts)
     if defn.name == "random_sampling":
         return RandomSamplingPolicy(planner=SleepTimePlanner(cfg, table), **opts)
     raise ValueError(f"unknown policy {defn.name!r}")

@@ -424,7 +424,7 @@ class PosteriorSamplingLearner:
     """Keep harvesting after a success; after a failure, sleep for the
     plan of one posterior draw. Learns from every slot.
 
-    Follows the group protocol of ``harness``: the state of a group of
+    Follows the policy protocol of ``harness``: the state of a group of
     runs is their hypothesis map, which starts from the prior. After a
     failure each run of the group draws from the one map with its own
     stream, so the runs may plan different sleeps. The planner is
@@ -451,38 +451,13 @@ class PosteriorSamplingLearner:
         return observe(hyp, Observation.NONE)
 
 
-class _Sequential:
-    """A policy of the sequential protocol as a group policy of one run.
-
-    The policy keeps its own state, so it can step one run at a time:
-    ``start`` takes the one run's stream and the group state is None.
-    """
-
-    def __init__(self, policy):
-        self.policy = policy
-
-    @property
-    def deterministic(self) -> bool:
-        return self.policy.deterministic
-
-    def start(self, rngs):
-        (rng,) = rngs
-        return None, self.policy.reset(rng)
-
-    def after_harvest(self, state, good: bool):
-        return None, self.policy.after_harvest(good)
-
-    def after_sleep(self, state) -> None:
-        self.policy.after_sleep()
-
-
 def _run_episodes(policy, rngs: list, states: np.ndarray, cfg: RewardConfig, record=None) -> list[float]:
     """Step the runs of a policy, one per generator in ``rngs``, through
     one hidden state path; each run's discounted reward, in run order.
 
     This is the one episode loop, shared by ``run_learner`` (one run)
     and the harness, and the only owner of the sleep timer: it counts
-    down the sleeps that the policy returns under the group protocol of
+    down the sleeps that the policy returns under the policy protocol of
     ``harness``. Runs that have seen the same history form a group with
     one policy state, timer and running total. Where ``after_harvest``
     returns a function, each run of the group calls it with its own

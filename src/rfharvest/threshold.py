@@ -42,11 +42,16 @@ __all__ = [
 
 @dataclass(frozen=True)
 class ThresholdPolicy:
-    """Either never harvest, or sleep ``sleep_slots`` after each failure.
+    """Either never harvest (``sleep_slots`` None), or sleep
+    ``sleep_slots`` after each failure.
 
-    ``reset``, ``after_harvest`` and ``after_sleep`` follow the sequential
-    policy protocol of ``harness``, which runs this rule as its
-    fixed-threshold and always-harvest policies."""
+    ``start``, ``after_harvest`` and ``after_sleep`` follow the policy
+    protocol of ``harness``, with None as the group state; the harness
+    runs this rule as its fixed-threshold and always-harvest policies.
+    A never policy sleeps from ``start`` on, so an episode run from its
+    start never harvests at all and earns 0, even where the scan's
+    v_good (harvesting on from the post-success belief until the first
+    failure) is positive."""
 
     sleep_slots: int | None
     deterministic = True
@@ -59,29 +64,17 @@ class ThresholdPolicy:
     def never_harvest(self) -> bool:
         return self.sleep_slots is None
 
-    @classmethod
-    def never(cls) -> "ThresholdPolicy":
-        """Never wake after a failure. ``reset`` returns None, so an
-        episode run from its start never harvests at all and earns 0,
-        even where the scan's v_good (harvesting on from the post-success
-        belief until the first failure) is positive."""
-        return cls(sleep_slots=None)
-
-    @classmethod
-    def sleep(cls, n: int) -> "ThresholdPolicy":
-        return cls(sleep_slots=int(n))
-
     def label(self) -> str:
         return "never" if self.never_harvest else str(self.sleep_slots)
 
-    def reset(self, rng) -> int | None:
-        return None if self.sleep_slots is None else 0
+    def start(self, rngs) -> tuple[None, int | None]:
+        return None, None if self.sleep_slots is None else 0
 
-    def after_harvest(self, good: bool) -> int | None:
-        return 0 if good else self.sleep_slots
+    def after_harvest(self, state, good: bool) -> tuple[None, int | None]:
+        return None, 0 if good else self.sleep_slots
 
-    def after_sleep(self) -> None:
-        pass
+    def after_sleep(self, state) -> None:
+        return None
 
 
 class PolicyValue(NamedTuple):
@@ -593,7 +586,7 @@ class LookupTable:
                     raise ValueError(f"{where} has never_harvest {never!r}, not true or false")
                 if not never and (type(slots) is not int or slots < 0):
                     raise ValueError(f"{where} has sleep_slots {slots!r}, not a nonnegative integer")
-                policy = ThresholdPolicy.never() if never else ThresholdPolicy(slots)
+                policy = ThresholdPolicy(None if never else slots)
             cells.append(
                 LookupCell(
                     pi_g=c["pi_g"],

@@ -191,7 +191,7 @@ def test_criterion_5_battery_oracles():
             np.testing.assert_allclose(res.full_charge_prob[phase], closed, atol=1e-10)
 
     params = GEParams(p=0.1, q=0.25)
-    chain = build_chain(params, ThresholdPolicy.sleep(1), BatteryConfig(capacity=10))
+    chain = build_chain(params, ThresholdPolicy(1), BatteryConfig(capacity=10))
     res = absorption_analysis(chain)
     est, se = simulate_chain(chain, initial_level=4, initial_phase=1, episodes=1_000_000, seed=55)
     z = abs(est - res.full_charge_prob[1, 4]) / se
@@ -200,7 +200,7 @@ def test_criterion_5_battery_oracles():
     assert res.full_charge_prob[0, 0] == 0.0 and res.full_charge_prob[1, 0] == 0.0
     assert res.full_charge_prob[0, 10] == 1.0 and res.full_charge_prob[1, 10] == 1.0
 
-    rows = sweep_initial_levels(params, ThresholdPolicy.sleep(1), BatteryConfig(capacity=40), list(range(0, 41, 4)))
+    rows = sweep_initial_levels(params, ThresholdPolicy(1), BatteryConfig(capacity=40), list(range(0, 41, 4)))
     slots = [r["expected_slots_conditional"] for r in rows if r["initial_level"] > 0]
     assert all(a > b for a, b in zip(slots, slots[1:])), "expected-slots column not decreasing"
     print(f"[criterion 5] PASS: ruin oracle exact, simulation z={z:.2f}, endpoints and monotonicity hold")

@@ -312,16 +312,16 @@ class TestBatteryConfig:
 class TestBuildChain:
     def test_rejects_never_harvest(self):
         with pytest.raises(PolicyNeverHarvests):
-            build_chain(PARAMS, ThresholdPolicy.never(), BatteryConfig(capacity=10))
+            build_chain(PARAMS, ThresholdPolicy(None), BatteryConfig(capacity=10))
 
     def test_rows_sum_to_one(self):
-        chain = build_chain(PARAMS, ThresholdPolicy.sleep(2), BatteryConfig(capacity=12))
+        chain = build_chain(PARAMS, ThresholdPolicy(2), BatteryConfig(capacity=12))
         q, r = dense_chain(chain)
         np.testing.assert_allclose(q.sum(axis=1) + r.sum(axis=1), 1.0, atol=1e-12)
 
     def test_two_step_success_probability_by_hand(self):
         # two-step bad-to-good: q(1-p) + (1-q)q = 0.45 at (p, q) = (0.2, 0.3)
-        chain = build_chain(PARAMS, ThresholdPolicy.sleep(1), BatteryConfig(capacity=10))
+        chain = build_chain(PARAMS, ThresholdPolicy(1), BatteryConfig(capacity=10))
         assert chain.success_after_failure == pytest.approx(0.45, abs=1e-12)
         assert chain.success_after_success == pytest.approx(0.8, abs=1e-12)
         assert chain.sleep_slots == 1
@@ -345,14 +345,14 @@ class TestBuildChain:
 
 class TestAbsorptionAnalysis:
     def test_endpoints_exact(self):
-        chain = build_chain(PARAMS, ThresholdPolicy.sleep(1), BatteryConfig(capacity=10))
+        chain = build_chain(PARAMS, ThresholdPolicy(1), BatteryConfig(capacity=10))
         res = absorption_analysis(chain)
         assert res.full_charge_prob[0, 0] == 0.0 and res.full_charge_prob[1, 0] == 0.0
         assert res.full_charge_prob[0, 10] == 1.0 and res.full_charge_prob[1, 10] == 1.0
         assert res.expected_slots_conditional[0, 10] == 0.0
 
     def test_probabilities_complementary(self):
-        chain = build_chain(PARAMS, ThresholdPolicy.sleep(1), BatteryConfig(capacity=20))
+        chain = build_chain(PARAMS, ThresholdPolicy(1), BatteryConfig(capacity=20))
         res = absorption_analysis(chain)
         np.testing.assert_allclose(
             res.full_charge_prob + res.depletion_prob, 1.0, atol=1e-10
@@ -368,7 +368,7 @@ class TestAbsorptionAnalysis:
             np.testing.assert_allclose(res.full_charge_prob[phase], closed, atol=1e-10)
 
     def test_full_charge_prob_increasing_in_level(self):
-        chain = build_chain(PARAMS, ThresholdPolicy.sleep(1), BatteryConfig(capacity=30))
+        chain = build_chain(PARAMS, ThresholdPolicy(1), BatteryConfig(capacity=30))
         res = absorption_analysis(chain)
         for phase in (0, 1):
             assert np.all(np.diff(res.full_charge_prob[phase]) > 0.0)
@@ -376,7 +376,7 @@ class TestAbsorptionAnalysis:
     def test_two_level_battery_by_hand(self):
         # capacity 2, start at 1: one transition decides everything, so
         # the conditional slot count equals the single transition weight
-        chain = build_chain(PARAMS, ThresholdPolicy.sleep(3), BatteryConfig(capacity=2))
+        chain = build_chain(PARAMS, ThresholdPolicy(3), BatteryConfig(capacity=2))
         res = absorption_analysis(chain)
         assert res.full_charge_prob[0, 1] == pytest.approx(chain.success_after_success)
         assert res.full_charge_prob[1, 1] == pytest.approx(chain.success_after_failure)
@@ -525,7 +525,7 @@ class TestAbsorptionAnalysis:
             a, abar = a_next, f1 * abar / g
 
     def test_levels_outside_the_battery_rejected(self):
-        chain = build_chain(PARAMS, ThresholdPolicy.sleep(1), BatteryConfig(capacity=10))
+        chain = build_chain(PARAMS, ThresholdPolicy(1), BatteryConfig(capacity=10))
         for bad in ([11], [0, -1], [3, 2**64], [-(2**64)]):  # int64 cannot hold the last two
             with pytest.raises(ValueError, match=r"levels must lie in \[0, capacity\]"):
                 absorption_analysis(chain, bad)
@@ -588,7 +588,7 @@ class TestAbsorptionAnalysis:
         # slot count NaN (the running product of m stuck at the smallest
         # subnormal and printed 13.5); the lowest level where it reads
         # above 0.0 needs more slots than level 2500.
-        chain = build_chain(from_burst_parameterization(0.35, 8.0), ThresholdPolicy.sleep(0), BatteryConfig(8000))
+        chain = build_chain(from_burst_parameterization(0.35, 8.0), ThresholdPolicy(0), BatteryConfig(8000))
         res = absorption_analysis(chain)
         full, slots = res.full_charge_prob, res.expected_slots_conditional
         assert np.all(res.depletion_prob <= 1.0) and np.all(res.depletion_prob[:, 2499] <= 1.0)
@@ -600,7 +600,7 @@ class TestAbsorptionAnalysis:
     def test_capacity_free_cost(self):
         # capacity 1e9: the head stops at level 74 and the tail is closed
         # form, so eleven levels need a few kilobytes
-        chain = build_chain(from_burst_parameterization(0.7, 5.0), ThresholdPolicy.sleep(2), BatteryConfig(10**9))
+        chain = build_chain(from_burst_parameterization(0.7, 5.0), ThresholdPolicy(2), BatteryConfig(10**9))
         levels = list(range(0, 10**9 + 1, 10**8))
         tracemalloc.start()
         try:
@@ -617,7 +617,7 @@ class TestAbsorptionAnalysis:
     def test_every_level_of_a_large_battery(self):
         # the tail's closed forms run in blocks of levels; every level of
         # capacity 300,000 matches the same levels requested alone
-        chain = build_chain(from_burst_parameterization(0.7, 5.0), ThresholdPolicy.sleep(2), BatteryConfig(300_000))
+        chain = build_chain(from_burst_parameterization(0.7, 5.0), ThresholdPolicy(2), BatteryConfig(300_000))
         res = absorption_analysis(chain)
         levels = [0, 1, 74, 75, 76, 2**17 + 75, 2**17 + 76, 299_999, 300_000]
         some = absorption_analysis(chain, levels)
@@ -662,7 +662,7 @@ class TestAbsorptionAnalysis:
     def test_large_capacity_in_linear_memory(self):
         # a dense (I - Q) at capacity 5000 would take 800 MB
         params = from_burst_parameterization(pi_g=0.7, t_b=5.0)
-        chain = build_chain(params, ThresholdPolicy.sleep(1), BatteryConfig(capacity=5000))
+        chain = build_chain(params, ThresholdPolicy(1), BatteryConfig(capacity=5000))
         tracemalloc.start()
         try:
             res = absorption_analysis(chain)
@@ -688,7 +688,7 @@ class TestAbsorptionAnalysis:
             capacity = 10
             level = int(rng.integers(3, 8))
             phase = int(rng.integers(0, 2))
-            chain = build_chain(params, ThresholdPolicy.sleep(n), BatteryConfig(capacity=capacity))
+            chain = build_chain(params, ThresholdPolicy(n), BatteryConfig(capacity=capacity))
             res = absorption_analysis(chain)
             exact = res.full_charge_prob[phase, level]
             est, se = simulate_chain(
@@ -701,7 +701,7 @@ class TestAbsorptionAnalysis:
 class TestSweep:
     def test_rows_and_monotone_slots(self):
         params = from_burst_parameterization(pi_g=0.7, t_b=5.0)
-        policy = ThresholdPolicy.sleep(1)
+        policy = ThresholdPolicy(1)
         rows = sweep_initial_levels(params, policy, BatteryConfig(capacity=50), list(range(0, 51, 5)))
         assert rows[0]["initial_level"] == 0
         assert rows[0]["full_charge_prob"] == pytest.approx(0.0)
@@ -725,7 +725,7 @@ class TestSweep:
     def test_csv_emission(self):
         params = from_burst_parameterization(pi_g=0.7, t_b=5.0)
         rows = sweep_initial_levels(
-            params, ThresholdPolicy.sleep(1), BatteryConfig(capacity=10), [0, 5, 10]
+            params, ThresholdPolicy(1), BatteryConfig(capacity=10), [0, 5, 10]
         )
         out = io.StringIO()
         write_sweep_csv(rows, out)
@@ -736,5 +736,5 @@ class TestSweep:
     def test_level_validation(self):
         with pytest.raises(ValueError):
             sweep_initial_levels(
-                PARAMS, ThresholdPolicy.sleep(1), BatteryConfig(capacity=10), [11]
+                PARAMS, ThresholdPolicy(1), BatteryConfig(capacity=10), [11]
             )

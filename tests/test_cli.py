@@ -120,6 +120,9 @@ class TestValidation:
             ["--levels", "3,99999999999999999999"],
             ["--levels", "3,-99999999999999999999"],
             ["--capacity", "9223372036854775808", "--level-step", "4611686018427387904"],
+            ["--levels", ""],
+            ["--levels", ","],
+            ["--levels", "1,,2"],
         ],
     )
     def test_invalid_battery_flags_exit_2(self, tmp_path, capsys, flags):
@@ -128,6 +131,10 @@ class TestValidation:
         code, _, err = run_cli(argv, capsys)
         assert code == 2
         assert err.startswith("error: ")
+        assert err.count("\n") == 1
+        assert not (tmp_path / "b.csv").exists()
+        if flags[0] == "--levels" and flags[1] in ("3,x", "", ",", "1,,2"):
+            assert "--levels takes comma-separated integers" in err
 
     def test_runtime_failure_exits_1(self, tmp_path, capsys):
         # the learner's float weights overflow on this run (the known

@@ -32,7 +32,10 @@ post-success belief until the first failure, instead of 0; only those
 cells' v_good moved. The deep-sharing evaluate digest (3 paths x 40
 runs) was recorded from the harness that still stepped every run on
 its own, before the runs of a path began to share one filter; it pins
-runs that part late, deep into the horizon. Rerunning one
+runs that part late, deep into the horizon. The fixed-threshold
+evaluate digest was recorded while ``ThresholdPolicy`` still kept the
+older one-run policy protocol behind an adapter, before every policy
+stepped its runs as a group. Rerunning one
 version twice (acceptance criterion 8) cannot catch a change to the
 random draws or to the floating-point operations; these can. A change
 that alters them on purpose must say so and record new digests.
@@ -93,6 +96,8 @@ TABLE_DIGESTS = {
 EVALUATE_DIGEST = "b3ce94ee0d923ee90cd8d386e9d4a0e531b8a6463a4f1595a4e3a59cf65228fd"
 # the same policies, 3 paths x 40 runs, base seed 5
 DEEP_SHARING_DIGEST = "a77a26e53531993c1d7152f986bed051f13e56943dc35d5c377242d46d3e66a5"
+# fixed_threshold at sleep_slots 3 and None on the reference chain, 4 paths, base seed 3
+FIXED_THRESHOLD_DIGEST = "aa0c15552ed5c2c2f507e78a7f6affbd1dbfa9b8d4b4d337b5ddb7816319624c"
 
 
 @pytest.mark.parametrize("pi_g,t_b,k,horizon", sorted(LEARN_DIGESTS))
@@ -145,12 +150,8 @@ def test_table_digest(tmp_path, r1, r0, fmt):
     assert hashlib.sha256(out.read_bytes()).hexdigest() == TABLE_DIGESTS[(r1, r0, fmt)]
 
 
-def desk_policies_digest(paths, runs_per_path, base_seed):
-    """sha256 of the JSON result of the four desk policies on the reference chain."""
-    table = build_lookup_table(
-        [0.05 + 0.9 * i / 19 for i in range(20)], [1.1 + 18.9 * i / 19 for i in range(20)], CFG
-    )
-    opts = {"table": table}
+def reference_chain_digest(policies, paths, runs_per_path, base_seed):
+    """sha256 of the JSON result of ``policies`` on the reference chain."""
     spec = ExperimentSpec(
         params=from_burst_parameterization(0.6, 2.5),
         cfg=CFG,
@@ -158,16 +159,26 @@ def desk_policies_digest(paths, runs_per_path, base_seed):
         paths=paths,
         runs_per_path=runs_per_path,
         base_seed=base_seed,
-        policies=(
-            PolicyDef("bayes_learner", {"k": 20, **opts}),
-            PolicyDef("impoverished_posterior", dict(opts)),
-            PolicyDef("random_sampling", dict(opts)),
-            PolicyDef("always_harvest"),
-        ),
+        policies=policies,
     )
     buf = io.StringIO()
     write_result_json(evaluate(spec), buf)
     return hashlib.sha256(buf.getvalue().encode()).hexdigest()
+
+
+def desk_policies_digest(paths, runs_per_path, base_seed):
+    """sha256 of the JSON result of the four desk policies on the reference chain."""
+    table = build_lookup_table(
+        [0.05 + 0.9 * i / 19 for i in range(20)], [1.1 + 18.9 * i / 19 for i in range(20)], CFG
+    )
+    opts = {"table": table}
+    policies = (
+        PolicyDef("bayes_learner", {"k": 20, **opts}),
+        PolicyDef("impoverished_posterior", dict(opts)),
+        PolicyDef("random_sampling", dict(opts)),
+        PolicyDef("always_harvest"),
+    )
+    return reference_chain_digest(policies, paths, runs_per_path, base_seed)
 
 
 def test_evaluate_json_digest():
@@ -177,3 +188,11 @@ def test_evaluate_json_digest():
 def test_evaluate_json_digest_with_deep_sharing():
     # 40 runs of one path part at many depths of the horizon
     assert desk_policies_digest(paths=3, runs_per_path=40, base_seed=5) == DEEP_SHARING_DIGEST
+
+
+def test_evaluate_json_digest_of_fixed_threshold():
+    policies = (
+        PolicyDef("fixed_threshold", {"sleep_slots": 3}),
+        PolicyDef("fixed_threshold", {"sleep_slots": None}),
+    )
+    assert reference_chain_digest(policies, paths=4, runs_per_path=2, base_seed=3) == FIXED_THRESHOLD_DIGEST

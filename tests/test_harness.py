@@ -28,10 +28,9 @@ from rfharvest.harness import (
     write_result_json,
 )
 from rfharvest.learning import (
-    PosteriorSamplingLearner,
+    PosteriorCount,
     SleepTimePlanner,
     _run_episodes,
-    _Sequential,
     initial_particles,
     observe,
     sample_and_plan,
@@ -167,27 +166,29 @@ class TestEvaluate:
 
 
 class ScriptedPolicy:
-    """Returns scripted sleep counts and logs every protocol call."""
+    """Returns scripted sleep counts and logs every protocol call; the
+    group state counts the slots stepped."""
 
     def __init__(self, first, script):
         self.first = first
         self.script = script
 
-    def reset(self, rng):
-        self.rng = rng
+    def start(self, rngs):
+        self.rngs = rngs
         self.returned = [self.first]
         self.harvested = []
         self.sleeps = 0
         self._next = iter(self.script)
-        return self.first
+        return 0, self.first
 
-    def after_harvest(self, good):
+    def after_harvest(self, state, good):
         self.harvested.append(good)
         self.returned.append(next(self._next, 0))
-        return self.returned[-1]
+        return state + 1, self.returned[-1]
 
-    def after_sleep(self):
+    def after_sleep(self, state):
         self.sleeps += 1
+        return state + 1
 
 
 class TestEpisodeLoop:
@@ -203,13 +204,15 @@ class TestEpisodeLoop:
         rng = np.random.default_rng(0)
         records = []
         (total,) = _run_episodes(
-            _Sequential(policy), [rng], np.array(states, dtype=np.int8), cfg,
-            lambda t, good, timer, state: records.append((t, good, timer)),
+            policy, [rng], np.array(states, dtype=np.int8), cfg,
+            lambda t, good, timer, state: records.append((t, good, timer, state)),
         )
         horizon = len(states)
-        assert policy.rng is rng
+        assert len(policy.rngs) == 1 and policy.rngs[0] is rng
         assert [r[0] for r in records] == list(range(horizon))
-        harvests = [t for t, good, _ in records if good is not None]
+        # each slot's state is the one its protocol call returned
+        assert [r[3] for r in records] == list(range(1, horizon + 1))
+        harvests = [t for t, good, *_ in records if good is not None]
         assert policy.harvested == [states[t] for t in harvests]
         assert policy.sleeps == horizon - len(harvests)
         assert len(policy.returned) == len(harvests) + 1
@@ -226,7 +229,7 @@ class TestEpisodeLoop:
                 assert end == min(start + 1 + n, horizon)
                 assert [r[2] for r in slept] == list(range(n - 1, -1, -1))[: len(slept)]
         expected = 0.0
-        for t, good, _ in records:
+        for t, good, *_ in records:
             expected += cfg.gamma**t * (0.0 if good is None else (cfg.r1 if good else -cfg.r0))
         assert total == pytest.approx(expected, abs=1e-9)
 
@@ -270,24 +273,84 @@ def random_sampling_alone(planner, rng, states, cfg):
     return total
 
 
+def threshold_alone(sleep_slots, states, cfg):
+    timer = None if sleep_slots is None else 0
+    total, discount = 0.0, 1.0
+    for hidden in states.tolist():
+        if timer == 0:
+            good = bool(hidden)
+            total += discount * (cfg.r1 if good else -cfg.r0)
+            timer = 0 if good else sleep_slots
+        elif timer is not None:
+            timer -= 1
+        discount *= cfg.gamma
+    return total
+
+
+def impoverished_alone(planner, states, cfg):
+    counts = [1, 1, 1, 1]  # g2b, g2g, b2g, b2b
+    prev_good = None  # the outcome of the slot before, None after a sleep
+    timer, total, discount = 0, 0.0, 1.0
+    for hidden in states.tolist():
+        if timer == 0:
+            good = bool(hidden)
+            total += discount * (cfg.r1 if good else -cfg.r0)
+            if prev_good is not None:
+                if prev_good and good:
+                    counts[1] += 1
+                elif prev_good and not good:
+                    counts[0] += 1
+                elif not prev_good and good:
+                    counts[2] += 1
+                else:
+                    counts[3] += 1
+            prev_good = good
+            if good:
+                timer = 0
+            else:
+                estimate = PosteriorCount(*counts)
+                timer = planner.plan(estimate.mean_p, estimate.mean_q)
+        else:
+            prev_good = None
+            if timer is not None:
+                timer -= 1
+        discount *= cfg.gamma
+    return total
+
+
+def runs_alone(d, cfg, rngs, states):
+    """The totals of the runs of policy ``d``, one per generator, each
+    stepped on its own; a deterministic policy runs only the first."""
+    opts = dict(d.options)
+    planner = SleepTimePlanner(cfg, opts.pop("table", None))
+    if d.name == "always_harvest":
+        return [threshold_alone(0, states, cfg)]
+    if d.name == "fixed_threshold":
+        return [threshold_alone(opts["sleep_slots"], states, cfg)]
+    if d.name == "impoverished_posterior":
+        return [impoverished_alone(planner, states, cfg)]
+    if d.name == "bayes_learner":
+        return [learner_alone(opts["k"], planner, rng, states, cfg) for rng in rngs]
+    return [random_sampling_alone(planner, rng, states, cfg) for rng in rngs]
+
+
 def evaluate_alone(spec):
-    """``evaluate``'s result for the learner and random-sampling policies,
-    with every run stepped on its own and its failure raised at once."""
+    """``evaluate``'s result, with every run of every policy stepped on
+    its own and its failure raised at once."""
     keys = tuple(d.key() for d in spec.policies)
     path_means = {key: np.empty(spec.paths) for key in keys}
     for path_idx in range(spec.paths):
         states = simulate(spec.params, spec.horizon, seed=harness._path_seed(spec.base_seed, path_idx))
         for policy_idx, d in enumerate(spec.policies):
-            opts = dict(d.options)
-            planner = SleepTimePlanner(spec.cfg, opts.pop("table", None))
+            rngs = (
+                harness._episode_rng(spec.base_seed, path_idx, run_idx, policy_idx)
+                for run_idx in range(spec.runs_per_path)
+            )
+            totals = runs_alone(d, spec.cfg, rngs, states)
             acc = 0.0
-            for run_idx in range(spec.runs_per_path):
-                rng = harness._episode_rng(spec.base_seed, path_idx, run_idx, policy_idx)
-                if d.name == "bayes_learner":
-                    acc += learner_alone(opts["k"], planner, rng, states, spec.cfg)
-                else:
-                    acc += random_sampling_alone(planner, rng, states, spec.cfg)
-            path_means[d.key()][path_idx] = acc / spec.runs_per_path
+            for total in totals:
+                acc += total
+            path_means[d.key()][path_idx] = acc / len(totals)
     return harness.ExperimentResult(
         spec_echo=spec.echo(),
         policy_keys=keys,
@@ -305,17 +368,28 @@ def small_table(cfg):
     return build_lookup_table([0.3, 0.5, 0.7, 0.9], [1.5, 3.0, 6.0, 12.0], cfg)
 
 
+POLICY_NAMES = ("bayes_learner", "impoverished_posterior", "random_sampling", "always_harvest", "fixed_threshold")
+
+
 @st.composite
 def grouped_specs(draw):
-    """A spec of the learner and random sampling on a drawn chain, with
-    one to 30 runs per path and a gamma that keeps the horizon's tail
-    under the spec's 1% rule."""
+    """A spec of one to five of the policies on a drawn chain, with one
+    to 30 runs per path and a gamma that keeps the horizon's tail under
+    the spec's 1% rule."""
     p = draw(st.floats(0.02, 0.5))
     params = GEParams(p=p, q=draw(st.floats(0.05, 0.95 - p)))
     horizon = draw(st.one_of(st.integers(1, 300), st.just(300)))
     cfg = RewardConfig(r1=draw(st.sampled_from([10.0, 1.0])), r0=10.0, gamma=0.005 ** (1.0 / horizon))
     table = small_table(cfg) if draw(st.booleans()) else None
     opts = {} if table is None else {"table": table}
+    options = {
+        "bayes_learner": lambda: {"k": draw(st.integers(1, 20)), **opts},
+        "impoverished_posterior": lambda: dict(opts),
+        "random_sampling": lambda: dict(opts),
+        "always_harvest": dict,
+        "fixed_threshold": lambda: {"sleep_slots": draw(st.one_of(st.none(), st.integers(0, 20)))},
+    }
+    names = draw(st.lists(st.sampled_from(POLICY_NAMES), min_size=1, max_size=5, unique=True))
     return ExperimentSpec(
         params=params,
         cfg=cfg,
@@ -323,10 +397,7 @@ def grouped_specs(draw):
         paths=draw(st.integers(1, 2)),
         runs_per_path=draw(st.one_of(st.just(1), st.integers(2, 30), st.just(30))),
         base_seed=draw(st.integers(0, 2**32)),
-        policies=(
-            PolicyDef("bayes_learner", {"k": draw(st.integers(1, 20)), **opts}),
-            PolicyDef("random_sampling", dict(opts)),
-        ),
+        policies=tuple(PolicyDef(name, options[name]()) for name in names),
     )
 
 
@@ -349,21 +420,42 @@ class TestGroupedRuns:
     @given(grouped_specs())
     @settings(max_examples=25, deadline=None)
     def test_matches_runs_stepped_alone(self, spec):
-        # per-run totals bit for bit, then the whole result
-        learner_def = spec.policies[0]
-        planner = SleepTimePlanner(spec.cfg, learner_def.options.get("table"))
+        # per-run totals of the first path bit for bit, then the whole result
         states = simulate(spec.params, spec.horizon, seed=harness._path_seed(spec.base_seed, 0))
+        for policy_idx, d in enumerate(spec.policies):
+            policy = harness._make_policy(d, spec.cfg)
 
-        def rngs():
-            return [harness._episode_rng(spec.base_seed, 0, run, 0) for run in range(spec.runs_per_path)]
+            def rngs():
+                runs = 1 if policy.deterministic else spec.runs_per_path
+                return [harness._episode_rng(spec.base_seed, 0, run, policy_idx) for run in range(runs)]
 
-        learner = PosteriorSamplingLearner(learner_def.options["k"], planner)
-        alone = [learner_alone(learner.k, planner, rng, states, spec.cfg) for rng in rngs()]
-        assert _run_episodes(learner, rngs(), states, spec.cfg) == alone
+            assert _run_episodes(policy, rngs(), states, spec.cfg) == runs_alone(d, spec.cfg, rngs(), states)
         grouped, expected = evaluate(spec), evaluate_alone(spec)
         assert json.dumps(grouped.to_json_dict()) == json.dumps(expected.to_json_dict())
         for key in grouped.policy_keys:
             assert grouped.path_means[key].tobytes() == expected.path_means[key].tobytes()
+
+    @pytest.mark.parametrize(
+        "name,options",
+        [
+            ("fixed_threshold", {"sleep_slots": 0}),
+            ("fixed_threshold", {"sleep_slots": 2}),
+            ("fixed_threshold", {"sleep_slots": None}),
+            ("impoverished_posterior", {}),
+            ("impoverished_posterior", {"table": small_table(CFG)}),
+        ],
+    )
+    def test_deterministic_policy_gives_every_run_of_a_group_its_one_run_total(self, name, options):
+        # one policy serves the group and then a run of its own: the shared
+        # state is never mutated. On this path the impoverished baseline
+        # keeps harvesting, with and without the table, and the two differ.
+        d = PolicyDef(name, options)
+        states = simulate(from_burst_parameterization(0.6, 2.5), 500, seed=10)
+        policy = harness._make_policy(d, CFG)
+        rngs = [harness._episode_rng(2, 0, run, 0) for run in range(6)]
+        (alone,) = runs_alone(d, CFG, rngs[:1], states)
+        assert _run_episodes(policy, rngs, states, CFG) == [alone] * 6
+        assert _run_episodes(policy, rngs[:1], states, CFG) == [alone]
 
     def failing_spec(self):
         return ExperimentSpec(
@@ -427,7 +519,6 @@ class TestGroupedRuns:
         with pytest.raises(RuntimeError, match="^sixth sleep after 3 harvests$"):
             _run_episodes(FailsAtSixSleeps(), runs, states, CFG)
 
-    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
     def test_weight_overflow_reads_as_when_runs_step_alone(self):
         spec = ExperimentSpec(
             params=from_burst_parameterization(0.3, 8.0),

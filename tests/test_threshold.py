@@ -80,10 +80,10 @@ def reference_sleep_time(params: GEParams, cfg: RewardConfig) -> tuple[Threshold
     if float(np.max(v_wake)) < 0.0:
         g, p = cfg.gamma, params.p
         y = (cfg.r1 * (1.0 - p) - cfg.r0 * p) / ((1.0 - g) + g * p)
-        return ThresholdPolicy.never(), PolicyValue(v_good=max(0.0, y), v_fail=0.0, v_wake=0.0)
+        return ThresholdPolicy(None), PolicyValue(v_good=max(0.0, y), v_fail=0.0, v_wake=0.0)
     top = np.max(v_good)
     best = int(np.argmax(v_good >= top - _TIE_BAND * abs(top)))
-    return ThresholdPolicy.sleep(best), PolicyValue(*(float(v[best]) for v in values))
+    return ThresholdPolicy(best), PolicyValue(*(float(v[best]) for v in values))
 
 
 def bits(value: PolicyValue) -> tuple[str, ...]:
@@ -224,7 +224,7 @@ class TestPolicyValueLinearSystem:
             cfg = RewardConfig(r1=10.0, r0=1.0, gamma=gamma)
             value = policy_value_linear_system(3, PARAMS, cfg)
             assert value.v_good == pytest.approx((1.0 - PARAMS.p) * 11.0 - 1.0, abs=1e-12)
-            assert optimal_sleep_time(PARAMS, cfg)[0] == ThresholdPolicy.sleep(0)
+            assert optimal_sleep_time(PARAMS, cfg)[0] == ThresholdPolicy(0)
 
     @given(valid_params(), st.integers(0, 40))
     @settings(max_examples=100)
@@ -583,7 +583,7 @@ class TestTableCells:
         assert all(c.valid and c.policy is not None for c in table.cells[1::2])
 
     def test_cells_and_values_are_immutable_rows(self):
-        cell = LookupCell(pi_g=0.6, t_b=2.5, p=0.26666666666666666, q=0.4, policy=ThresholdPolicy.sleep(1), v_good=1.5)
+        cell = LookupCell(pi_g=0.6, t_b=2.5, p=0.26666666666666666, q=0.4, policy=ThresholdPolicy(1), v_good=1.5)
         never = LookupCell(pi_g=0.1, t_b=2.0, p=4.5, q=0.5, policy=None, v_good=None)
         assert cell.valid and not never.valid
         assert cell._fields == ("pi_g", "t_b", "p", "q", "policy", "v_good")
@@ -592,7 +592,7 @@ class TestTableCells:
         for row, field in ((cell, "policy"), (value, "v_good")):
             with pytest.raises(AttributeError):
                 setattr(row, field, None)
-        assert cell == LookupCell(0.6, 2.5, 0.26666666666666666, 0.4, ThresholdPolicy.sleep(1), 1.5)
+        assert cell == LookupCell(0.6, 2.5, 0.26666666666666666, 0.4, ThresholdPolicy(1), 1.5)
         assert hash(value) == hash(PolicyValue(3.0, 1.0, 2.0))
 
 
@@ -739,7 +739,7 @@ class TestCertifiedStop:
         with np.errstate(all="ignore"):
             assert scan_values(params, cfg)[0].max() == math.inf
             ref_policy, ref_value = reference_sleep_time(params, cfg)
-            assert ref_policy == ThresholdPolicy.sleep(0)
+            assert ref_policy == ThresholdPolicy(0)
             for policy, value in _scan([params, params], cfg) + _scan([params], cfg):
                 assert policy == ref_policy and bits(value) == bits(ref_value)
 
@@ -777,7 +777,7 @@ class TestCertifiedStop:
         policy, value = optimal_sleep_time(params, cfg)
         assert total[0] == 32
         ref_policy, ref_value = reference_sleep_time(params, cfg)
-        assert policy == ref_policy == ThresholdPolicy.never() and bits(value) == bits(ref_value)
+        assert policy == ref_policy == ThresholdPolicy(None) and bits(value) == bits(ref_value)
 
 
 def best_count(v_good: np.ndarray, v_wake: np.ndarray) -> int | None:
@@ -1011,7 +1011,7 @@ class TestLookupTable:
 
 def test_threshold_policy_validation():
     with pytest.raises(ValueError):
-        ThresholdPolicy.sleep(-1)
-    assert ThresholdPolicy.never().never_harvest
-    assert ThresholdPolicy.never().label() == "never"
-    assert ThresholdPolicy.sleep(3).label() == "3"
+        ThresholdPolicy(-1)
+    assert ThresholdPolicy(None).never_harvest
+    assert ThresholdPolicy(None).label() == "never"
+    assert ThresholdPolicy(3).label() == "3"

@@ -699,8 +699,8 @@ class TestPolicySteps:
         assert res.value.lines == (AlphaVector(0.0, 0.0),)
         bbar = harvest_crossover(res.value, params, cfg)
         assert bbar > 1.0 - params.p
-        assert ThresholdPolicy(_sleep_count(bbar, params)) == ThresholdPolicy.never()
-        assert optimal_sleep_time(params, cfg)[0] == ThresholdPolicy.never()
+        assert ThresholdPolicy(_sleep_count(bbar, params)) == ThresholdPolicy(None)
+        assert optimal_sleep_time(params, cfg)[0] == ThresholdPolicy(None)
 
     def test_never_wake_cell_is_never_harvest(self):
         # harvesting pays after a success but never after a failure; the
@@ -710,7 +710,7 @@ class TestPolicySteps:
         res = solve(params, cfg, VISettings(epsilon=1e-6))
         bbar = harvest_crossover(res.value, params, cfg)
         assert bbar <= 1.0 - params.p and _sleep_count(bbar, params) is None
-        assert optimal_sleep_time(params, cfg)[0] == ThresholdPolicy.never()
+        assert optimal_sleep_time(params, cfg)[0] == ThresholdPolicy(None)
         ref = plain_solve(params, cfg, VISettings(epsilon=1e-6))
         assert sup_difference(res.value, ref.value) <= 1e-6
 
@@ -724,7 +724,7 @@ class TestPolicySteps:
         assert bbar <= 1.0 - params.p and _sleep_count(bbar, params) is None
         settings_ = VISettings(epsilon=1e-6, max_iterations=50)
         via_vi, _ = vi_threshold_policy(params, cfg, settings_)
-        assert via_vi == optimal_sleep_time(params, cfg)[0] == ThresholdPolicy.sleep(9)
+        assert via_vi == optimal_sleep_time(params, cfg)[0] == ThresholdPolicy(9)
 
     def test_slowly_mixing_chain_within_budget(self):
         # persistence 0.998: the plain loop needs 231,306 backups here
@@ -732,7 +732,7 @@ class TestPolicySteps:
         cfg = RewardConfig(r1=10.0, r0=10.0, gamma=0.9999)
         settings_ = VISettings(epsilon=1e-6, max_iterations=50)
         via_vi, _ = vi_threshold_policy(params, cfg, settings_)
-        assert via_vi == optimal_sleep_time(params, cfg)[0] == ThresholdPolicy.sleep(44)
+        assert via_vi == optimal_sleep_time(params, cfg)[0] == ThresholdPolicy(44)
 
 
 @given(valid_params())
